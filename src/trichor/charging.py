@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import CapExceededError, HasDeepEdgesError, NotA3VintError
-from .geometry import AugmentedPointSet, Point
+from .geometry import AugmentedPointSet, Point, crosses
 from .polygons import SimplePolygon, catalan, count_triangulations
 from .triangulation import (
     EdgeRef,
@@ -33,6 +33,7 @@ from .triangulation import (
     edge,
     edge_apex_map,
     fingerprint_bytes,
+    vertex_link,
 )
 
 DEFAULT_SUBTREE_CAP = 10**6
@@ -164,16 +165,7 @@ class FlipTree:
         return (self.link, tuple(c.key() for c in self.children))
 
     def subtree_count(self) -> int:
-        def grow(node):
-            t = 1
-            for c in node.children:
-                t *= 1 + grow(c)
-            return t
-
-        total = 1
-        for c in self.children:
-            total *= 1 + grow(c)
-        return total
+        return sum(subtree_size_counts(self.children))
 
     def to_dot(self) -> str:
         lines = ["digraph fliptree {", "  node [shape=circle];"]
@@ -196,19 +188,20 @@ class FlipTree:
         return "\n".join(lines) + "\n"
 
 
-def _cross(xy, a: int, b: int, c: int, d: int) -> bool:
-    """Proper crossing of segments ab and cd over coordinate tuples."""
-    ax, ay = xy[a]
-    bx, by = xy[b]
-    cx, cy = xy[c]
-    dx, dy = xy[d]
-    o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
-    if o1 == 0 or o2 == 0 or (o1 > 0) == (o2 > 0):
-        return False
-    o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
-    o4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
-    return o3 != 0 and o4 != 0 and (o3 > 0) != (o4 > 0)
+def subtree_size_counts(children) -> list[int]:
+    """``counts[j]``: the number of root-containing subtrees with j edges,
+    for a root whose child nodes are ``children`` (any nodes with
+    ``.children``)."""
+    counts = [1]
+    for c in children:
+        # Leave c out (1), or take the edge to c and a subtree below it.
+        factor = [1] + subtree_size_counts(c.children)
+        prod = [0] * (len(counts) + len(factor) - 1)
+        for i, a in enumerate(counts):
+            for k, b in enumerate(factor):
+                prod[i + k] += a * b
+        counts = prod
+    return counts
 
 
 def _grow_node(xy, amap, p, u, v, ref, opp, used, level):
@@ -223,13 +216,13 @@ def _grow_node(xy, amap, p, u, v, ref, opp, used, level):
     if not far:
         return None
     q = far[0]
-    if not _cross(xy, p, q, u, v):
+    if not crosses(xy, p, q, u, v):
         return None
     face = tuple(sorted((u, v, q)))
     if face in used:
         raise AssertionError("flip-tree expansion revisited a face")
     used.add(face)
-    rigid = not _cross(xy, opp, q, u, v)
+    rigid = not crosses(xy, opp, q, u, v)
     children = []
     for x, y in ((u, v), (v, u)):
         # child edge (q, x); the near apex and the opposite vertex are y
@@ -248,22 +241,9 @@ def build_flip_tree_raw(xy, tris, p: int, link=None) -> FlipTree:
     """Flip-tree of the 3-vint (p, tris) over raw coordinate tuples."""
     amap = edge_apex_map(tris)
     if link is None:
-        succ = {}
-        for t in tris:
-            if p in t:
-                a, b, c = t
-                if a == p:
-                    succ[b] = c
-                elif b == p:
-                    succ[c] = a
-                else:
-                    succ[a] = b
-        start = min(succ)
-        link = [start]
-        cur = succ[start]
-        while cur != start:
-            link.append(cur)
-            cur = succ[cur]
+        link = vertex_link(tris, p)
+        if link is None:
+            raise NotA3VintError(f"point {p} is not interior")
     if len(link) != 3:
         raise NotA3VintError(f"point {p} has degree {len(link)}")
     a, b, c = _canon_cycle(list(link))
@@ -361,40 +341,13 @@ class RigidCore:
         return cls(tuple(build(s, 1) for s in shape))
 
     def subtree_edge_counts(self, cap: int = DEFAULT_SUBTREE_CAP) -> list[int]:
-        """Edge count j of every root-containing subtree, by explicit
-        enumeration of the include/exclude decisions."""
-        total = 1
-        for c in self.children:
-            total *= 1 + _shape_count(c)
+        """Edge count j of every root-containing subtree, in ascending
+        order."""
+        counts = subtree_size_counts(self.children)
+        total = sum(counts)
         if total > cap:
             raise CapExceededError(f"core has {total} subtrees, cap {cap}")
-        sizes: list[int] = []
-        pending: list[CoreNode] = list(self.children)
-        chosen = [0]
-
-        def rec():
-            if not pending:
-                sizes.append(chosen[0])
-                return
-            node = pending.pop()
-            rec()
-            chosen[0] += 1
-            pending.extend(node.children)
-            rec()
-            for _ in node.children:
-                pending.pop()
-            chosen[0] -= 1
-            pending.append(node)
-
-        rec()
-        return sizes
-
-
-def _shape_count(node: CoreNode) -> int:
-    t = 1
-    for c in node.children:
-        t *= 1 + _shape_count(c)
-    return t
+        return [j for j, c in enumerate(counts) for _ in range(c)]
 
 
 def rigid_core(tree: FlipTree) -> RigidCore:
@@ -933,27 +886,6 @@ class RulesReport:
         return not self.violations
 
 
-def _link_cycles(tris) -> dict[int, list[int]]:
-    succ: dict[int, dict[int, int]] = {}
-    for a, b, c in tris:
-        succ.setdefault(a, {})[b] = c
-        succ.setdefault(b, {})[c] = a
-        succ.setdefault(c, {})[a] = b
-    return succ
-
-
-def _cycle_from(succ: dict[int, int]) -> list[int] | None:
-    start = min(succ)
-    cyc = [start]
-    cur = succ[start]
-    while cur != start:
-        cyc.append(cur)
-        if len(cyc) > len(succ):
-            return None
-        cur = succ[cur]
-    return cyc if len(cyc) == len(succ) else None
-
-
 def _hole_convex(xy, cycle) -> bool:
     k = len(cycle)
     for i in range(k):
@@ -976,10 +908,8 @@ def check_structural_rules(P: AugmentedPointSet) -> RulesReport:
     rep = RulesReport()
 
     for tris in flip_graph_states(P):
-        succ_all = _link_cycles(tris)
-        amap = edge_apex_map(tris)
         for p in interior:
-            cyc = _cycle_from(succ_all[p])
+            cyc = vertex_link(tris, p)
             if cyc is None:
                 rep.violations.append(f"point {p} link is not a single cycle")
                 continue
@@ -1002,7 +932,7 @@ def check_structural_rules(P: AugmentedPointSet) -> RulesReport:
                 beta = cyc[(idx + 1) % d]
                 # Edge (p, x) flips iff the quad (p, alpha, x, beta) is
                 # strictly convex, i.e. alpha-beta crosses p-x.
-                if not _cross(xy, alpha, beta, p, x):
+                if not crosses(xy, alpha, beta, p, x):
                     continue
                 reduced = tuple(cyc[:idx] + cyc[idx + 1 :])
                 supp_after = counter.count(reduced)
@@ -1020,8 +950,8 @@ def check_structural_rules(P: AugmentedPointSet) -> RulesReport:
                     if e1.rigid or e2.rigid:
                         continue
                     rep.rule1_checked += 1
-                    frees1 = _cross(xy, node.opp, e1.apex, *node.dual)
-                    frees2 = _cross(xy, node.opp, e2.apex, *node.dual)
+                    frees1 = crosses(xy, node.opp, e1.apex, *node.dual)
+                    frees2 = crosses(xy, node.opp, e2.apex, *node.dual)
                     if frees1 and frees2:
                         rep.violations.append(
                             f"both children of a rigid edge can free it at point {p}"

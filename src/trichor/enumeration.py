@@ -1,9 +1,10 @@
 """Exhaustive enumeration of triangulations by flip-graph traversal.
 
 Every triangulation of a point set can be reached from any other by
-edge flips, so a breadth-first walk over the flip graph with canonical
-deduplication visits each one exactly once.  Counts and degree totals
-are exact integers; expected degrees come out as exact rationals.
+edge flips, so a breadth-first walk over the flip graph, deduplicated on
+each state's exact edge set (an int bitmask over the index pairs),
+visits each one exactly once.  Counts and degree totals are exact
+integers; expected degrees come out as exact rationals.
 
 The traversal works on raw canonical triangle tuples for speed; the
 ``Triangulation`` class is only materialized at API boundaries.
@@ -12,24 +13,24 @@ The traversal works on raw canonical triangle tuples for speed; the
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import ceil
 from typing import Iterator
 
 from .errors import CapExceededError
-from .geometry import AugmentedPointSet
+from .geometry import AugmentedPointSet, crosses
 from .triangulation import (
     Tri,
+    _ccw,
     canonical_triangles,
+    edge_apex_map,
     edges_of,
     fingerprint_bytes,
     initial_triangulation,
 )
-
-
-# BFS frontier prefix length kept before compaction.
-PREFIX_DROP = 65536
 
 
 @dataclass
@@ -67,17 +68,16 @@ def _interior_indices(container) -> list[int]:
 def flip_graph_states(
     container,
     cap: int | None = None,
-    order: str = "bfs",
     stats: EnumerationStats | None = None,
-    _hash=None,
 ) -> Iterator[tuple[Tri, ...]]:
     """Yield every triangulation of the container as a canonical triangle
-    tuple, each exactly once.  Raises CapExceededError after yielding
-    ``cap`` states.
+    tuple, each exactly once, in breadth-first order from the seed.
+    Raises CapExceededError after yielding ``cap`` states.
 
-    ``order`` switches between BFS and DFS expansion; the visited set is
-    identical either way.  ``_hash`` overrides the fingerprint hash (used
-    by tests to force collisions).
+    A state's key is its edge set as an int bitmask over the index
+    pairs.  Flipping uv to xy toggles two bits, so a neighbour is looked
+    up in ``seen`` before it is built; only unseen flips pay for the
+    crossing test and canonicalisation.
     """
     pts = container.points
     xy = [(p.x, p.y) for p in pts]
@@ -89,97 +89,43 @@ def flip_graph_states(
     expected_edges = 3 * n_all - 3 - hull_size
     expected_tris = 2 * n_all - 2 - hull_size
 
-    fp_kwargs = {} if _hash is None else {"_hash": _hash}
-
-    def pack(tris) -> bytes:
-        raw = bytearray()
-        for i, j in edges_of(tris):
-            raw += i.to_bytes(2, "little")
-            raw += j.to_bytes(2, "little")
-        return bytes(raw)
-
-    visited: dict[bytes, list[bytes]] = {}
-
-    def admit(tris) -> bool:
-        fp = fingerprint_bytes(tris, **fp_kwargs)
-        packed = pack(tris)
-        bucket = visited.get(fp)
-        if bucket is None:
-            visited[fp] = [packed]
-            return True
-        if packed in bucket:
-            return False
-        bucket.append(packed)
-        return True
-
-    frontier: list[tuple[Tri, ...]] = [seed]
-    admit(seed)
-    head = 0
+    bit: dict[tuple[int, int], int] = {}
+    for k, (i, j) in enumerate(combinations(range(n_all), 2)):
+        bit[i, j] = bit[j, i] = 1 << k
+    mask = sum(bit[e] for e in edges_of(seed))
+    seen = {mask}
+    frontier = deque([(seed, mask)])
     yielded = 0
-    while True:
-        if order == "bfs":
-            if head >= len(frontier):
-                break
-            state = frontier[head]
-            head += 1
-            if head >= PREFIX_DROP:
-                # Drop the consumed prefix to bound memory.
-                frontier = frontier[head:]
-                head = 0
-        else:
-            if not frontier:
-                break
-            state = frontier.pop()
+    while frontier:
+        state, mask = frontier.popleft()
         if len(state) != expected_tris or len(edges_of(state)) != expected_edges:
             raise AssertionError("Euler count violated during enumeration")
         yield state
         yielded += 1
         if cap is not None and yielded >= cap:
             raise CapExceededError(f"enumeration cap {cap} reached")
-        for nxt in _neighbors(xy, state):
-            if admit(nxt):
-                frontier.append(nxt)
+        for (u, v), apexes in edge_apex_map(state).items():
+            if len(apexes) != 2:
+                continue
+            x, y = apexes
+            nxt = mask ^ bit[u, v] ^ bit[x, y]
+            # For a non-convex quad, xy is already an edge or crosses an
+            # edge other than uv: that mask is no triangulation, never seen.
+            if nxt in seen or not crosses(xy, x, y, u, v):
+                continue
+            seen.add(nxt)
+            keep = [t for t in state if not (u in t and v in t)]
+            keep.append(_ccw(pts, x, y, u))
+            keep.append(_ccw(pts, x, y, v))
+            frontier.append((canonical_triangles(keep), nxt))
         if stats is not None:
-            stats.frontier_peak = max(stats.frontier_peak, len(frontier) - head)
-
-
-def _neighbors(xy, tris) -> list[tuple[Tri, ...]]:
-    amap: dict[tuple[int, int], list[int]] = {}
-    for a, b, c in tris:
-        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-            key = (u, v) if u < v else (v, u)
-            amap.setdefault(key, []).append(w)
-    out = []
-    for (u, v), apexes in amap.items():
-        if len(apexes) != 2:
-            continue
-        x, y = apexes
-        ax, ay = xy[x]
-        bx, by = xy[y]
-        ux, uy = xy[u]
-        vx, vy = xy[v]
-        # Proper crossing of candidate diagonal xy with uv.
-        o1 = (bx - ax) * (uy - ay) - (by - ay) * (ux - ax)
-        o2 = (bx - ax) * (vy - ay) - (by - ay) * (vx - ax)
-        if o1 == 0 or o2 == 0 or (o1 > 0) == (o2 > 0):
-            continue
-        o3 = (vx - ux) * (ay - uy) - (vy - uy) * (ax - ux)
-        o4 = (vx - ux) * (by - uy) - (vy - uy) * (bx - ux)
-        if o3 == 0 or o4 == 0 or (o3 > 0) == (o4 > 0):
-            continue
-        keep = [t for t in tris if not (u in t and v in t)]
-        # o1 = orient(x, y, u) and o2 = orient(x, y, v) fix the CCW order.
-        keep.append((x, y, u) if o1 > 0 else (x, u, y))
-        keep.append((x, y, v) if o2 > 0 else (x, v, y))
-        out.append(canonical_triangles(keep))
-    return out
+            stats.frontier_peak = max(stats.frontier_peak, len(frontier))
 
 
 def enumerate_all(
     container,
     cap: int | None = None,
     collect_fingerprints: bool = False,
-    order: str = "bfs",
 ) -> EnumerationResult:
     """Count all triangulations and accumulate interior degree totals.
 
@@ -206,7 +152,7 @@ def enumerate_all(
         )
 
     deg = [0] * n_all
-    gen = flip_graph_states(container, cap=cap, order=order, stats=stats)
+    gen = flip_graph_states(container, cap=cap, stats=stats)
     try:
         for state in gen:
             count += 1

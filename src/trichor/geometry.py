@@ -50,17 +50,29 @@ def orient(a: Point, b: Point, c: Point) -> int:
     return COLLINEAR
 
 
-def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff the open segments ab and cd properly intersect.
+def crosses(xy, a: int, b: int, c: int, d: int) -> bool:
+    """True iff the open segments ab and cd properly intersect, where
+    a, b, c, d index the coordinate pairs ``xy``.
 
     Shared endpoints, endpoint-on-segment contacts, and collinear
     overlaps do not count as proper crossings.
     """
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
-    return o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0 and o1 != o2 and o3 != o4
+    ax, ay = xy[a]
+    bx, by = xy[b]
+    cx, cy = xy[c]
+    dx, dy = xy[d]
+    o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
+    if o1 == 0 or o2 == 0 or (o1 > 0) == (o2 > 0):
+        return False
+    o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
+    o4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
+    return o3 != 0 and o4 != 0 and (o3 > 0) != (o4 > 0)
+
+
+def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """True iff the open segments ab and cd properly intersect."""
+    return crosses(((a.x, a.y), (b.x, b.y), (c.x, c.y), (d.x, d.y)), 0, 1, 2, 3)
 
 
 def point_on_open_segment(p: Point, a: Point, b: Point) -> bool:

@@ -1,14 +1,14 @@
 """Triangulations over (augmented) point sets, with edge flips.
 
-The representation is a triangle soup with derived adjacency: each
-triangulation stores its vertex-index triples in CCW order, in a
+The representation is a triangle soup with a derived edge -> apex map:
+each triangulation stores its vertex-index triples in CCW order, in a
 canonical sorted form, plus a reference to the underlying point
 container.  Flips return new values; nothing is mutated.
 
-The canonical fingerprint is the SHA-256 of the sorted edge list (two
-bytes per index, little endian).  Deduplication during enumeration
-compares full edge sets on fingerprint collisions, so correctness never
-depends on hash quality.
+The fingerprint is the SHA-256 of the sorted edge list (two bytes per
+index, little endian), truncated to 16 bytes.  It names a triangulation
+in reports and on the command line only: enumeration deduplicates on an
+exact edge bitmask, so no count depends on hash quality.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .geometry import (
     point_in_triangle,
     segments_cross,
 )
-
-BOUNDARY = -1
 
 # An edge is an index pair (i, j) with i < j.
 EdgeRef = tuple[int, int]
@@ -71,13 +69,13 @@ def edge_apex_map(tris) -> dict[EdgeRef, list[int]]:
     return m
 
 
-def fingerprint_bytes(tris, _hash=hashlib.sha256) -> bytes:
+def fingerprint_bytes(tris) -> bytes:
     """Stable 16-byte digest of the canonical edge list."""
     raw = bytearray()
     for i, j in edges_of(tris):
         raw += i.to_bytes(2, "little")
         raw += j.to_bytes(2, "little")
-    return _hash(bytes(raw)).digest()[:16]
+    return hashlib.sha256(bytes(raw)).digest()[:16]
 
 
 @dataclass(frozen=True)
@@ -128,23 +126,6 @@ class Triangulation:
         if self._apexes is None:
             self._apexes = edge_apex_map(self.triangles)
         return self._apexes
-
-    def adjacency(self) -> dict[tuple[int, int], int]:
-        """(triangle index, edge slot) -> opposite triangle index or BOUNDARY.
-
-        Edge slot e covers the edge from vertex e to vertex (e+1) % 3.
-        """
-        owner: dict[EdgeRef, list[int]] = {}
-        for ti, (a, b, c) in enumerate(self.triangles):
-            for u, v in ((a, b), (b, c), (c, a)):
-                owner.setdefault(edge(u, v), []).append(ti)
-        adj = {}
-        for ti, (a, b, c) in enumerate(self.triangles):
-            for slot, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-                tis = owner[edge(u, v)]
-                other = [t for t in tis if t != ti]
-                adj[(ti, slot)] = other[0] if other else BOUNDARY
-        return adj
 
     def fingerprint(self) -> str:
         if self._fp is None:
@@ -205,20 +186,10 @@ class Triangulation:
         return deg
 
     def link_cycle(self, p: int) -> list[int]:
-        """Neighbours of interior vertex p in CCW order around p."""
-        succ: dict[int, int] = {}
-        for t in self.triangles:
-            if p in t:
-                # rotated CCW triple (p, x, y): y follows x around p
-                _, x, y = _rotate_to(t, p)
-                succ[x] = y
-        start = next(iter(succ))
-        cycle = [start]
-        cur = succ.get(start)
-        while cur is not None and cur != start:
-            cycle.append(cur)
-            cur = succ.get(cur)
-        if cur != start or len(cycle) != len(succ):
+        """Neighbours of interior vertex p in CCW order around p, starting
+        at the smallest index."""
+        cycle = vertex_link(self.triangles, p)
+        if cycle is None:
             raise ValueError(f"vertex {p} is not interior")
         return cycle
 
@@ -229,8 +200,7 @@ class Triangulation:
         for t in self.triangles:
             if orient(pts[t[0]], pts[t[1]], pts[t[2]]) != CCW:
                 raise ValueError(f"triangle {t} is not CCW")
-        # Every edge borders one or two triangles; consistency of the
-        # adjacency involution is implied by the apex map cardinality.
+        # Every edge borders one or two triangles.
         for e, apexes in self.apex_map.items():
             if len(apexes) > 2:
                 raise ValueError(f"edge {e} borders {len(apexes)} triangles")
@@ -260,13 +230,30 @@ class Triangulation:
         )
 
 
-def _rotate_to(t: Tri, p: int) -> Tri:
-    a, b, c = t
-    if a == p:
-        return (a, b, c)
-    if b == p:
-        return (b, c, a)
-    return (c, a, b)
+def vertex_link(tris, p: int) -> list[int] | None:
+    """Neighbours of p in CCW order around p, starting at the smallest
+    index, or None when they do not close into one cycle (p on the hull
+    or in no triangle)."""
+    succ: dict[int, int] = {}
+    for a, b, c in tris:
+        # In the CCW triple rotated to (p, x, y), y follows x around p.
+        if a == p:
+            succ[b] = c
+        elif b == p:
+            succ[c] = a
+        elif c == p:
+            succ[a] = b
+    if not succ:
+        return None
+    start = min(succ)
+    cycle = [start]
+    cur = succ[start]
+    while cur != start:
+        if cur not in succ or len(cycle) == len(succ):
+            return None
+        cycle.append(cur)
+        cur = succ[cur]
+    return cycle if len(cycle) == len(succ) else None
 
 
 def _ccw(pts, a: int, b: int, c: int) -> Tri:

@@ -19,6 +19,7 @@ from trichor.geometry import (
     write_points,
 )
 from trichor.polygons import catalan
+from trichor.triangulation import Triangulation
 
 
 @pytest.mark.parametrize("n,expected", [(4, 2), (5, 5), (6, 14)])
@@ -55,13 +56,6 @@ def test_degree_totals_sum_to_n_count():
         assert r.vhat(3) * 30 >= P.n
 
 
-def test_bfs_dfs_agree():
-    P = augment(gen_random(5, 4))
-    a = enumerate_all(P, order="bfs")
-    b = enumerate_all(P, order="dfs")
-    assert (a.count, a.degree_totals) == (b.count, b.degree_totals)
-
-
 def test_cap_raises_with_partial_result():
     with pytest.raises(CapExceededError) as exc:
         enumerate_all(gen_convex(6), cap=3)
@@ -79,18 +73,37 @@ def test_capped_fingerprints_are_prefix_of_full():
     assert set(capped.fingerprints) <= set(full.fingerprints)
 
 
-def test_enumeration_exact_under_hash_collisions():
-    # Force every fingerprint to collide: dedup must fall back to full
-    # edge-set comparison and still count exactly.
-    class Collide:
-        def __init__(self, _data=b""):
-            pass
+WALK_INSTANCES = (
+    [
+        pytest.param(lambda n=n: gen_convex(n), catalan(n - 2), id=f"convex-{n}")
+        for n in range(3, 10)
+    ]
+    + [
+        pytest.param(lambda n=n: gen_convex_arc_in_triangle(n), catalan(n), id=f"arc-{n}")
+        for n in (2, 4)
+    ]
+    + [
+        pytest.param(lambda n=n, s=s: augment(gen_random(n, s)), None, id=f"random-{n}-s{s}")
+        for n, s in ((4, 1), (5, 4), (6, 2))
+    ]
+)
 
-        def digest(self):
-            return b"\x00" * 16
 
-    states = list(flip_graph_states(gen_convex(6), _hash=Collide))
-    assert len(states) == 14
+@pytest.mark.parametrize("make,expected", WALK_INSTANCES)
+def test_walk_is_exact(make, expected):
+    # The walk yields each triangulation once and misses none: its states
+    # are pairwise distinct and closed under every legal flip.  Convex
+    # and arc instances also have known Catalan counts.
+    P = make()
+    states = list(flip_graph_states(P))
+    if expected is not None:
+        assert len(states) == expected
+    yielded = set(states)
+    assert len(yielded) == len(states)
+    for tris in states:
+        t = Triangulation(P, tris)
+        for e in t.flippable_edges():
+            assert t.flip(e).triangles in yielded
 
 
 def test_pointset_and_augmented_give_same_count(tmp_path):
@@ -160,10 +173,3 @@ def test_counts_invariant_under_coordinate_scaling():
     a, b = enumerate_all(P), enumerate_all(big)
     assert a.count == b.count
     assert a.degree_totals == b.degree_totals
-
-
-def test_frontier_prefix_drop_preserves_counts(monkeypatch):
-    import trichor.enumeration as en
-
-    monkeypatch.setattr(en, "PREFIX_DROP", 4)
-    assert enumerate_all(gen_convex(7)).count == 42
