@@ -47,6 +47,7 @@ from .errors import (
     ExhaustedRetriesError,
     HasDeepEdgesError,
     InvalidChordError,
+    InvariantError,
     NotA3VintError,
     NotFlippableError,
     NotSimpleError,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .errors import CapExceededError, HasDeepEdgesError, NotA3VintError
+from .errors import CapExceededError, HasDeepEdgesError, InvariantError, NotA3VintError
 from .geometry import AugmentedPointSet, Point, crosses
 from .polygons import SimplePolygon, catalan, count_triangulations
 from .triangulation import (
@@ -220,7 +220,7 @@ def _grow_node(xy, amap, p, u, v, ref, opp, used, level):
         return None
     face = tuple(sorted((u, v, q)))
     if face in used:
-        raise AssertionError("flip-tree expansion revisited a face")
+        raise InvariantError("flip-tree expansion revisited a face")
     used.add(face)
     rigid = not crosses(xy, opp, q, u, v)
     children = []
@@ -237,16 +237,20 @@ def _canon_cycle(cycle) -> tuple[int, ...]:
     return tuple(cycle[k:] + cycle[:k])
 
 
-def build_flip_tree_raw(xy, tris, p: int, link=None) -> FlipTree:
-    """Flip-tree of the 3-vint (p, tris) over raw coordinate tuples."""
-    amap = edge_apex_map(tris)
+def build_flip_tree_raw(xy, tris, p: int, amap=None) -> FlipTree:
+    """Flip-tree of the 3-vint (p, tris) over raw coordinate tuples.
+
+    ``amap`` is the ``edge_apex_map`` of ``tris`` when the caller already
+    has it (it is only read); by default it is computed here.
+    """
+    if amap is None:
+        amap = edge_apex_map(tris)
+    link = vertex_link(tris, p)
     if link is None:
-        link = vertex_link(tris, p)
-        if link is None:
-            raise NotA3VintError(f"point {p} is not interior")
+        raise NotA3VintError(f"point {p} is not interior")
     if len(link) != 3:
         raise NotA3VintError(f"point {p} has degree {len(link)}")
-    a, b, c = _canon_cycle(list(link))
+    a, b, c = link
     used = set()
     children = []
     for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
@@ -262,7 +266,7 @@ def build_flip_tree(v: Vint) -> FlipTree:
     if t.degree_map().get(v.point, 0) != 3:
         raise NotA3VintError(f"point {v.point} has degree {t.degree_map().get(v.point)}")
     xy = [(pt.x, pt.y) for pt in t.points]
-    tree = build_flip_tree_raw(xy, t.triangles, v.point)
+    tree = build_flip_tree_raw(xy, t.triangles, v.point, amap=t.apex_map)
     tree.triangulation = t
     return tree
 
@@ -436,7 +440,7 @@ def iter_subtrees(tree: FlipTree, cap: int = DEFAULT_SUBTREE_CAP):
             if (a, b) == (u, v) or (a, b) == (v, u):
                 boundary.insert(i + 1, node.apex)
                 return i + 1
-        raise AssertionError(f"dual edge {node.dual} not on boundary")
+        raise InvariantError(f"dual edge {node.dual} not on boundary")
 
     def rec():
         if not pending:
@@ -618,6 +622,7 @@ class AuditReport:
     violations: list[str] = field(default_factory=list)
     exceeds_believed_max: bool = False
     three_vint_count: int = 0
+    rules: RulesReport | None = None
 
     @property
     def conservation_ok(self) -> bool:
@@ -661,13 +666,22 @@ class AuditReport:
         }
 
 
-def _audit_state(xy, tris, interior, frame, counter, charge_cache, subtree_cap):
-    """Per-triangulation audit work; returns the partial aggregates."""
-    deg: dict[int, int] = {}
+def _degrees_and_trees(xy, tris, interior):
+    """Vertex degrees of one triangulation and the flip-trees of its
+    interior 3-vints (in ``interior`` order), from one edge -> apex map."""
     amap = edge_apex_map(tris)
+    deg: dict[int, int] = {}
     for i, j in amap:
         deg[i] = deg.get(i, 0) + 1
         deg[j] = deg.get(j, 0) + 1
+    trees = {p: build_flip_tree_raw(xy, tris, p, amap=amap) for p in interior if deg[p] == 3}
+    return deg, trees
+
+
+def _audit_state(xy, tris, interior, frame, counter, charge_cache, subtree_cap, rules):
+    """Per-triangulation audit work; returns the partial aggregates, the
+    last of them the state's RulesReport if ``rules`` is set, else None."""
+    deg, trees = _degrees_and_trees(xy, tris, interior)
     n = len(interior)
     lhs = 0
     v_hist = {}
@@ -685,13 +699,8 @@ def _audit_state(xy, tris, interior, frame, counter, charge_cache, subtree_cap):
     max_charge = Fraction(-(10**9))
     max_at = None
     charger_max = {}
-    three_vints = 0
     fp = None
-    for p_ in interior:
-        if deg[p_] != 3:
-            continue
-        three_vints += 1
-        tree = build_flip_tree_raw(xy, tris, p_)
+    for p_, tree in trees.items():
         key = tree.key()
         hit = charge_cache.get(key)
         if hit is None:
@@ -723,19 +732,29 @@ def _audit_state(xy, tris, interior, frame, counter, charge_cache, subtree_cap):
             violations.append(
                 f"charge {total} >= {HARD_CHARGE_BOUND} at point {p_} in {fp}"
             )
-    return lhs, v_hist, rhs, max_charge, max_at, charger_max, three_vints, violations
+    rules_rep = _rules_state(xy, tris, interior, counter, trees) if rules else None
+    return (
+        lhs, v_hist, rhs, max_charge, max_at, charger_max, len(trees), violations, rules_rep
+    )
 
 
 def audit(
     P: AugmentedPointSet,
     subtree_cap: int = DEFAULT_SUBTREE_CAP,
     jobs: int = 1,
+    rules: bool = False,
 ) -> AuditReport:
     """Audit the charging scheme over every triangulation of S+.
 
     Checks, with exact arithmetic throughout: the degree identities, the
     conservation of total charge, the per-degree charger-count bound,
     the hard < 30 charge bound, and vhat3 * 30 >= n.
+
+    With ``rules`` the same walk also runs the structural-rule sweep of
+    ``check_structural_rules``, reusing each 3-vint's flip-tree, and the
+    report's ``rules`` holds its RulesReport (not part of
+    ``to_json_dict``).  ``jobs > 1`` spreads the per-state work over that
+    many processes; the report is identical to a sequential run.
     """
     from .enumeration import flip_graph_states
 
@@ -757,17 +776,18 @@ def audit(
     degree_totals: dict[int, int] = {}
     violations: list[str] = []
     three_vints = 0
+    rules_total = RulesReport() if rules else None
 
     states = flip_graph_states(P)
     if jobs > 1:
-        results = _audit_parallel(P, states, jobs, subtree_cap)
+        results = _audit_parallel(P, states, jobs, subtree_cap, rules)
     else:
         results = (
-            _audit_state(xy, tris, interior, frame, counter, charge_cache, subtree_cap)
+            _audit_state(xy, tris, interior, frame, counter, charge_cache, subtree_cap, rules)
             for tris in states
         )
 
-    for lhs, v_hist, rhs, mx, mx_at, ch_max, tv, viol in results:
+    for lhs, v_hist, rhs, mx, mx_at, ch_max, tv, viol, state_rules in results:
         count += 1
         lhs_total += lhs
         rhs_total += rhs
@@ -783,6 +803,8 @@ def audit(
             if c > charger_max.get(d, 0):
                 charger_max[d] = c
         violations.extend(viol)
+        if state_rules is not None:
+            rules_total.merge(state_rules)
 
     if lhs_total != rhs_total:
         violations.append(
@@ -806,13 +828,14 @@ def audit(
         violations=violations,
         exceeds_believed_max=max_charge > BELIEVED_MAX_CHARGE,
         three_vint_count=three_vints,
+        rules=rules_total,
     )
 
 
 _WORKER_CTX: dict = {}
 
 
-def _audit_worker_init(points, interior, frame, subtree_cap):
+def _audit_worker_init(points, interior, frame, subtree_cap, rules):
     _WORKER_CTX["xy"] = [(p.x, p.y) for p in points]
     _WORKER_CTX["points"] = points
     _WORKER_CTX["interior"] = interior
@@ -820,6 +843,7 @@ def _audit_worker_init(points, interior, frame, subtree_cap):
     _WORKER_CTX["cap"] = subtree_cap
     _WORKER_CTX["counter"] = _PolygonCounter(points)
     _WORKER_CTX["cache"] = {}
+    _WORKER_CTX["rules"] = rules
 
 
 def _audit_worker(chunk):
@@ -834,12 +858,13 @@ def _audit_worker(chunk):
                 _WORKER_CTX["counter"],
                 _WORKER_CTX["cache"],
                 _WORKER_CTX["cap"],
+                _WORKER_CTX["rules"],
             )
         )
     return out
 
 
-def _audit_parallel(P, states, jobs, subtree_cap):
+def _audit_parallel(P, states, jobs, subtree_cap, rules):
     import multiprocessing as mp
 
     def chunks(it, size):
@@ -855,7 +880,9 @@ def _audit_parallel(P, states, jobs, subtree_cap):
     with mp.Pool(
         jobs,
         initializer=_audit_worker_init,
-        initargs=(P.points, list(P.interior_indices()), list(P.frame_indices()), subtree_cap),
+        initargs=(
+            P.points, list(P.interior_indices()), list(P.frame_indices()), subtree_cap, rules
+        ),
     ) as pool:
         for batch in pool.imap(_audit_worker, chunks(states, 512)):
             yield from batch
@@ -885,6 +912,12 @@ class RulesReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def merge(self, other: "RulesReport") -> None:
+        self.rule1_checked += other.rule1_checked
+        self.monotone_checked += other.monotone_checked
+        self.support_checked += other.support_checked
+        self.violations.extend(other.violations)
+
 
 def _hole_convex(xy, cycle) -> bool:
     k = len(cycle)
@@ -903,57 +936,64 @@ def check_structural_rules(P: AugmentedPointSet) -> RulesReport:
     from .enumeration import flip_graph_states
 
     xy = [(p.x, p.y) for p in P.points]
-    interior = set(P.interior_indices())
+    interior = list(P.interior_indices())
     counter = _PolygonCounter(P.points)
     rep = RulesReport()
-
     for tris in flip_graph_states(P):
-        for p in interior:
-            cyc = vertex_link(tris, p)
-            if cyc is None:
-                rep.violations.append(f"point {p} link is not a single cycle")
+        _, trees = _degrees_and_trees(xy, tris, interior)
+        rep.merge(_rules_state(xy, tris, interior, counter, trees))
+    return rep
+
+
+def _rules_state(xy, tris, interior, counter, trees) -> RulesReport:
+    """The structural rules at every interior point of one triangulation;
+    ``trees`` holds the flip-tree of each interior 3-vint."""
+    rep = RulesReport()
+    for p in interior:
+        cyc = vertex_link(tris, p)
+        if cyc is None:
+            rep.violations.append(f"point {p} link is not a single cycle")
+            continue
+        d = len(cyc)
+        supp = counter.count(tuple(cyc))
+        bound = catalan(d - 2)
+        convex = _hole_convex(xy, cyc)
+        rep.support_checked += 1
+        if not 1 <= supp <= bound:
+            rep.violations.append(f"support {supp} outside [1, {bound}]")
+        if (supp == bound) != convex:
+            rep.violations.append(
+                f"support {supp} vs bound {bound}: convexity mismatch at point {p}"
+            )
+        # Monotonicity along each single down-flip at p.
+        for idx, x in enumerate(cyc):
+            if d <= 3:
+                break
+            alpha = cyc[(idx - 1) % d]
+            beta = cyc[(idx + 1) % d]
+            # Edge (p, x) flips iff the quad (p, alpha, x, beta) is
+            # strictly convex, i.e. alpha-beta crosses p-x.
+            if not crosses(xy, alpha, beta, p, x):
                 continue
-            d = len(cyc)
-            supp = counter.count(tuple(cyc))
-            bound = catalan(d - 2)
-            convex = _hole_convex(xy, cyc)
-            rep.support_checked += 1
-            if not 1 <= supp <= bound:
-                rep.violations.append(f"support {supp} outside [1, {bound}]")
-            if (supp == bound) != convex:
+            reduced = tuple(cyc[:idx] + cyc[idx + 1 :])
+            supp_after = counter.count(reduced)
+            rep.monotone_checked += 1
+            if supp < supp_after:
                 rep.violations.append(
-                    f"support {supp} vs bound {bound}: convexity mismatch at point {p}"
+                    f"support grew {supp} -> {supp_after} along down-flip at {p}"
                 )
-            # Monotonicity along each single down-flip at p.
-            for idx, x in enumerate(cyc):
-                if d <= 3:
-                    break
-                alpha = cyc[(idx - 1) % d]
-                beta = cyc[(idx + 1) % d]
-                # Edge (p, x) flips iff the quad (p, alpha, x, beta) is
-                # strictly convex, i.e. alpha-beta crosses p-x.
-                if not crosses(xy, alpha, beta, p, x):
+        if d == 3:
+            for node in trees[p].nodes():
+                if node.level > 2 or not node.rigid or len(node.children) != 2:
                     continue
-                reduced = tuple(cyc[:idx] + cyc[idx + 1 :])
-                supp_after = counter.count(reduced)
-                rep.monotone_checked += 1
-                if supp < supp_after:
+                e1, e2 = node.children
+                if e1.rigid or e2.rigid:
+                    continue
+                rep.rule1_checked += 1
+                frees1 = crosses(xy, node.opp, e1.apex, *node.dual)
+                frees2 = crosses(xy, node.opp, e2.apex, *node.dual)
+                if frees1 and frees2:
                     rep.violations.append(
-                        f"support grew {supp} -> {supp_after} along down-flip at {p}"
+                        f"both children of a rigid edge can free it at point {p}"
                     )
-            if d == 3:
-                tree = build_flip_tree_raw(xy, tris, p, link=cyc)
-                for node in tree.nodes():
-                    if node.level > 2 or not node.rigid or len(node.children) != 2:
-                        continue
-                    e1, e2 = node.children
-                    if e1.rigid or e2.rigid:
-                        continue
-                    rep.rule1_checked += 1
-                    frees1 = crosses(xy, node.opp, e1.apex, *node.dual)
-                    frees2 = crosses(xy, node.opp, e2.apex, *node.dual)
-                    if frees1 and frees2:
-                        rep.violations.append(
-                            f"both children of a rigid edge can free it at point {p}"
-                        )
     return rep

@@ -5,8 +5,12 @@ enumeration cap was hit (partial output still written), 3 an audit
 invariant was violated.  All randomness flows through the seeded
 generator, so every command is deterministic given its arguments.
 
-The TRICHOR_THREADS environment variable sets the audit parallelism
-degree; results are identical to a sequential run.
+``audit`` walks the triangulations of S+ once: the charge audit, the
+structural-rule sweep and the left side of the degree-3 insertion
+identity share that walk, and only the right side's deletion walks
+follow.  The TRICHOR_THREADS environment variable sets the number of
+processes for the charge audit and the rule sweep; results are
+identical to a sequential run.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ import sys
 from fractions import Fraction
 
 from .bounds import bounds_csv, derived_bounds
-from .charging import Vint, audit, build_flip_tree, charge, check_structural_rules
+from .charging import Vint, audit, build_flip_tree, charge
 from .enumeration import check_v3_recursion, enumerate_all, flip_graph_states
-from .errors import CapExceededError, NotA3VintError, TrichorError
+from .errors import CapExceededError, InvariantError, TrichorError
 from .geometry import (
     AugmentedPointSet,
     augment,
@@ -108,9 +112,9 @@ def cmd_audit(args) -> int:
     else:
         P = augment(ps)
     jobs = _threads()
-    rep = audit(P, jobs=jobs)
-    rules = check_structural_rules(P)
-    v3 = check_v3_recursion(P)
+    rep = audit(P, jobs=jobs, rules=True)
+    rules = rep.rules
+    v3 = check_v3_recursion(P, lhs=rep.degree_totals.get(3, 0))
     payload = rep.to_json_dict()
     payload["rules"] = {
         "rule1_checked": rules.rule1_checked,
@@ -247,9 +251,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except NotA3VintError as exc:
+    except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_VIOLATION
     except (TrichorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

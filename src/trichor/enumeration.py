@@ -20,7 +20,7 @@ from itertools import combinations
 from math import ceil
 from typing import Iterator
 
-from .errors import CapExceededError
+from .errors import CapExceededError, InvariantError
 from .geometry import AugmentedPointSet, crosses
 from .triangulation import (
     Tri,
@@ -98,13 +98,14 @@ def flip_graph_states(
     yielded = 0
     while frontier:
         state, mask = frontier.popleft()
-        if len(state) != expected_tris or len(edges_of(state)) != expected_edges:
-            raise AssertionError("Euler count violated during enumeration")
+        amap = edge_apex_map(state)
+        if len(state) != expected_tris or len(amap) != expected_edges:
+            raise InvariantError("Euler count violated during enumeration")
         yield state
         yielded += 1
         if cap is not None and yielded >= cap:
             raise CapExceededError(f"enumeration cap {cap} reached")
-        for (u, v), apexes in edge_apex_map(state).items():
+        for (u, v), apexes in amap.items():
             if len(apexes) != 2:
                 continue
             x, y = apexes
@@ -194,14 +195,20 @@ class V3RecursionReport:
         return self.lhs == self.rhs
 
 
-def check_v3_recursion(P: AugmentedPointSet) -> V3RecursionReport:
+def check_v3_recursion(P: AugmentedPointSet, lhs: int | None = None) -> V3RecursionReport:
+    """Check sum_T v_3(T) == sum_q tr(S+ minus q) over the interior points q.
+
+    ``lhs`` is the left side when the caller already has it, e.g. the
+    ``degree_totals[3]`` of an audit of P; by default it is enumerated.
+    The right side only counts the states of each deletion walk.
+    """
     if not isinstance(P, AugmentedPointSet):
         raise TypeError("check_v3_recursion needs an AugmentedPointSet")
-    full = enumerate_all(P)
-    lhs = full.degree_totals.get(3, 0)
+    if lhs is None:
+        lhs = enumerate_all(P).degree_totals.get(3, 0)
     per_point = {}
     for q in P.interior_indices():
-        per_point[q] = enumerate_all(P.without(q)).count
+        per_point[q] = sum(1 for _ in flip_graph_states(P.without(q)))
     return V3RecursionReport(lhs=lhs, rhs=sum(per_point.values()), per_point=per_point)
 
 

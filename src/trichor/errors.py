@@ -41,6 +41,13 @@ class CapExceededError(TrichorError):
         self.result = result
 
 
+class InvariantError(TrichorError):
+    """An internal invariant of the traversal or a flip-tree failed.
+
+    This signals a bug or inconsistent input, not a finding of the audit.
+    """
+
+
 class NotSimpleError(TrichorError):
     """Polygon boundary self-intersects or is degenerate."""
 

@@ -21,8 +21,13 @@ from trichor.charging import (
     rigid_core,
     support,
 )
-from trichor.enumeration import flip_graph_states
-from trichor.errors import CapExceededError, HasDeepEdgesError, NotA3VintError
+from trichor.enumeration import check_v3_recursion, enumerate_all, flip_graph_states
+from trichor.errors import (
+    CapExceededError,
+    HasDeepEdgesError,
+    InvariantError,
+    NotA3VintError,
+)
 from trichor.geometry import (
     PointSet,
     augment,
@@ -401,6 +406,29 @@ def test_rules_hold_on_random_instances(seed):
     assert rep.monotone_checked > 0
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "P",
+    [
+        gen_convex_arc_in_triangle(4),
+        augment(gen_random(5, 7)),
+        augment(gen_random(6, 14)),
+    ],
+    ids=["arc4", "n5-s7", "n6-s14"],
+)
+def test_fused_sweep_equals_separate_sweeps(P, jobs):
+    rep = audit(P, jobs=jobs, rules=True)
+    assert rep.rules == check_structural_rules(P)
+    assert rep.degree_totals == enumerate_all(P).degree_totals
+    assert rep.to_json_dict() == audit(P).to_json_dict()
+    v3 = check_v3_recursion(P, lhs=rep.degree_totals.get(3, 0))
+    assert v3 == check_v3_recursion(P)
+
+
+def test_fused_sweep_exercises_rule1():
+    assert audit(augment(gen_random(6, 14)), rules=True).rules.rule1_checked == 33
+
+
 def test_rule1_exercised_somewhere():
     total = 0
     for seed in (3, 9, 14, 20):
@@ -408,6 +436,32 @@ def test_rule1_exercised_somewhere():
         assert rep.ok, rep.violations
         total += rep.rule1_checked
     assert total > 0
+
+
+# --- internal invariants ---
+
+
+def test_flip_tree_face_revisit_raises_invariant_error():
+    from trichor.charging import _grow_node
+
+    P = gen_convex_arc_in_triangle(4)
+    t = initial_triangulation(P)
+    p = next(q for q in P.interior_indices() if t.degree_map()[q] == 3)
+    xy = [(pt.x, pt.y) for pt in t.points]
+    tree = build_flip_tree(Vint(p, t))
+    node = tree.children[0]
+    u, v = node.dual
+    used = {node.face()}
+    with pytest.raises(InvariantError):
+        _grow_node(xy, t.apex_map, p, u, v, ref=p, opp=node.opp, used=used, level=1)
+
+
+def test_invariant_error_pickles():
+    import pickle
+
+    err = pickle.loads(pickle.dumps(InvariantError("face revisited")))
+    assert isinstance(err, InvariantError)
+    assert str(err) == "face revisited"
 
 
 # --- DOT export ---

@@ -165,8 +165,10 @@ def test_missing_file_exit_one(capsys):
 
 
 def test_threads_env(tmp_path, capsys, monkeypatch):
+    # n=6, seed 14 gives the rule sweep work in the pool workers: 33 rule-1
+    # checks and monotone checks.
     f = tmp_path / "r.txt"
-    main(["generate", "random", "--n", "3", "--seed", "5", "--augment", "--out", str(f)])
+    main(["generate", "random", "--n", "6", "--seed", "14", "--augment", "--out", str(f)])
     code, seq = run(capsys, "audit", str(f))
     assert code == 0
     monkeypatch.setenv("TRICHOR_THREADS", "2")
@@ -182,8 +184,8 @@ def test_audit_violation_exit_three(tmp_path, capsys, monkeypatch):
     main(["generate", "random", "--n", "3", "--seed", "5", "--augment", "--out", str(f)])
     real_audit = cli.audit
 
-    def tainted(P, jobs=1):
-        rep = real_audit(P, jobs=jobs)
+    def tainted(P, jobs=1, rules=False):
+        rep = real_audit(P, jobs=jobs, rules=rules)
         rep.violations.append("synthetic violation for exit-code wiring")
         return rep
 
@@ -191,6 +193,25 @@ def test_audit_violation_exit_three(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, "audit", str(f))
     assert code == 3
     assert json.loads(out)["ok"] is False
+
+
+def test_audit_invariant_error_exits_three(tmp_path, capsys, monkeypatch):
+    import trichor.cli as cli
+    from trichor.errors import InvariantError
+
+    f = tmp_path / "r.txt"
+    main(["generate", "random", "--n", "3", "--seed", "5", "--augment", "--out", str(f)])
+
+    def broken(P, jobs=1, rules=False):
+        raise InvariantError("flip-tree expansion revisited a face")
+
+    monkeypatch.setattr(cli, "audit", broken)
+    code = main(["audit", str(f)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: flip-tree expansion revisited a face\n"
+    assert "Traceback" not in captured.err
 
 
 def test_enumerate_frame_only(tmp_path, capsys):
