@@ -21,8 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
+from .enumeration import flip_graph_states
 from .errors import CapExceededError, HasDeepEdgesError, InvariantError, NotA3VintError
 from .geometry import AugmentedPointSet, Point, crosses
 from .polygons import SimplePolygon, catalan, count_triangulations
@@ -57,12 +59,7 @@ class Vint:
     triangulation: Triangulation
 
     def __post_init__(self):
-        container = self.triangulation.vertices
-        if isinstance(container, AugmentedPointSet):
-            interior = self.point in container.interior_indices()
-        else:
-            interior = self.point not in container.convex_hull_indices()
-        if not interior:
+        if self.point not in self.triangulation.vertices.interior_indices():
             raise ValueError(f"point {self.point} is not interior")
 
     @property
@@ -469,6 +466,11 @@ def iter_subtrees(tree: FlipTree, cap: int = DEFAULT_SUBTREE_CAP):
     return out
 
 
+def frac_json(f: Fraction) -> dict:
+    """An exact fraction as JSON: numerator and denominator strings."""
+    return {"num": str(f.numerator), "den": str(f.denominator)}
+
+
 @dataclass(frozen=True)
 class ChargeContribution:
     j: int
@@ -497,15 +499,12 @@ class ChargeReport:
         return {
             "point": self.point,
             "fingerprint": self.fingerprint,
-            "total": {"num": str(self.total.numerator), "den": str(self.total.denominator)},
+            "total": frac_json(self.total),
             "contributions": [
                 {
                     "degree": c.degree,
                     "support": str(c.support),
-                    "amount": {
-                        "num": str(c.amount.numerator),
-                        "den": str(c.amount.denominator),
-                    },
+                    "amount": frac_json(c.amount),
                     "dual_edges": [list(e) for e in c.dual_edges],
                 }
                 for c in self.contributions
@@ -638,28 +637,17 @@ class AuditReport:
             "count": str(self.triangulation_count),
             "conservation": {
                 "lhs": str(self.conservation_lhs),
-                "rhs": {
-                    "num": str(self.conservation_rhs.numerator),
-                    "den": str(self.conservation_rhs.denominator),
-                },
+                "rhs": frac_json(self.conservation_rhs),
                 "ok": self.conservation_ok,
             },
-            "max_charge": {
-                "num": str(self.max_charge.numerator),
-                "den": str(self.max_charge.denominator),
-                "decimal": float(self.max_charge),
-            },
+            "max_charge": {**frac_json(self.max_charge), "decimal": float(self.max_charge)},
             "max_charge_at": (
                 {"fingerprint": self.max_charge_at[0], "point": self.max_charge_at[1]}
                 if self.max_charge_at
                 else None
             ),
             "charger_count_max": {str(k): v for k, v in sorted(self.charger_count_max.items())},
-            "vhat3": (
-                {"num": str(self.vhat3.numerator), "den": str(self.vhat3.denominator)}
-                if self.vhat3 is not None
-                else None
-            ),
+            "vhat3": frac_json(self.vhat3) if self.vhat3 is not None else None,
             "exceeds_believed_max": self.exceeds_believed_max,
             "violations": list(self.violations),
             "ok": self.ok,
@@ -678,64 +666,118 @@ def _degrees_and_trees(xy, tris, interior):
     return deg, trees
 
 
-def _audit_state(xy, tris, interior, frame, counter, charge_cache, subtree_cap, rules):
-    """Per-triangulation audit work; returns the partial aggregates, the
-    last of them the state's RulesReport if ``rules`` is set, else None."""
-    deg, trees = _degrees_and_trees(xy, tris, interior)
-    n = len(interior)
-    lhs = 0
-    v_hist = {}
-    for p_ in interior:
-        d = deg[p_]
-        lhs += 7 - d
-        v_hist[d] = v_hist.get(d, 0) + 1
-    eq1 = sum(deg[f] for f in frame) + sum(i * c for i, c in v_hist.items())
-    violations = []
-    if eq1 != 6 * n + 6:
-        violations.append(f"degree identity violated: {eq1} != {6 * n + 6}")
-    if n >= 1 and sum(i * c for i, c in v_hist.items()) > 6 * n - 3:
-        violations.append("interior degree sum exceeds 6n - 3")
-    rhs = Fraction(0)
-    max_charge = Fraction(-(10**9))
-    max_at = None
-    charger_max = {}
-    fp = None
-    for p_, tree in trees.items():
+@dataclass
+class _AuditTally:
+    """The audit's aggregates over a run of states; ``merge`` adds the
+    tally of the run that follows."""
+
+    count: int = 0
+    lhs: int = 0
+    rhs: Fraction = Fraction(0)
+    max_charge: Fraction = Fraction(0)
+    max_at: tuple[str, int] | None = None
+    charger_max: dict[int, int] = field(default_factory=dict)
+    degree_totals: dict[int, int] = field(default_factory=dict)
+    three_vints: int = 0
+    violations: list[str] = field(default_factory=list)
+    rules: RulesReport | None = None
+
+    def offer_max(self, total: Fraction, at: tuple[str, int]) -> None:
+        """Keep the largest charge, then the smallest (fingerprint, point)."""
+        if (
+            self.max_at is None
+            or total > self.max_charge
+            or (total == self.max_charge and at < self.max_at)
+        ):
+            self.max_charge = total
+            self.max_at = at
+
+    def offer_chargers(self, degree: int, count: int) -> None:
+        if count > self.charger_max.get(degree, 0):
+            self.charger_max[degree] = count
+
+    def merge(self, other: "_AuditTally") -> None:
+        self.count += other.count
+        self.lhs += other.lhs
+        self.rhs += other.rhs
+        if other.max_at is not None:
+            self.offer_max(other.max_charge, other.max_at)
+        for d, c in other.charger_max.items():
+            self.offer_chargers(d, c)
+        for d, c in other.degree_totals.items():
+            self.degree_totals[d] = self.degree_totals.get(d, 0) + c
+        self.three_vints += other.three_vints
+        self.violations.extend(other.violations)
+        if self.rules is not None:
+            self.rules.merge(other.rules)
+
+
+class _AuditContext:
+    """Per-process audit state: the coordinates and point roles of S+,
+    the polygon counter, the charge cache keyed by flip-tree shape, the
+    subtree cap and whether the structural rules run too."""
+
+    def __init__(self, P: AugmentedPointSet, cap: int, rules: bool):
+        self.xy = [(p.x, p.y) for p in P.points]
+        self.interior = list(P.interior_indices())
+        self.frame = list(P.frame_indices())
+        self.counter = _PolygonCounter(P.points)
+        self.charge_cache: dict = {}
+        self.cap = cap
+        self.rules = rules
+
+    def tree_charge(self, tree: FlipTree) -> tuple[Fraction, tuple[tuple[int, int], ...]]:
+        """Total charge of a flip-tree and its (degree, charger count) items."""
         key = tree.key()
-        hit = charge_cache.get(key)
+        hit = self.charge_cache.get(key)
         if hit is None:
-            total = Fraction(0)
-            counts = {}
-            for sub in iter_subtrees(tree, subtree_cap):
-                supp = counter.count(sub.boundary)
-                total += Fraction(4 - sub.j, supp)
-                counts[sub.degree] = counts.get(sub.degree, 0) + 1
-            hit = charge_cache[key] = (total, tuple(sorted(counts.items())))
-        total, count_items = hit
-        rhs += total
-        if total > max_charge:
-            if fp is None:
-                fp = fingerprint_bytes(tris).hex()
-            max_charge = total
-            max_at = (fp, p_)
-        for degree_, cnt in count_items:
-            if cnt > charger_max.get(degree_, 0):
-                charger_max[degree_] = cnt
-            bound = 1 if degree_ == 3 else catalan(degree_ - 1) - catalan(degree_ - 2)
-            if cnt > bound:
-                violations.append(
-                    f"{cnt} chargers of degree {degree_} at point {p_} exceed bound {bound}"
-                )
-        if total >= HARD_CHARGE_BOUND:
-            if fp is None:
-                fp = fingerprint_bytes(tris).hex()
-            violations.append(
-                f"charge {total} >= {HARD_CHARGE_BOUND} at point {p_} in {fp}"
-            )
-    rules_rep = _rules_state(xy, tris, interior, counter, trees) if rules else None
-    return (
-        lhs, v_hist, rhs, max_charge, max_at, charger_max, len(trees), violations, rules_rep
-    )
+            rep = charge_from_tree(tree, self.counter, self.cap)
+            hit = self.charge_cache[key] = (rep.total, tuple(sorted(rep.degree_counts().items())))
+        return hit
+
+    def tally(self, states) -> _AuditTally:
+        """Audit each triangulation of ``states`` into one fresh tally."""
+        xy, interior = self.xy, self.interior
+        n = len(interior)
+        t = _AuditTally(rules=RulesReport() if self.rules else None)
+        for tris in states:
+            deg, trees = _degrees_and_trees(xy, tris, interior)
+            t.count += 1
+            t.three_vints += len(trees)
+            interior_sum = 0
+            for p in interior:
+                d = deg[p]
+                interior_sum += d
+                t.lhs += 7 - d
+                t.degree_totals[d] = t.degree_totals.get(d, 0) + 1
+            eq1 = sum(deg[f] for f in self.frame) + interior_sum
+            if eq1 != 6 * n + 6:
+                t.violations.append(f"degree identity violated: {eq1} != {6 * n + 6}")
+            if n >= 1 and interior_sum > 6 * n - 3:
+                t.violations.append("interior degree sum exceeds 6n - 3")
+            # The fingerprint only labels a maximum or a violation.
+            fp = None
+            for p, tree in trees.items():
+                total, count_items = self.tree_charge(tree)
+                t.rhs += total
+                if t.max_at is None or total >= t.max_charge:
+                    fp = fp or fingerprint_bytes(tris).hex()
+                    t.offer_max(total, (fp, p))
+                for degree, cnt in count_items:
+                    t.offer_chargers(degree, cnt)
+                    bound = 1 if degree == 3 else catalan(degree - 1) - catalan(degree - 2)
+                    if cnt > bound:
+                        t.violations.append(
+                            f"{cnt} chargers of degree {degree} at point {p} exceed bound {bound}"
+                        )
+                if total >= HARD_CHARGE_BOUND:
+                    fp = fp or fingerprint_bytes(tris).hex()
+                    t.violations.append(
+                        f"charge {total} >= {HARD_CHARGE_BOUND} at point {p} in {fp}"
+                    )
+            if t.rules is not None:
+                _rules_state(xy, tris, interior, self.counter, trees, t.rules)
+        return t
 
 
 def audit(
@@ -748,144 +790,71 @@ def audit(
 
     Checks, with exact arithmetic throughout: the degree identities, the
     conservation of total charge, the per-degree charger-count bound,
-    the hard < 30 charge bound, and vhat3 * 30 >= n.
+    the hard < 30 charge bound, and vhat3 * 30 >= n.  ``max_charge_at``
+    is the smallest (fingerprint, point) among the 3-vints that receive
+    the largest charge.
 
     With ``rules`` the same walk also runs the structural-rule sweep of
     ``check_structural_rules``, reusing each 3-vint's flip-tree, and the
     report's ``rules`` holds its RulesReport (not part of
-    ``to_json_dict``).  ``jobs > 1`` spreads the per-state work over that
-    many processes; the report is identical to a sequential run.
+    ``to_json_dict``).  ``jobs > 1`` hands chunks of 512 states to that
+    many processes, each returning one tally per chunk; the chunks are
+    merged in walk order, so the report is identical to a sequential run.
     """
-    from .enumeration import flip_graph_states
-
     if not isinstance(P, AugmentedPointSet):
         raise TypeError("audit needs an AugmentedPointSet")
-    xy = [(p.x, p.y) for p in P.points]
-    interior = list(P.interior_indices())
-    frame = list(P.frame_indices())
-    n = P.n
-
-    counter = _PolygonCounter(P.points)
-    charge_cache: dict = {}
-    count = 0
-    lhs_total = 0
-    rhs_total = Fraction(0)
-    max_charge = Fraction(-(10**9))
-    max_at = None
-    charger_max: dict[int, int] = {}
-    degree_totals: dict[int, int] = {}
-    violations: list[str] = []
-    three_vints = 0
-    rules_total = RulesReport() if rules else None
-
     states = flip_graph_states(P)
     if jobs > 1:
-        results = _audit_parallel(P, states, jobs, subtree_cap, rules)
+        t = _audit_parallel(P, states, jobs, subtree_cap, rules)
     else:
-        results = (
-            _audit_state(xy, tris, interior, frame, counter, charge_cache, subtree_cap, rules)
-            for tris in states
-        )
+        t = _AuditContext(P, subtree_cap, rules).tally(states)
 
-    for lhs, v_hist, rhs, mx, mx_at, ch_max, tv, viol, state_rules in results:
-        count += 1
-        lhs_total += lhs
-        rhs_total += rhs
-        three_vints += tv
-        for d, c in v_hist.items():
-            degree_totals[d] = degree_totals.get(d, 0) + c
-        if mx_at is not None and (
-            mx > max_charge or (mx == max_charge and (max_at is None or mx_at < max_at))
-        ):
-            max_charge = mx
-            max_at = mx_at
-        for d, c in ch_max.items():
-            if c > charger_max.get(d, 0):
-                charger_max[d] = c
-        violations.extend(viol)
-        if state_rules is not None:
-            rules_total.merge(state_rules)
-
-    if lhs_total != rhs_total:
+    violations = t.violations
+    if t.lhs != t.rhs:
         violations.append(
-            f"charge conservation broken: sum(7-deg)={lhs_total} but received={rhs_total}"
+            f"charge conservation broken: sum(7-deg)={t.lhs} but received={t.rhs}"
         )
-    vhat3 = Fraction(degree_totals.get(3, 0), count) if count else None
-    if n >= 1 and vhat3 is not None and vhat3 * 30 < n:
-        violations.append(f"vhat3 * 30 = {vhat3 * 30} < n = {n}")
-    if max_at is None:
-        max_charge = Fraction(0)
+    vhat3 = Fraction(t.degree_totals.get(3, 0), t.count) if t.count else None
+    if P.n >= 1 and vhat3 is not None and vhat3 * 30 < P.n:
+        violations.append(f"vhat3 * 30 = {vhat3 * 30} < n = {P.n}")
     return AuditReport(
-        n=n,
-        triangulation_count=count,
-        conservation_lhs=lhs_total,
-        conservation_rhs=rhs_total,
-        max_charge=max_charge,
-        max_charge_at=max_at,
-        charger_count_max=charger_max,
+        n=P.n,
+        triangulation_count=t.count,
+        conservation_lhs=t.lhs,
+        conservation_rhs=t.rhs,
+        max_charge=t.max_charge,
+        max_charge_at=t.max_at,
+        charger_count_max=t.charger_max,
         vhat3=vhat3,
-        degree_totals=dict(sorted(degree_totals.items())),
+        degree_totals=dict(sorted(t.degree_totals.items())),
         violations=violations,
-        exceeds_believed_max=max_charge > BELIEVED_MAX_CHARGE,
-        three_vint_count=three_vints,
-        rules=rules_total,
+        exceeds_believed_max=t.max_charge > BELIEVED_MAX_CHARGE,
+        three_vint_count=t.three_vints,
+        rules=t.rules,
     )
 
 
-_WORKER_CTX: dict = {}
+_worker_ctx: _AuditContext | None = None
 
 
-def _audit_worker_init(points, interior, frame, subtree_cap, rules):
-    _WORKER_CTX["xy"] = [(p.x, p.y) for p in points]
-    _WORKER_CTX["points"] = points
-    _WORKER_CTX["interior"] = interior
-    _WORKER_CTX["frame"] = frame
-    _WORKER_CTX["cap"] = subtree_cap
-    _WORKER_CTX["counter"] = _PolygonCounter(points)
-    _WORKER_CTX["cache"] = {}
-    _WORKER_CTX["rules"] = rules
+def _audit_worker_init(P, subtree_cap, rules):
+    global _worker_ctx
+    _worker_ctx = _AuditContext(P, subtree_cap, rules)
 
 
-def _audit_worker(chunk):
-    out = []
-    for tris in chunk:
-        out.append(
-            _audit_state(
-                _WORKER_CTX["xy"],
-                tris,
-                _WORKER_CTX["interior"],
-                _WORKER_CTX["frame"],
-                _WORKER_CTX["counter"],
-                _WORKER_CTX["cache"],
-                _WORKER_CTX["cap"],
-                _WORKER_CTX["rules"],
-            )
-        )
-    return out
+def _audit_worker(chunk) -> _AuditTally:
+    return _worker_ctx.tally(chunk)
 
 
-def _audit_parallel(P, states, jobs, subtree_cap, rules):
+def _audit_parallel(P, states, jobs, subtree_cap, rules) -> _AuditTally:
     import multiprocessing as mp
 
-    def chunks(it, size):
-        buf = []
-        for s in it:
-            buf.append(s)
-            if len(buf) >= size:
-                yield buf
-                buf = []
-        if buf:
-            yield buf
-
-    with mp.Pool(
-        jobs,
-        initializer=_audit_worker_init,
-        initargs=(
-            P.points, list(P.interior_indices()), list(P.frame_indices()), subtree_cap, rules
-        ),
-    ) as pool:
-        for batch in pool.imap(_audit_worker, chunks(states, 512)):
-            yield from batch
+    t = _AuditTally(rules=RulesReport() if rules else None)
+    chunks = iter(lambda: list(islice(states, 512)), [])
+    with mp.Pool(jobs, initializer=_audit_worker_init, initargs=(P, subtree_cap, rules)) as pool:
+        for part in pool.imap(_audit_worker, chunks):
+            t.merge(part)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -933,22 +902,20 @@ def _hole_convex(xy, cycle) -> bool:
 
 def check_structural_rules(P: AugmentedPointSet) -> RulesReport:
     """Sweep every vint of every triangulation for the cheap invariants."""
-    from .enumeration import flip_graph_states
-
     xy = [(p.x, p.y) for p in P.points]
     interior = list(P.interior_indices())
     counter = _PolygonCounter(P.points)
     rep = RulesReport()
     for tris in flip_graph_states(P):
         _, trees = _degrees_and_trees(xy, tris, interior)
-        rep.merge(_rules_state(xy, tris, interior, counter, trees))
+        _rules_state(xy, tris, interior, counter, trees, rep)
     return rep
 
 
-def _rules_state(xy, tris, interior, counter, trees) -> RulesReport:
-    """The structural rules at every interior point of one triangulation;
-    ``trees`` holds the flip-tree of each interior 3-vint."""
-    rep = RulesReport()
+def _rules_state(xy, tris, interior, counter, trees, rep: RulesReport) -> None:
+    """Add the structural rules at every interior point of one
+    triangulation to ``rep``; ``trees`` holds the flip-tree of each
+    interior 3-vint."""
     for p in interior:
         cyc = vertex_link(tris, p)
         if cyc is None:
@@ -996,4 +963,3 @@ def _rules_state(xy, tris, interior, counter, trees) -> RulesReport:
                     rep.violations.append(
                         f"both children of a rigid edge can free it at point {p}"
                     )
-    return rep

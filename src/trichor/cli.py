@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from .bounds import bounds_csv, derived_bounds
-from .charging import Vint, audit, build_flip_tree, charge
+from .charging import Vint, audit, build_flip_tree, charge, frac_json
 from .enumeration import check_v3_recursion, enumerate_all, flip_graph_states
 from .errors import CapExceededError, InvariantError, TrichorError
 from .geometry import (
@@ -60,10 +60,6 @@ def _emit(text: str, out: str | None) -> None:
             stream.close()
 
 
-def _frac_json(f: Fraction) -> dict:
-    return {"num": str(f.numerator), "den": str(f.denominator)}
-
-
 def cmd_generate(args) -> int:
     if args.kind == "convex":
         ps = gen_convex(args.n)
@@ -97,7 +93,7 @@ def cmd_enumerate(args) -> int:
         "n": result.interior_count,
         "count": str(result.count),
         "degree_totals": {str(k): str(v) for k, v in result.degree_totals.items()},
-        "vhat3": _frac_json(v3),
+        "vhat3": frac_json(v3),
         "vhat3_decimal": float(v3),
         "exhaustive": result.exhaustive,
     }
@@ -179,7 +175,7 @@ def cmd_bounds(args) -> int:
         payload = [
             {
                 "quantity": e.quantity,
-                "base": _frac_json(e.base),
+                "base": frac_json(e.base),
                 "table_digits": e.table_digits(),
                 "provenance": e.provenance,
             }

@@ -58,13 +58,6 @@ class EnumerationResult:
         return Fraction(self.degree_totals.get(i, 0), self.count)
 
 
-def _interior_indices(container) -> list[int]:
-    if isinstance(container, AugmentedPointSet):
-        return list(container.interior_indices())
-    hull = set(container.convex_hull_indices())
-    return [i for i in range(len(container.points)) if i not in hull]
-
-
 def flip_graph_states(
     container,
     cap: int | None = None,
@@ -133,7 +126,7 @@ def enumerate_all(
     On hitting ``cap`` the partial result is attached to the raised
     CapExceededError, flagged non-exhaustive.
     """
-    interior = _interior_indices(container)
+    interior = container.interior_indices()
     n_all = len(container.points)
     stats = EnumerationStats()
     t0 = time.perf_counter()
@@ -152,16 +145,16 @@ def enumerate_all(
             stats=stats,
         )
 
-    deg = [0] * n_all
     gen = flip_graph_states(container, cap=cap, stats=stats)
     try:
         for state in gen:
             count += 1
-            for i in range(n_all):
-                deg[i] = 0
-            for i, j in edges_of(state):
-                deg[i] += 1
-                deg[j] += 1
+            # An interior vertex's degree is its number of triangles.
+            deg = [0] * n_all
+            for a, b, c in state:
+                deg[a] += 1
+                deg[b] += 1
+                deg[c] += 1
             for p in interior:
                 d = deg[p]
                 degree_totals[d] = degree_totals.get(d, 0) + 1

@@ -158,6 +158,11 @@ class PointSet:
         upper = half(reversed(idx))
         return tuple(lower[:-1] + upper[:-1])
 
+    def interior_indices(self) -> tuple[int, ...]:
+        """Indices of the points off the convex hull, ascending."""
+        hull = set(self.convex_hull_indices())
+        return tuple(i for i in range(len(self.points)) if i not in hull)
+
 
 def validate_general_position(points: Iterable[Point | tuple[int, int]]) -> PointSet:
     """Build a PointSet, raising DuplicatePointError / CollinearTripleError."""

@@ -306,7 +306,6 @@ def initial_triangulation(container) -> Triangulation:
     if isinstance(container, AugmentedPointSet):
         f0, f1, f2 = container.frame_indices()
         tris: list[Tri] = [_ccw(pts, f0, f1, f2)]
-        pending = list(container.interior_indices())
     else:
         hull = list(container.convex_hull_indices())
         if len(hull) < 3:
@@ -314,9 +313,7 @@ def initial_triangulation(container) -> Triangulation:
         tris = [
             _ccw(pts, hull[0], hull[i], hull[i + 1]) for i in range(1, len(hull) - 1)
         ]
-        on_hull = set(hull)
-        pending = [i for i in range(len(pts)) if i not in on_hull]
-    for p in pending:
+    for p in container.interior_indices():
         for idx, (a, b, c) in enumerate(tris):
             if point_in_triangle(pts[p], pts[a], pts[b], pts[c]):
                 tris[idx : idx + 1] = [

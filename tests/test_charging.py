@@ -382,6 +382,29 @@ def test_audit_parallel_matches_sequential():
     assert a.to_json_dict() == b.to_json_dict()
 
 
+@pytest.mark.parametrize(
+    "P, states, ties",
+    [(augment(gen_convex(7)), 594, 4), (augment(gen_random(7, 310)), 1298, 8)],
+    ids=["convex7", "n7-s310"],
+)
+def test_audit_max_charge_tie_rule_across_chunks(P, states, ties):
+    # Over 512 states, so jobs=2 merges the tallies of several chunks.
+    charges = []
+    for tris in flip_graph_states(P):
+        t = Triangulation(P, tris)
+        deg = t.degree_map()
+        for p in P.interior_indices():
+            if deg[p] == 3:
+                charges.append((charge(Vint(p, t)).total, t.fingerprint(), p))
+    top = max(c for c, _, _ in charges)
+    tied = sorted((fp, p) for c, fp, p in charges if c == top)
+    assert len(tied) == ties
+    for jobs in (1, 2):
+        rep = audit(P, jobs=jobs)
+        assert rep.triangulation_count == states
+        assert (rep.max_charge, rep.max_charge_at) == (top, tied[0])
+
+
 def test_audit_requires_augmented():
     with pytest.raises(TypeError):
         audit(gen_convex(5))
