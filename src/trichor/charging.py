@@ -26,8 +26,8 @@ from math import comb
 
 from .enumeration import flip_graph_states
 from .errors import CapExceededError, HasDeepEdgesError, InvariantError, NotA3VintError
-from .geometry import AugmentedPointSet, Point, crosses
-from .polygons import SimplePolygon, catalan, count_triangulations
+from .geometry import AugmentedPointSet, crosses
+from .polygons import SimplePolygon, catalan, count_triangulations, is_convex
 from .triangulation import (
     EdgeRef,
     Triangulation,
@@ -141,13 +141,12 @@ class FlipTree:
     that keep the grown polygon star-shaped around the point.
     """
 
-    __slots__ = ("point", "link", "children", "triangulation")
+    __slots__ = ("point", "link", "children")
 
-    def __init__(self, point, link, children, triangulation=None):
+    def __init__(self, point, link, children):
         self.point = point
         self.link = link
         self.children = children
-        self.triangulation = triangulation
 
     def nodes(self) -> list[FlipTreeNode]:
         out = []
@@ -234,14 +233,9 @@ def _canon_cycle(cycle) -> tuple[int, ...]:
     return tuple(cycle[k:] + cycle[:k])
 
 
-def build_flip_tree_raw(xy, tris, p: int, amap=None) -> FlipTree:
-    """Flip-tree of the 3-vint (p, tris) over raw coordinate tuples.
-
-    ``amap`` is the ``edge_apex_map`` of ``tris`` when the caller already
-    has it (it is only read); by default it is computed here.
-    """
-    if amap is None:
-        amap = edge_apex_map(tris)
+def build_flip_tree_raw(xy, tris, p: int, amap) -> FlipTree:
+    """Flip-tree of the 3-vint (p, tris) over raw coordinate tuples;
+    ``amap`` is the ``edge_apex_map`` of ``tris`` (it is only read)."""
     link = vertex_link(tris, p)
     if link is None:
         raise NotA3VintError(f"point {p} is not interior")
@@ -263,9 +257,7 @@ def build_flip_tree(v: Vint) -> FlipTree:
     if t.degree_map().get(v.point, 0) != 3:
         raise NotA3VintError(f"point {v.point} has degree {t.degree_map().get(v.point)}")
     xy = [(pt.x, pt.y) for pt in t.points]
-    tree = build_flip_tree_raw(xy, t.triangles, v.point, amap=t.apex_map)
-    tree.triangulation = t
-    return tree
+    return build_flip_tree_raw(xy, t.triangles, v.point, amap=t.apex_map)
 
 
 # ---------------------------------------------------------------------------
@@ -513,22 +505,21 @@ class ChargeReport:
 
 
 class _PolygonCounter:
-    """Memoized hole-polygon triangulation counts over one point set."""
+    """Memoized hole-polygon triangulation counts over one point set,
+    given as ``(x, y)`` pairs; a boundary is a CCW index cycle."""
 
-    __slots__ = ("points", "cache")
+    __slots__ = ("xy", "cache")
 
-    def __init__(self, points: tuple[Point, ...]):
-        self.points = points
+    def __init__(self, xy):
+        self.xy = xy
         self.cache: dict[tuple[int, ...], int] = {}
 
     def count(self, boundary: tuple[int, ...]) -> int:
         key = _canon_cycle(list(boundary))
         hit = self.cache.get(key)
         if hit is None:
-            poly = SimplePolygon(
-                [self.points[i] for i in key], _skip_checks=True
-            )
-            hit = self.cache[key] = count_triangulations(poly)
+            xy = self.xy
+            hit = self.cache[key] = count_triangulations([xy[i] for i in key])
         return hit
 
 
@@ -553,7 +544,7 @@ def charge_from_tree(
 def charge(v: Vint, cap: int = DEFAULT_SUBTREE_CAP) -> ChargeReport:
     """Exact total charge received by the 3-vint v."""
     tree = build_flip_tree(v)
-    counter = _PolygonCounter(v.triangulation.points)
+    counter = _PolygonCounter([(pt.x, pt.y) for pt in v.triangulation.points])
     return charge_from_tree(tree, counter, cap, v.triangulation.fingerprint())
 
 
@@ -678,7 +669,6 @@ class _AuditTally:
     max_at: tuple[str, int] | None = None
     charger_max: dict[int, int] = field(default_factory=dict)
     degree_totals: dict[int, int] = field(default_factory=dict)
-    three_vints: int = 0
     violations: list[str] = field(default_factory=list)
     rules: RulesReport | None = None
 
@@ -706,7 +696,6 @@ class _AuditTally:
             self.offer_chargers(d, c)
         for d, c in other.degree_totals.items():
             self.degree_totals[d] = self.degree_totals.get(d, 0) + c
-        self.three_vints += other.three_vints
         self.violations.extend(other.violations)
         if self.rules is not None:
             self.rules.merge(other.rules)
@@ -721,7 +710,7 @@ class _AuditContext:
         self.xy = [(p.x, p.y) for p in P.points]
         self.interior = list(P.interior_indices())
         self.frame = list(P.frame_indices())
-        self.counter = _PolygonCounter(P.points)
+        self.counter = _PolygonCounter(self.xy)
         self.charge_cache: dict = {}
         self.cap = cap
         self.rules = rules
@@ -743,7 +732,6 @@ class _AuditContext:
         for tris in states:
             deg, trees = _degrees_and_trees(xy, tris, interior)
             t.count += 1
-            t.three_vints += len(trees)
             interior_sum = 0
             for p in interior:
                 d = deg[p]
@@ -829,7 +817,7 @@ def audit(
         degree_totals=dict(sorted(t.degree_totals.items())),
         violations=violations,
         exceeds_believed_max=t.max_charge > BELIEVED_MAX_CHARGE,
-        three_vint_count=t.three_vints,
+        three_vint_count=t.degree_totals.get(3, 0),
         rules=t.rules,
     )
 
@@ -888,23 +876,11 @@ class RulesReport:
         self.violations.extend(other.violations)
 
 
-def _hole_convex(xy, cycle) -> bool:
-    k = len(cycle)
-    for i in range(k):
-        a, b, c = cycle[i], cycle[(i + 1) % k], cycle[(i + 2) % k]
-        ax, ay = xy[a]
-        bx, by = xy[b]
-        cx, cy = xy[c]
-        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
-            return False
-    return True
-
-
 def check_structural_rules(P: AugmentedPointSet) -> RulesReport:
     """Sweep every vint of every triangulation for the cheap invariants."""
     xy = [(p.x, p.y) for p in P.points]
     interior = list(P.interior_indices())
-    counter = _PolygonCounter(P.points)
+    counter = _PolygonCounter(xy)
     rep = RulesReport()
     for tris in flip_graph_states(P):
         _, trees = _degrees_and_trees(xy, tris, interior)
@@ -924,7 +900,7 @@ def _rules_state(xy, tris, interior, counter, trees, rep: RulesReport) -> None:
         d = len(cyc)
         supp = counter.count(tuple(cyc))
         bound = catalan(d - 2)
-        convex = _hole_convex(xy, cyc)
+        convex = is_convex([xy[i] for i in cyc])
         rep.support_checked += 1
         if not 1 <= supp <= bound:
             rep.violations.append(f"support {supp} outside [1, {bound}]")

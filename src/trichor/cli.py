@@ -9,8 +9,8 @@ generator, so every command is deterministic given its arguments.
 structural-rule sweep and the left side of the degree-3 insertion
 identity share that walk, and only the right side's deletion walks
 follow.  The TRICHOR_THREADS environment variable sets the number of
-processes for the charge audit and the rule sweep; results are
-identical to a sequential run.
+processes for the charge audit and the rule sweep, at most the CPU
+count; results are identical to a sequential run.
 """
 
 from __future__ import annotations
@@ -186,12 +186,13 @@ def cmd_bounds(args) -> int:
 
 
 def _threads() -> int:
+    """Worker processes from TRICHOR_THREADS, clamped to 1..cpu_count."""
     raw = os.environ.get("TRICHOR_THREADS", "1")
     try:
         jobs = int(raw)
     except ValueError:
         raise SystemExit(f"TRICHOR_THREADS must be an integer, got {raw!r}")
-    return max(1, jobs)
+    return max(1, min(jobs, os.cpu_count() or 1))
 
 
 def build_parser() -> argparse.ArgumentParser:

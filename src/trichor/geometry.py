@@ -75,6 +75,14 @@ def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     return crosses(((a.x, a.y), (b.x, b.y), (c.x, c.y), (d.x, d.y)), 0, 1, 2, 3)
 
 
+def signed_area_2x(pts: Sequence[Point]) -> int:
+    """Twice the signed area of the polygon ``pts``; positive iff CCW."""
+    k = len(pts)
+    return sum(
+        pts[i].x * pts[(i + 1) % k].y - pts[(i + 1) % k].x * pts[i].y for i in range(k)
+    )
+
+
 def point_on_open_segment(p: Point, a: Point, b: Point) -> bool:
     """True iff p lies strictly between a and b on the segment ab."""
     if orient(a, b, p) != COLLINEAR:
@@ -330,7 +338,7 @@ def gen_random(n: int, seed: int) -> PointSet:
 # --- point-set text format: first line n, then n lines "x y" ---
 
 def write_points(ps: PointSet | AugmentedPointSet, path: str | Path) -> None:
-    pts = ps.points if isinstance(ps, AugmentedPointSet) else ps.points
+    pts = ps.points
     lines = [str(len(pts))]
     lines += [f"{p.x} {p.y}" for p in pts]
     Path(path).write_text("\n".join(lines) + "\n")

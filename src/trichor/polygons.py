@@ -6,10 +6,15 @@ constrained to contain given chords, and the Catalan family C_m, C'_n,
 C''_n, C^(r)_n for convex polygons with minimally-blocking reflex
 vertices.
 
-All counts are exact Python integers.  Vertex visibility is decided by
-exact predicates: two vertices see each other iff the open segment
-between them stays strictly inside the polygon; grazing a third vertex
-counts as blocked.
+All counts are exact Python integers.  The core works on a polygon
+given as a CCW sequence of integer ``(x, y)`` pairs: one diagonal test
+(``is_diagonal``), one convexity test (``is_convex``) and the counting
+DP (``count_triangulations``); ``SimplePolygon`` is the validated
+wrapper that delegates to it.  Two vertices see each other iff the open
+segment between them stays strictly inside the polygon, decided by
+exact integer tests: no third vertex on the segment (grazing a vertex
+counts as blocked), no proper crossing with a non-incident edge, and
+the in-cone test at one endpoint.
 """
 
 from __future__ import annotations
@@ -28,9 +33,11 @@ from .errors import (
 from .geometry import (
     CCW,
     Point,
+    crosses,
     orient,
     point_on_open_segment,
     segments_cross,
+    signed_area_2x,
 )
 
 BRUTE_FORCE_LIMIT = 12
@@ -59,29 +66,29 @@ def catalan_generalized(n: int, r: int) -> int:
 class SimplePolygon:
     """A simple polygon given by its boundary in CCW order.
 
+    A clockwise boundary is reversed on construction.  ``xy`` holds the
+    boundary as ``(x, y)`` pairs, the form the polygon core works on.
     An optional kernel witness asserts star-shapedness: construction
     checks that every boundary edge has the witness strictly on its
     left, i.e. the witness lies in the polygon's kernel.
     """
 
-    __slots__ = ("boundary", "kernel_witness", "_sees_cache")
+    __slots__ = ("boundary", "xy", "kernel_witness")
 
     def __init__(
         self,
         boundary: Iterable[Point | tuple[int, int]],
         kernel_witness: Point | None = None,
-        _skip_checks: bool = False,
     ):
         pts = tuple(p if isinstance(p, Point) else Point(*p) for p in boundary)
         if len(pts) < 3:
             raise NotSimpleError(f"polygon needs >= 3 vertices, got {len(pts)}")
-        if not _skip_checks:
-            if _signed_area_2x(pts) < 0:
-                pts = tuple(reversed(pts))
-            _check_simple(pts)
+        if signed_area_2x(pts) < 0:
+            pts = tuple(reversed(pts))
+        _check_simple(pts)
         self.boundary = pts
+        self.xy = tuple((p.x, p.y) for p in pts)
         self.kernel_witness = kernel_witness
-        self._sees_cache: dict[tuple[int, int], bool] = {}
         if kernel_witness is not None:
             k = len(pts)
             for i in range(k):
@@ -97,58 +104,20 @@ class SimplePolygon:
         return f"SimplePolygon({len(self.boundary)} vertices)"
 
     def is_convex(self) -> bool:
-        k = len(self.boundary)
-        return all(
-            orient(self.boundary[i], self.boundary[(i + 1) % k], self.boundary[(i + 2) % k]) == CCW
-            for i in range(k)
-        )
-
-    def contains_point(self, p: Point) -> bool:
-        """Strict interior test (exact ray crossing)."""
-        return _point_strictly_inside(p, self.boundary)
+        return is_convex(self.xy)
 
     def sees(self, i: int, j: int) -> bool:
         """True iff boundary vertices i and j see each other.
 
         Adjacent vertices do not "see" each other in this sense; use the
-        boundary edge directly.  The open segment must avoid all other
-        vertices, cross no boundary edge, and run through the interior.
+        boundary edge directly.  See ``is_diagonal``.
         """
-        k = len(self.boundary)
+        k = len(self.xy)
         i %= k
         j %= k
         if i == j or (i + 1) % k == j or (j + 1) % k == i:
             return False
-        key = (i, j) if i < j else (j, i)
-        hit = self._sees_cache.get(key)
-        if hit is None:
-            hit = self._sees_cache[key] = self._sees(i, j)
-        return hit
-
-    def _sees(self, i: int, j: int) -> bool:
-        pts = self.boundary
-        k = len(pts)
-        a, b = pts[i], pts[j]
-        for w in range(k):
-            if w != i and w != j and point_on_open_segment(pts[w], a, b):
-                return False
-        for u in range(k):
-            v = (u + 1) % k
-            if u in (i, j) or v in (i, j):
-                continue
-            if segments_cross(a, b, pts[u], pts[v]):
-                return False
-        # Doubled midpoint keeps the inside test in exact integers.
-        mid = Point(a.x + b.x, a.y + b.y)
-        doubled = tuple(Point(2 * p.x, 2 * p.y) for p in pts)
-        return _point_strictly_inside(mid, doubled)
-
-
-def _signed_area_2x(pts: Sequence[Point]) -> int:
-    k = len(pts)
-    return sum(
-        pts[i].x * pts[(i + 1) % k].y - pts[(i + 1) % k].x * pts[i].y for i in range(k)
-    )
+        return is_diagonal(self.xy, i, j)
 
 
 def _check_simple(pts: Sequence[Point]) -> None:
@@ -181,61 +150,85 @@ def _check_simple(pts: Sequence[Point]) -> None:
                     raise NotSimpleError(f"edges {i} and {j} touch")
 
 
-def _point_strictly_inside(q: Point, pts: Sequence[Point]) -> bool:
-    k = len(pts)
-    inside = False
-    for i in range(k):
-        a, b = pts[i], pts[(i + 1) % k]
-        if point_on_open_segment(q, a, b) or (q.x, q.y) in ((a.x, a.y), (b.x, b.y)):
+# --- the polygon core: a simple polygon as a CCW sequence of (x, y) pairs ---
+
+
+def is_convex(xy: Sequence[tuple[int, int]]) -> bool:
+    """True iff every vertex of the CCW polygon ``xy`` turns strictly left."""
+    for i in range(len(xy)):
+        ax, ay = xy[i - 2]
+        bx, by = xy[i - 1]
+        cx, cy = xy[i]
+        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
             return False
-        if (a.y > q.y) != (b.y > q.y):
-            # x coordinate of the edge at height q.y, compared exactly:
-            # q.x < a.x + (q.y - a.y) (b.x - a.x) / (b.y - a.y)
-            lhs = (q.x - a.x) * (b.y - a.y)
-            rhs = (q.y - a.y) * (b.x - a.x)
-            if (b.y > a.y and lhs < rhs) or (b.y < a.y and lhs > rhs):
-                inside = not inside
-    return inside
+    return True
 
 
-def _closable(poly: SimplePolygon, i: int, j: int) -> bool:
-    """Edge-or-diagonal test used by the counting recursions."""
-    k = len(poly)
-    if (i + 1) % k == j or (j + 1) % k == i:
-        return True
-    return poly.sees(i, j)
+def is_diagonal(xy: Sequence[tuple[int, int]], i: int, j: int) -> bool:
+    """True iff the non-adjacent vertices i and j of the CCW polygon
+    ``xy`` see each other: the open segment between them runs strictly
+    inside the polygon.
+
+    No other vertex may lie on the open segment (grazing a vertex
+    blocks), no edge away from i and j may properly cross it, and it
+    must leave i inside the interior angle at i.  The first two tests
+    keep the segment off the boundary, so the third decides.
+    """
+    k = len(xy)
+    ax, ay = xy[i]
+    bx, by = xy[j]
+    dx, dy = bx - ax, by - ay
+    for w in range(k):
+        if w == i or w == j:
+            continue
+        wx, wy = xy[w]
+        if dx * (wy - ay) == dy * (wx - ax) and (
+            min(ax, bx) < wx < max(ax, bx) if dx else min(ay, by) < wy < max(ay, by)
+        ):
+            return False
+        v = (w + 1) % k
+        if v != i and v != j and crosses(xy, i, j, w, v):
+            return False
+    # In-cone test at i (O'Rourke, Computational Geometry in C, 1.6).
+    px, py = xy[i - 1]
+    nx, ny = xy[(i + 1) % k]
+    o_prev = dx * (py - ay) - dy * (px - ax)  # orient(a, b, prev)
+    o_next = dx * (ny - ay) - dy * (nx - ax)  # orient(a, b, next)
+    if (nx - ax) * (py - ay) - (ny - ay) * (px - ax) >= 0:
+        # i is convex (or straight): b lies strictly inside the wedge.
+        return o_prev > 0 and o_next < 0
+    # i is reflex: b must not lie in the closed exterior wedge.
+    return not (o_next >= 0 and o_prev <= 0)
 
 
-def count_triangulations(poly: SimplePolygon) -> int:
+def count_triangulations(poly: SimplePolygon | Sequence[tuple[int, int]]) -> int:
     """Exact number of triangulations of a simple polygon.
 
-    Interval DP over the boundary: ways(i, j) counts triangulations of
-    the sub-polygon cut off by chord (i, j), built by choosing the apex
-    of the triangle resting on that chord.
+    ``poly`` is a SimplePolygon or its boundary as CCW ``(x, y)``
+    pairs.  Interval DP over the boundary: ways[i][j] counts
+    triangulations of the sub-polygon cut off by chord (i, j), built by
+    choosing the apex of the triangle resting on that chord; it is 0
+    when (i, j) is neither an edge nor a diagonal.
     """
-    k = len(poly)
-    if k == 3:
-        return 1
-    ways: dict[tuple[int, int], int] = {}
+    xy = poly.xy if isinstance(poly, SimplePolygon) else poly
+    k = len(xy)
+    ways = [[0] * k for _ in range(k)]
     for i in range(k - 1):
-        ways[(i, i + 1)] = 1
+        ways[i][i + 1] = 1
     for span in range(2, k):
         for i in range(k - span):
             j = i + span
-            total = 0
-            if _closable(poly, i, j):
-                for m in range(i + 1, j):
-                    if _closable(poly, i, m) and _closable(poly, m, j):
-                        total += ways[(i, m)] * ways[(m, j)]
-            ways[(i, j)] = total
-    return ways[(0, k - 1)]
+            if span == k - 1 or is_diagonal(xy, i, j):
+                wi = ways[i]
+                wi[j] = sum(wi[m] * ways[m][j] for m in range(i + 1, j))
+    return ways[0][k - 1]
 
 
 def brute_force_count(poly: SimplePolygon) -> int:
     """Independent oracle: recursive ear splitting on explicit sub-polygons.
 
     The triangle resting on the last boundary edge is chosen, the two
-    cut-off chains are rebuilt as fresh SimplePolygon objects, and their
+    cut-off chains are rebuilt as fresh coordinate sequences, and their
     visibility is recomputed from scratch.  Capped at BRUTE_FORCE_LIMIT
     vertices.
     """
@@ -243,28 +236,25 @@ def brute_force_count(poly: SimplePolygon) -> int:
         raise TooLargeError(f"brute force limited to {BRUTE_FORCE_LIMIT} vertices")
     memo: dict[tuple[tuple[int, int], ...], int] = {}
 
-    def count(pts: tuple[Point, ...]) -> int:
-        k = len(pts)
-        if k <= 2:
+    def count(xy: tuple[tuple[int, int], ...]) -> int:
+        k = len(xy)
+        if k <= 3:
             # A chain of two vertices closes into the chord itself.
             return 1
-        if k == 3:
-            return 1
-        key = tuple((p.x, p.y) for p in pts)
-        hit = memo.get(key)
+        hit = memo.get(xy)
         if hit is not None:
             return hit
-        sub = SimplePolygon(pts, _skip_checks=True)
         total = 0
         # Fixed edge: (k-1, 0).  The apex m forms the triangle on it.
         for m in range(1, k - 1):
-            if not _closable(sub, 0, m) or not _closable(sub, m, k - 1):
-                continue
-            total += count(pts[: m + 1]) * count(pts[m:])
-        memo[key] = total
+            if (m == 1 or is_diagonal(xy, 0, m)) and (
+                m == k - 2 or is_diagonal(xy, m, k - 1)
+            ):
+                total += count(xy[: m + 1]) * count(xy[m:])
+        memo[xy] = total
         return total
 
-    return count(poly.boundary)
+    return count(poly.xy)
 
 
 class Chord:
@@ -325,7 +315,7 @@ def tr_with_chords(poly: SimplePolygon, required: Sequence[Chord]) -> int:
 
     total = 1
     for piece in pieces:
-        total *= count_triangulations(SimplePolygon([pts[i] for i in piece], _skip_checks=True))
+        total *= count_triangulations([poly.xy[i] for i in piece])
     return total
 
 

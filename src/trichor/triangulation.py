@@ -25,6 +25,7 @@ from .geometry import (
     orient,
     point_in_triangle,
     segments_cross,
+    signed_area_2x,
 )
 
 # An edge is an index pair (i, j) with i < j.
@@ -212,8 +213,8 @@ class Triangulation:
         else:
             hull = list(self.vertices.convex_hull_indices())
             hull_pts = [pts[i] for i in hull]
-        hull_area = _poly_area_2x(hull_pts)
-        tri_area = sum(_poly_area_2x([pts[a], pts[b], pts[c]]) for a, b, c in self.triangles)
+        hull_area = signed_area_2x(hull_pts)
+        tri_area = sum(signed_area_2x([pts[a], pts[b], pts[c]]) for a, b, c in self.triangles)
         if tri_area != hull_area:
             raise ValueError("triangles do not tile the hull")
         n_all = len(pts)
@@ -260,14 +261,6 @@ def _ccw(pts, a: int, b: int, c: int) -> Tri:
     if orient(pts[a], pts[b], pts[c]) == CCW:
         return (a, b, c)
     return (a, c, b)
-
-
-def _poly_area_2x(poly: list[Point]) -> int:
-    k = len(poly)
-    return sum(
-        poly[i].x * poly[(i + 1) % k].y - poly[(i + 1) % k].x * poly[i].y
-        for i in range(k)
-    )
 
 
 def is_flippable(t: Triangulation, e: EdgeRef) -> bool:

@@ -3,14 +3,16 @@
 These deliberately avoid the code paths they check: vint reachability
 is computed by brute-force BFS over single down-flips across the whole
 enumerated triangulation space, and polygon counts are recomputed by
-backtracking over pairwise non-crossing diagonal subsets.
+backtracking over pairwise non-crossing diagonal subsets.  Vertex
+visibility is recomputed by an exact ray cast from the segment's
+midpoint.
 """
 
 from collections import defaultdict
 from functools import cmp_to_key
 
 from trichor.enumeration import flip_graph_states
-from trichor.geometry import Point, segments_cross
+from trichor.geometry import Point, point_on_open_segment, segments_cross
 from trichor.polygons import SimplePolygon
 from trichor.rng import SplitMix64
 from trichor.triangulation import Triangulation
@@ -70,6 +72,50 @@ class DownFlipOracle:
                     seen.add(w)
                     stack.append(w)
         return out
+
+
+def sees_by_ray_cast(poly: SimplePolygon, i: int, j: int) -> bool:
+    """Reference for ``SimplePolygon.sees``: i and j are not adjacent, no
+    other vertex lies on the open segment, no edge away from i and j
+    properly crosses it, and its midpoint is strictly inside."""
+    pts = poly.boundary
+    k = len(pts)
+    i %= k
+    j %= k
+    if i == j or (i + 1) % k == j or (j + 1) % k == i:
+        return False
+    a, b = pts[i], pts[j]
+    for w in range(k):
+        if w != i and w != j and point_on_open_segment(pts[w], a, b):
+            return False
+    for u in range(k):
+        v = (u + 1) % k
+        if u in (i, j) or v in (i, j):
+            continue
+        if segments_cross(a, b, pts[u], pts[v]):
+            return False
+    # Doubled midpoint keeps the inside test in exact integers.
+    mid = Point(a.x + b.x, a.y + b.y)
+    doubled = tuple(Point(2 * p.x, 2 * p.y) for p in pts)
+    return _strictly_inside(mid, doubled)
+
+
+def _strictly_inside(q: Point, pts) -> bool:
+    """Exact crossing-number test; a point on the boundary is outside."""
+    k = len(pts)
+    inside = False
+    for i in range(k):
+        a, b = pts[i], pts[(i + 1) % k]
+        if point_on_open_segment(q, a, b) or (q.x, q.y) in ((a.x, a.y), (b.x, b.y)):
+            return False
+        if (a.y > q.y) != (b.y > q.y):
+            # x coordinate of the edge at height q.y, compared exactly:
+            # q.x < a.x + (q.y - a.y) (b.x - a.x) / (b.y - a.y)
+            lhs = (q.x - a.x) * (b.y - a.y)
+            rhs = (q.y - a.y) * (b.x - a.x)
+            if (b.y > a.y and lhs < rhs) or (b.y < a.y and lhs > rhs):
+                inside = not inside
+    return inside
 
 
 def count_by_noncrossing_sets(poly: SimplePolygon) -> int:

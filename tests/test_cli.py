@@ -1,4 +1,5 @@
 import json
+import os
 from importlib import resources
 
 import jsonschema
@@ -171,10 +172,27 @@ def test_threads_env(tmp_path, capsys, monkeypatch):
     main(["generate", "random", "--n", "6", "--seed", "14", "--augment", "--out", str(f)])
     code, seq = run(capsys, "audit", str(f))
     assert code == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # keep 2 on a 1-core host
     monkeypatch.setenv("TRICHOR_THREADS", "2")
     code, par = run(capsys, "audit", str(f))
     assert code == 0
     assert seq == par
+
+
+def test_threads_clamped_to_cpu_count(monkeypatch):
+    # Only _threads() runs: no pool is started with the large value.
+    import trichor.cli as cli
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("TRICHOR_THREADS", "100000")
+    assert cli._threads() == 3
+    monkeypatch.setenv("TRICHOR_THREADS", "2")
+    assert cli._threads() == 2
+    monkeypatch.setenv("TRICHOR_THREADS", "0")
+    assert cli._threads() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setenv("TRICHOR_THREADS", "100000")
+    assert cli._threads() == 1
 
 
 def test_audit_violation_exit_three(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import count_by_noncrossing_sets, random_star_polygon
+from oracles import count_by_noncrossing_sets, random_star_polygon, sees_by_ray_cast
 from trichor.errors import (
     CrossingChordsError,
     InvalidChordError,
@@ -8,7 +8,9 @@ from trichor.errors import (
     OutOfRangeError,
     TooLargeError,
 )
-from trichor.geometry import Point
+from trichor.charging import Vint, hole_of
+from trichor.enumeration import flip_graph_states
+from trichor.geometry import Point, augment, gen_random
 from trichor.polygons import (
     Chord,
     SimplePolygon,
@@ -22,6 +24,7 @@ from trichor.polygons import (
     write_polygon,
 )
 from trichor.rng import SplitMix64
+from trichor.triangulation import Triangulation
 
 
 def convex_gon(k):
@@ -188,6 +191,34 @@ def test_visibility_blocked_through_vertex():
     # a vertex counts as blocked.
     poly = SimplePolygon([(0, 0), (4, 0), (4, 4), (2, 2), (0, 4)])
     assert not poly.sees(1, 4)  # segment (4,0)-(0,4) passes through (2,2)
+
+
+def test_sees_equals_ray_cast_reference():
+    # The diagonal test (vertex, crossing and in-cone tests) against the
+    # midpoint ray cast, on every non-adjacent pair.
+    rng = SplitMix64(5)
+    polys = [random_star_polygon(4 + i % 7, rng, span=3 + i % 5) for i in range(150)]
+    polys += [reflex_template(n, 1) for n in range(2, 9)]
+    polys += [reflex_template(n, 2) for n in range(4, 9)]
+    polys.append(SimplePolygon([(0, 0), (4, 0), (4, 4), (2, 2), (0, 4)]))
+    P = augment(gen_random(6, 14))
+    holes = {}
+    for tris in flip_graph_states(P):
+        t = Triangulation(P, tris)
+        for p in P.interior_indices():
+            hole = hole_of(Vint(p, t))
+            holes[hole.polygon.xy] = hole.polygon
+    polys += holes.values()
+    pairs = blocked = 0
+    for poly in polys:
+        k = len(poly)
+        for i in range(k):
+            for j in range(i + 2, k - (i == 0)):
+                got = poly.sees(i, j)
+                assert got == sees_by_ray_cast(poly, i, j), (poly.xy, i, j)
+                pairs += 1
+                blocked += not got
+    assert len(holes) > 100 and pairs > 3000 and 0 < blocked < pairs
 
 
 def test_polygon_roundtrip(tmp_path):
