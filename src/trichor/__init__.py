@@ -26,7 +26,6 @@ from .charging import (
     contr_plus,
     contr_plus_census,
     contr_plus_closed_form,
-    enumerate_charging_vints,
     hole_of,
     rigid_core,
     support,
@@ -52,7 +51,6 @@ from .errors import (
     NotFlippableError,
     NotSimpleError,
     OutOfRangeError,
-    TooLargeError,
     TrichorError,
     UnknownEdgeError,
 )
@@ -75,7 +73,6 @@ from .geometry import (
 from .polygons import (
     Chord,
     SimplePolygon,
-    brute_force_count,
     catalan,
     catalan_generalized,
     count_triangulations,
@@ -89,10 +86,7 @@ from .triangulation import (
     EdgeRef,
     Triangulation,
     degree_vector,
-    fingerprint,
-    flip,
     initial_triangulation,
-    is_flippable,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ from .polygons import SimplePolygon, catalan, count_triangulations, is_convex
 from .triangulation import (
     EdgeRef,
     Triangulation,
-    _ccw,
     edge,
     edge_apex_map,
     fingerprint_bytes,
@@ -547,44 +546,6 @@ def charge(v: Vint, cap: int = DEFAULT_SUBTREE_CAP) -> ChargeReport:
     counter = _PolygonCounter([(pt.x, pt.y) for pt in v.triangulation.points])
     return charge_from_tree(tree, counter, cap, v.triangulation.fingerprint())
 
-
-def enumerate_charging_vints(
-    v: Vint, cap: int = DEFAULT_SUBTREE_CAP
-) -> list[tuple[SubtreeInfo, Vint]]:
-    """All vints charging v, via the subtree bijection.
-
-    Each root-containing subtree of the flip-tree maps to the vint whose
-    triangulation re-fans the subtree's polygon from v's point.
-    """
-    tree = build_flip_tree(v)
-    t = v.triangulation
-    pts = t.points
-    p = v.point
-    out = []
-    for sub in iter_subtrees(tree, cap):
-        # The region's faces are the three fan faces at p plus the chosen
-        # node faces, and every face containing a dual edge is in the
-        # region; drop them all, then re-fan the boundary from p.
-        drop = set()
-        duals = set(sub.dual_edges)
-        for tri in t.triangles:
-            a, b, c = tri
-            if p in tri:
-                drop.add(tri)
-                continue
-            for e_ in (edge(a, b), edge(b, c), edge(c, a)):
-                if e_ in duals:
-                    drop.add(tri)
-                    break
-        new_tris = [tri for tri in t.triangles if tri not in drop]
-        k = len(sub.boundary)
-        for i in range(k):
-            new_tris.append(
-                _ccw(pts, p, sub.boundary[i], sub.boundary[(i + 1) % k])
-            )
-        vint = Vint(p, Triangulation(t.vertices, new_tris))
-        out.append((sub, vint))
-    return out
 
 # ---------------------------------------------------------------------------
 # whole-instance audit

@@ -7,10 +7,10 @@ generator, so every command is deterministic given its arguments.
 
 ``audit`` walks the triangulations of S+ once: the charge audit, the
 structural-rule sweep and the left side of the degree-3 insertion
-identity share that walk, and only the right side's deletion walks
-follow.  The TRICHOR_THREADS environment variable sets the number of
-processes for the charge audit and the rule sweep, at most the CPU
-count; results are identical to a sequential run.
+identity share that walk, and the polygon recursion counts the right
+side without walking.  The TRICHOR_THREADS environment variable sets
+the number of processes for the charge audit and the rule sweep, at
+most the CPU count; results are identical to a sequential run.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ def cmd_enumerate(args) -> int:
     except CapExceededError as exc:
         result = exc.result
         code = EXIT_CAPPED
-    v3 = result.vhat(3)
+    # A cap of 0 visits no triangulation: report 0 rather than divide by 0.
+    v3 = result.vhat(3) if result.count else Fraction(0)
     report = {
         "n": result.interior_count,
         "count": str(result.count),
@@ -134,11 +135,15 @@ def cmd_fliptree(args) -> int:
     ps = read_points(args.input)
     P = AugmentedPointSet.from_points(ps)
     target = None
-    for tris in flip_graph_states(P, cap=args.cap):
-        t = Triangulation(P, tris)
-        if args.fingerprint is None or t.fingerprint() == args.fingerprint:
-            target = t
-            break
+    try:
+        for tris in flip_graph_states(P, cap=args.cap):
+            t = Triangulation(P, tris)
+            if args.fingerprint is None or t.fingerprint() == args.fingerprint:
+                target = t
+                break
+    except CapExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPPED
     if target is None:
         print(f"no triangulation with fingerprint {args.fingerprint}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,7 +7,9 @@ visits each one exactly once.  Counts and degree totals are exact
 integers; expected degrees come out as exact rationals.
 
 The traversal works on raw canonical triangle tuples for speed; the
-``Triangulation`` class is only materialized at API boundaries.
+``Triangulation`` class is only materialized at API boundaries.  The
+degree-3 insertion identity checks the walk's degree-3 total against
+counts from the polygon recursion, which uses no flips.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Iterator
 
 from .errors import CapExceededError, InvariantError
 from .geometry import AugmentedPointSet, crosses
+from .polygons import count_triangulations
 from .triangulation import (
     Tri,
     _ccw,
@@ -65,7 +68,8 @@ def flip_graph_states(
 ) -> Iterator[tuple[Tri, ...]]:
     """Yield every triangulation of the container as a canonical triangle
     tuple, each exactly once, in breadth-first order from the seed.
-    Raises CapExceededError after yielding ``cap`` states.
+    Raises CapExceededError instead of yielding a state beyond the
+    first ``cap``; a walk with at most ``cap`` states ends normally.
 
     A state's key is its edge set as an int bitmask over the index
     pairs.  Flipping uv to xy toggles two bits, so a neighbour is looked
@@ -90,14 +94,14 @@ def flip_graph_states(
     frontier = deque([(seed, mask)])
     yielded = 0
     while frontier:
+        if cap is not None and yielded >= cap:
+            raise CapExceededError(f"enumeration cap {cap} reached")
         state, mask = frontier.popleft()
         amap = edge_apex_map(state)
         if len(state) != expected_tris or len(amap) != expected_edges:
             raise InvariantError("Euler count violated during enumeration")
         yield state
         yielded += 1
-        if cap is not None and yielded >= cap:
-            raise CapExceededError(f"enumeration cap {cap} reached")
         for (u, v), apexes in amap.items():
             if len(apexes) != 2:
                 continue
@@ -188,20 +192,23 @@ class V3RecursionReport:
         return self.lhs == self.rhs
 
 
-def check_v3_recursion(P: AugmentedPointSet, lhs: int | None = None) -> V3RecursionReport:
+def check_v3_recursion(P: AugmentedPointSet, lhs: int) -> V3RecursionReport:
     """Check sum_T v_3(T) == sum_q tr(S+ minus q) over the interior points q.
 
-    ``lhs`` is the left side when the caller already has it, e.g. the
-    ``degree_totals[3]`` of an audit of P; by default it is enumerated.
-    The right side only counts the states of each deletion walk.
+    ``lhs`` is the left side, the ``degree_totals[3]`` of an enumeration
+    or audit of P.  Each term of the right side is counted by the
+    polygon recursion, the frame with the other interior points inside
+    it, so the identity compares the flip walk with an independent
+    algorithm.
     """
     if not isinstance(P, AugmentedPointSet):
         raise TypeError("check_v3_recursion needs an AugmentedPointSet")
-    if lhs is None:
-        lhs = enumerate_all(P).degree_totals.get(3, 0)
-    per_point = {}
-    for q in P.interior_indices():
-        per_point[q] = sum(1 for _ in flip_graph_states(P.without(q)))
+    frame = [(p.x, p.y) for p in P.frame]
+    interior = [(p.x, p.y) for p in P.points[: P.n]]
+    per_point = {
+        q: count_triangulations(frame, interior[:q] + interior[q + 1 :])
+        for q in P.interior_indices()
+    }
     return V3RecursionReport(lhs=lhs, rhs=sum(per_point.values()), per_point=per_point)
 
 

@@ -64,10 +64,6 @@ class OutOfRangeError(TrichorError):
     """Index arguments outside the defined range of a counting function."""
 
 
-class TooLargeError(TrichorError):
-    """Input exceeds the size limit of a brute-force oracle."""
-
-
 class NotA3VintError(TrichorError):
     """Requested point does not have degree 3 in the given triangulation."""
 

@@ -235,13 +235,6 @@ class AugmentedPointSet:
     def interior_indices(self) -> range:
         return range(self.n)
 
-    def without(self, q: int) -> "AugmentedPointSet":
-        """The augmented set with interior point q removed (same frame)."""
-        if not 0 <= q < self.n:
-            raise IndexError(f"no interior point {q}")
-        remaining = [p for i, p in enumerate(self.base) if i != q]
-        return AugmentedPointSet(PointSet(remaining) if remaining else None, self.frame)
-
     def __repr__(self) -> str:
         return f"AugmentedPointSet(n={self.n})"
 

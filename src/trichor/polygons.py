@@ -1,20 +1,22 @@
 """Exact triangulation counting for simple polygons.
 
-Covers the counting layer the charging analysis rests on: the interval
-DP over valid diagonals, a brute-force ear-splitting oracle, counts
-constrained to contain given chords, and the Catalan family C_m, C'_n,
-C''_n, C^(r)_n for convex polygons with minimally-blocking reflex
-vertices.
+Covers the counting layer the charging analysis rests on: one ear
+recursion that counts the triangulations of a polygon, with or without
+points inside it, counts constrained to contain given chords, and the
+Catalan family C_m, C'_n, C''_n, C^(r)_n for convex polygons with
+minimally-blocking reflex vertices.
 
 All counts are exact Python integers.  The core works on a polygon
 given as a CCW sequence of integer ``(x, y)`` pairs: one diagonal test
 (``is_diagonal``), one convexity test (``is_convex``) and the counting
-DP (``count_triangulations``); ``SimplePolygon`` is the validated
-wrapper that delegates to it.  Two vertices see each other iff the open
-segment between them stays strictly inside the polygon, decided by
-exact integer tests: no third vertex on the segment (grazing a vertex
-counts as blocked), no proper crossing with a non-incident edge, and
-the in-cone test at one endpoint.
+recursion (``count_triangulations``), which also counts the
+triangulations of a point set as its hull plus the points inside;
+``SimplePolygon`` is the validated wrapper that delegates to it.  Two
+vertices see each other iff the open segment between them stays
+strictly inside the polygon, decided by exact integer tests: no third
+vertex on the segment (grazing a vertex counts as blocked), no proper
+crossing with a non-incident edge, and the in-cone test at one
+endpoint.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import (
     InvalidChordError,
     NotSimpleError,
     OutOfRangeError,
-    TooLargeError,
 )
 from .geometry import (
     CCW,
@@ -39,8 +40,6 @@ from .geometry import (
     segments_cross,
     signed_area_2x,
 )
-
-BRUTE_FORCE_LIMIT = 12
 
 
 def catalan(m: int) -> int:
@@ -153,15 +152,14 @@ def _check_simple(pts: Sequence[Point]) -> None:
 # --- the polygon core: a simple polygon as a CCW sequence of (x, y) pairs ---
 
 
+def _det(a, b, c) -> int:
+    """Twice the signed area of the triangle (a, b, c) of (x, y) pairs."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
 def is_convex(xy: Sequence[tuple[int, int]]) -> bool:
     """True iff every vertex of the CCW polygon ``xy`` turns strictly left."""
-    for i in range(len(xy)):
-        ax, ay = xy[i - 2]
-        bx, by = xy[i - 1]
-        cx, cy = xy[i]
-        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
-            return False
-    return True
+    return all(_det(xy[i - 2], xy[i - 1], xy[i]) > 0 for i in range(len(xy)))
 
 
 def is_diagonal(xy: Sequence[tuple[int, int]], i: int, j: int) -> bool:
@@ -201,60 +199,88 @@ def is_diagonal(xy: Sequence[tuple[int, int]], i: int, j: int) -> bool:
     return not (o_next >= 0 and o_prev <= 0)
 
 
-def count_triangulations(poly: SimplePolygon | Sequence[tuple[int, int]]) -> int:
-    """Exact number of triangulations of a simple polygon.
+def count_triangulations(
+    poly: SimplePolygon | Sequence[tuple[int, int]],
+    inside: Iterable[tuple[int, int]] = (),
+) -> int:
+    """Exact number of triangulations of a simple polygon whose vertex
+    set also holds the ``inside`` points, integer ``(x, y)`` pairs
+    strictly inside it.
 
-    ``poly`` is a SimplePolygon or its boundary as CCW ``(x, y)``
-    pairs.  Interval DP over the boundary: ways[i][j] counts
-    triangulations of the sub-polygon cut off by chord (i, j), built by
-    choosing the apex of the triangle resting on that chord; it is 0
-    when (i, j) is neither an edge nor a diagonal.
+    ``poly`` is a SimplePolygon or its boundary as CCW ``(x, y)`` pairs.
+    Ear recursion on the fixed edge (k-1, 0): every triangulation has
+    one triangle on it, so the count sums over its apex.
+    - A boundary apex m needs two diagonals (or edges) and an empty
+      triangle; the chains ``xy[:m+1]`` and ``xy[m:]`` are counted
+      apart, each with the inside points that an exact ray-parity test
+      places in it.
+    - An inside apex c must lie left of the fixed edge, its triangle
+      must hold no other point, and its two new sides must cross no
+      boundary edge; c then joins the boundary between k-1 and 0.
+    Sub-problems are memoised on (boundary, inside points).
     """
-    xy = poly.xy if isinstance(poly, SimplePolygon) else poly
-    k = len(xy)
-    ways = [[0] * k for _ in range(k)]
-    for i in range(k - 1):
-        ways[i][i + 1] = 1
-    for span in range(2, k):
-        for i in range(k - span):
-            j = i + span
-            if span == k - 1 or is_diagonal(xy, i, j):
-                wi = ways[i]
-                wi[j] = sum(wi[m] * ways[m][j] for m in range(i + 1, j))
-    return ways[0][k - 1]
+    memo: dict[tuple, int] = {}
 
-
-def brute_force_count(poly: SimplePolygon) -> int:
-    """Independent oracle: recursive ear splitting on explicit sub-polygons.
-
-    The triangle resting on the last boundary edge is chosen, the two
-    cut-off chains are rebuilt as fresh coordinate sequences, and their
-    visibility is recomputed from scratch.  Capped at BRUTE_FORCE_LIMIT
-    vertices.
-    """
-    if len(poly) > BRUTE_FORCE_LIMIT:
-        raise TooLargeError(f"brute force limited to {BRUTE_FORCE_LIMIT} vertices")
-    memo: dict[tuple[tuple[int, int], ...], int] = {}
-
-    def count(xy: tuple[tuple[int, int], ...]) -> int:
+    def count(xy: tuple[tuple[int, int], ...], inside: frozenset) -> int:
         k = len(xy)
-        if k <= 3:
+        if k <= 3 and not inside:
             # A chain of two vertices closes into the chord itself.
             return 1
-        hit = memo.get(xy)
+        key = (xy, inside)
+        hit = memo.get(key)
         if hit is not None:
             return hit
         total = 0
-        # Fixed edge: (k-1, 0).  The apex m forms the triangle on it.
+        a, b = xy[k - 1], xy[0]
         for m in range(1, k - 1):
             if (m == 1 or is_diagonal(xy, 0, m)) and (
                 m == k - 2 or is_diagonal(xy, m, k - 1)
             ):
-                total += count(xy[: m + 1]) * count(xy[m:])
-        memo[xy] = total
+                left, right = xy[: m + 1], xy[m:]
+                if not inside:
+                    total += count(left, inside) * count(right, inside)
+                elif not any(_in_triangle(a, b, xy[m], q) for q in inside):
+                    part = frozenset(q for q in inside if _inside(left, q))
+                    total += count(left, part) * count(right, inside - part)
+        for c in inside:
+            if _det(a, b, c) <= 0 or any(
+                _in_triangle(a, b, c, q) for q in inside if q != c
+            ) or any(_in_triangle(a, b, c, v) for v in xy[1 : k - 1]):
+                continue
+            ext = xy + (c,)
+            if not any(
+                crosses(ext, k, j, w, w + 1) for j in (0, k - 1) for w in range(k - 1)
+            ):
+                total += count(ext, inside - {c})
+        memo[key] = total
         return total
 
-    return count(poly.xy)
+    xy = poly.xy if isinstance(poly, SimplePolygon) else tuple(poly)
+    return count(xy, frozenset(inside))
+
+
+def _in_triangle(a, b, c, q) -> bool:
+    """True iff q lies in the closed CCW triangle (a, b, c)."""
+    return _det(a, b, q) >= 0 and _det(b, c, q) >= 0 and _det(c, a, q) >= 0
+
+
+def _inside(xy, q) -> bool:
+    """Ray parity: True iff q, off the boundary, is inside the polygon ``xy``.
+
+    The ray runs from q towards +x.  An edge counts when its endpoints
+    lie on opposite sides of the half-open split y > q.y: a vertex at
+    q's height counts as below it, so a ray through a vertex crosses the
+    boundary once where it passes and zero or two times where it only
+    touches.  The edge meets the ray right of q iff q is left of the
+    upward edge or right of the downward one.
+    """
+    odd = False
+    a = xy[-1]
+    for b in xy:
+        if (a[1] > q[1]) != (b[1] > q[1]) and (_det(a, b, q) > 0) == (b[1] > a[1]):
+            odd = not odd
+        a = b
+    return odd
 
 
 class Chord:

@@ -263,18 +263,6 @@ def _ccw(pts, a: int, b: int, c: int) -> Tri:
     return (a, c, b)
 
 
-def is_flippable(t: Triangulation, e: EdgeRef) -> bool:
-    return t.is_flippable(e)
-
-
-def flip(t: Triangulation, e: EdgeRef) -> Triangulation:
-    return t.flip(e)
-
-
-def fingerprint(t: Triangulation) -> str:
-    return t.fingerprint()
-
-
 def degree_vector(t: Triangulation) -> DegreeVector:
     """Interior degree histogram and frame degrees for an S+ triangulation."""
     if not isinstance(t.vertices, AugmentedPointSet):

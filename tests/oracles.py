@@ -3,19 +3,21 @@
 These deliberately avoid the code paths they check: vint reachability
 is computed by brute-force BFS over single down-flips across the whole
 enumerated triangulation space, and polygon counts are recomputed by
-backtracking over pairwise non-crossing diagonal subsets.  Vertex
-visibility is recomputed by an exact ray cast from the segment's
-midpoint.
+an interval DP over valid diagonals and by backtracking over pairwise
+non-crossing diagonal subsets.  Vertex visibility is recomputed by an
+exact ray cast from the segment's midpoint.  The charging vints of a
+3-vint are rebuilt as explicit triangulations from its flip-tree.
 """
 
 from collections import defaultdict
 from functools import cmp_to_key
 
+from trichor.charging import DEFAULT_SUBTREE_CAP, Vint, build_flip_tree, iter_subtrees
 from trichor.enumeration import flip_graph_states
 from trichor.geometry import Point, point_on_open_segment, segments_cross
-from trichor.polygons import SimplePolygon
+from trichor.polygons import SimplePolygon, is_diagonal
 from trichor.rng import SplitMix64
-from trichor.triangulation import Triangulation
+from trichor.triangulation import Triangulation, _ccw, edge
 
 
 class DownFlipOracle:
@@ -118,6 +120,27 @@ def _strictly_inside(q: Point, pts) -> bool:
     return inside
 
 
+def count_by_interval_dp(poly: SimplePolygon) -> int:
+    """Reference for ``count_triangulations`` without inside points.
+
+    ways[i][j] counts the triangulations of the sub-polygon cut off by
+    chord (i, j), built by choosing the apex of the triangle resting on
+    that chord; it is 0 when (i, j) is neither an edge nor a diagonal.
+    """
+    xy = poly.xy
+    k = len(xy)
+    ways = [[0] * k for _ in range(k)]
+    for i in range(k - 1):
+        ways[i][i + 1] = 1
+    for span in range(2, k):
+        for i in range(k - span):
+            j = i + span
+            if span == k - 1 or is_diagonal(xy, i, j):
+                wi = ways[i]
+                wi[j] = sum(wi[m] * ways[m][j] for m in range(i + 1, j))
+    return ways[0][k - 1]
+
+
 def count_by_noncrossing_sets(poly: SimplePolygon) -> int:
     """Triangulations = subsets of k-3 pairwise non-crossing diagonals."""
     k = len(poly)
@@ -195,3 +218,41 @@ def random_star_polygon(k: int, rng: SplitMix64, span: int = 40) -> SimplePolygo
         except Exception:
             continue
     raise RuntimeError(f"could not build a star polygon with {k} vertices")
+
+
+def enumerate_charging_vints(v: Vint, cap: int = DEFAULT_SUBTREE_CAP) -> list:
+    """All vints charging v, via the subtree bijection, as
+    (SubtreeInfo, Vint) pairs.
+
+    Each root-containing subtree of the flip-tree maps to the vint whose
+    triangulation re-fans the subtree's polygon from v's point.
+    """
+    tree = build_flip_tree(v)
+    t = v.triangulation
+    pts = t.points
+    p = v.point
+    out = []
+    for sub in iter_subtrees(tree, cap):
+        # The region's faces are the three fan faces at p plus the chosen
+        # node faces, and every face containing a dual edge is in the
+        # region; drop them all, then re-fan the boundary from p.
+        drop = set()
+        duals = set(sub.dual_edges)
+        for tri in t.triangles:
+            a, b, c = tri
+            if p in tri:
+                drop.add(tri)
+                continue
+            for e_ in (edge(a, b), edge(b, c), edge(c, a)):
+                if e_ in duals:
+                    drop.add(tri)
+                    break
+        new_tris = [tri for tri in t.triangles if tri not in drop]
+        k = len(sub.boundary)
+        for i in range(k):
+            new_tris.append(
+                _ccw(pts, p, sub.boundary[i], sub.boundary[(i + 1) % k])
+            )
+        vint = Vint(p, Triangulation(t.vertices, new_tris))
+        out.append((sub, vint))
+    return out

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import DownFlipOracle
+from oracles import DownFlipOracle, enumerate_charging_vints
 from trichor.charging import (
     BELIEVED_MAX_CHARGE,
     RigidCore,
@@ -15,7 +15,6 @@ from trichor.charging import (
     contr_plus,
     contr_plus_census,
     contr_plus_closed_form,
-    enumerate_charging_vints,
     hole_of,
     iter_subtrees,
     rigid_core,
@@ -445,7 +444,7 @@ def test_fused_sweep_equals_separate_sweeps(P, jobs):
     assert rep.degree_totals == enumerate_all(P).degree_totals
     assert rep.to_json_dict() == audit(P).to_json_dict()
     v3 = check_v3_recursion(P, lhs=rep.degree_totals.get(3, 0))
-    assert v3 == check_v3_recursion(P)
+    assert v3 == check_v3_recursion(P, lhs=enumerate_all(P).degree_totals.get(3, 0))
 
 
 def test_fused_sweep_exercises_rule1():

@@ -3,6 +3,7 @@ import os
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from trichor.cli import main
 from trichor.geometry import AugmentedPointSet, read_points
@@ -70,6 +71,18 @@ def test_enumerate_cap_exit_code(tmp_path, capsys):
     assert report["count"] == "1"
 
 
+@pytest.mark.parametrize("cap,code,count", [(0, 2, "0"), (13, 2, "13"), (14, 0, "14"), (15, 0, "14")])
+def test_enumerate_cap_boundary(tmp_path, capsys, cap, code, count):
+    # The convex hexagon has 14 triangulations: a cap of 14 or more lets
+    # the walk finish, so only a smaller cap makes the report partial.
+    f = tmp_path / "c6.txt"
+    main(["generate", "convex", "--n", "6", "--out", str(f)])
+    got, out = run(capsys, "enumerate", str(f), "--cap", str(cap))
+    report = json.loads(out)
+    jsonschema.validate(report, schema("enumerate_report.schema.json"))
+    assert (got, report["count"], report["exhaustive"]) == (code, count, code == 0)
+
+
 def test_audit_arc(tmp_path, capsys):
     f = tmp_path / "arc4.txt"
     main(["generate", "arc", "--n", "4", "--out", str(f)])
@@ -114,6 +127,15 @@ def test_fliptree_by_fingerprint(tmp_path, capsys):
                     "--fingerprint", t.fingerprint())
     assert code == 0
     assert "digraph" in out
+
+
+def test_fliptree_cap_exits_two(tmp_path, capsys):
+    f = tmp_path / "r.txt"
+    main(["generate", "random", "--n", "4", "--seed", "1", "--augment", "--out", str(f)])
+    code = main(["fliptree", str(f), "--point", "0", "--fingerprint", "0" * 32, "--cap", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: enumeration cap 2 reached\n"
 
 
 def test_fliptree_not_a_3vint_exits_one(tmp_path, capsys):

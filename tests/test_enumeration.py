@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from trichor.enumeration import (
     check_v3_recursion,
@@ -9,8 +11,11 @@ from trichor.enumeration import (
     tri_upper_bound,
     vhat,
 )
-from trichor.errors import CapExceededError
+from trichor.errors import CapExceededError, TrichorError
 from trichor.geometry import (
+    AugmentedPointSet,
+    Point,
+    PointSet,
     augment,
     gen_convex,
     gen_convex_arc_in_triangle,
@@ -18,7 +23,7 @@ from trichor.geometry import (
     read_points,
     write_points,
 )
-from trichor.polygons import catalan
+from trichor.polygons import catalan, count_triangulations
 from trichor.triangulation import Triangulation
 
 
@@ -114,20 +119,24 @@ def test_pointset_and_augmented_give_same_count(tmp_path):
     assert enumerate_all(as_pointset).count == enumerate_all(arc).count == catalan(4)
 
 
+def v3_recursion(P):
+    return check_v3_recursion(P, enumerate_all(P).degree_totals.get(3, 0))
+
+
 def test_v3_recursion_n1():
-    rep = check_v3_recursion(gen_convex_arc_in_triangle(1))
+    rep = v3_recursion(gen_convex_arc_in_triangle(1))
     assert rep.lhs == rep.rhs == 1
 
 
 def test_v3_recursion_arc4():
-    rep = check_v3_recursion(gen_convex_arc_in_triangle(4))
+    rep = v3_recursion(gen_convex_arc_in_triangle(4))
     assert rep.ok
     assert rep.rhs == 4 * catalan(3)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_v3_recursion_random(seed):
-    rep = check_v3_recursion(augment(gen_random(4, seed)))
+    rep = v3_recursion(augment(gen_random(4, seed)))
     assert rep.ok, (rep.lhs, rep.rhs)
 
 
@@ -157,6 +166,7 @@ def test_square_with_interior_point_counts_three():
 
     ps = PointSet([(0, 0), (4, 0), (4, 4), (0, 4), (3, 2)])
     assert enumerate_all(ps).count == 3
+    assert count_triangulations([(0, 0), (4, 0), (4, 4), (0, 4)], [(3, 2)]) == 3
 
 
 def test_counts_invariant_under_coordinate_scaling():
@@ -173,3 +183,36 @@ def test_counts_invariant_under_coordinate_scaling():
     a, b = enumerate_all(P), enumerate_all(big)
     assert a.count == b.count
     assert a.degree_totals == b.degree_totals
+
+
+M = 2**40
+
+
+@st.composite
+def big_sets(draw):
+    """One to six points inside the frame (-M, -M), (M, t), (-M, M), drawn
+    from the box x in [-M/2, 0], |y| <= M/4, which lies strictly inside
+    for every |t| <= M/4.  A point's y may repeat t or an earlier
+    point's y, so horizontal rays through vertices get exercised."""
+    t = draw(st.integers(-M // 4, M // 4))
+    pts = []
+    for _ in range(draw(st.integers(1, 6))):
+        ys = [t] + [y for _, y in pts]
+        y = draw(st.one_of(st.integers(-M // 4, M // 4), st.sampled_from(ys)))
+        pts.append((draw(st.integers(-M // 2, 0)), y))
+    frame = [Point(-M, -M), Point(M, t), Point(-M, M)]
+    try:
+        return AugmentedPointSet(PointSet(pts), frame)
+    except TrichorError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(big_sets())
+def test_recursion_counts_equal_walk_on_large_coordinates(P):
+    walk = enumerate_all(P)
+    frame = [(p.x, p.y) for p in P.frame]
+    interior = [(p.x, p.y) for p in P.points[: P.n]]
+    assert count_triangulations(frame, interior) == walk.count
+    assert check_v3_recursion(P, walk.degree_totals.get(3, 0)).ok

@@ -1,6 +1,6 @@
 import pytest
 
-from trichor.enumeration import enumerate_all, flip_graph_states
+from trichor.enumeration import flip_graph_states
 from trichor.errors import CollinearTripleError, DuplicatePointError
 from trichor.geometry import (
     CCW,
@@ -154,16 +154,6 @@ def test_augmented_roundtrip(tmp_path):
 def test_from_points_requires_triangular_hull():
     with pytest.raises(ValueError):
         AugmentedPointSet.from_points(gen_convex(5))
-
-
-def test_without_removes_interior_point():
-    aug = gen_convex_arc_in_triangle(3)
-    smaller = aug.without(1)
-    assert smaller.n == 2
-    assert smaller.frame == aug.frame
-    frame_only = aug.without(0).without(0).without(0)
-    assert frame_only.n == 0
-    assert enumerate_all(frame_only).count == 1
 
 
 def test_gen_random_exhausted_retries(monkeypatch):

@@ -1,20 +1,23 @@
 import pytest
 
-from oracles import count_by_noncrossing_sets, random_star_polygon, sees_by_ray_cast
+from oracles import (
+    count_by_interval_dp,
+    count_by_noncrossing_sets,
+    random_star_polygon,
+    sees_by_ray_cast,
+)
 from trichor.errors import (
     CrossingChordsError,
     InvalidChordError,
     NotSimpleError,
     OutOfRangeError,
-    TooLargeError,
 )
 from trichor.charging import Vint, hole_of
 from trichor.enumeration import flip_graph_states
-from trichor.geometry import Point, augment, gen_random
+from trichor.geometry import Point, augment, gen_convex, gen_random
 from trichor.polygons import (
     Chord,
     SimplePolygon,
-    brute_force_count,
     catalan,
     catalan_generalized,
     count_triangulations,
@@ -81,10 +84,10 @@ def test_reflex_templates_match_formula():
 def test_reflex_templates_match_brute_force():
     for n in range(2, 7):
         t = reflex_template(n, 1)
-        assert brute_force_count(t) == count_triangulations(t)
+        assert count_by_interval_dp(t) == count_triangulations(t)
     for n in range(4, 7):
         t = reflex_template(n, 2)
-        assert brute_force_count(t) == count_triangulations(t)
+        assert count_by_interval_dp(t) == count_triangulations(t)
 
 
 def test_template_range_errors():
@@ -101,11 +104,11 @@ def test_dp_equals_brute_force_on_random_star_polygons():
     for i in range(60):
         k = 4 + (i % 7)  # 4..10
         poly = random_star_polygon(k, rng)
-        dp = count_triangulations(poly)
-        bf = brute_force_count(poly)
+        bf = count_triangulations(poly)
+        dp = count_by_interval_dp(poly)
         assert dp == bf, (i, k, dp, bf)
-        assert 1 <= dp <= catalan(k - 2)
-        assert (dp == catalan(k - 2)) == poly.is_convex()
+        assert 1 <= bf <= catalan(k - 2)
+        assert (bf == catalan(k - 2)) == poly.is_convex()
 
 
 def test_dp_equals_noncrossing_subset_count():
@@ -114,11 +117,6 @@ def test_dp_equals_noncrossing_subset_count():
         k = 4 + (i % 5)
         poly = random_star_polygon(k, rng)
         assert count_triangulations(poly) == count_by_noncrossing_sets(poly)
-
-
-def test_brute_force_size_limit():
-    with pytest.raises(TooLargeError):
-        brute_force_count(convex_gon(13))
 
 
 def test_tr_with_chords_hexagon_main_diagonal():
@@ -245,4 +243,24 @@ def test_exclusive_chord_pair_sums_to_total():
 
 def test_brute_force_on_convex_polygons():
     for k in range(3, 10):
-        assert brute_force_count(convex_gon(k)) == catalan(k - 2)
+        assert count_by_interval_dp(convex_gon(k)) == catalan(k - 2)
+
+
+def xy_of(points):
+    return [(p.x, p.y) for p in points]
+
+
+def test_point_set_counts_equal_audit_walk(audited_corpus):
+    # The frame with the interior points inside, counted by the ear
+    # recursion, against the audit's flip walk on all 62 instances.
+    for name, P, rep in audited_corpus:
+        got = count_triangulations(xy_of(P.frame), xy_of(P.points[: P.n]))
+        assert got == rep.triangulation_count, name
+
+
+def test_convex_point_set_counts_are_catalan():
+    for n in range(3, 10):
+        S = gen_convex(n)
+        hull = xy_of(S[i] for i in S.convex_hull_indices())
+        inside = xy_of(S[i] for i in S.interior_indices())
+        assert count_triangulations(hull, inside) == catalan(n - 2)
