@@ -14,7 +14,10 @@ all-rigid subtree at the root) captures exactly the support-1 chargers.
 
 ``audit`` runs the whole scheme over every triangulation of an instance
 and checks charge conservation, the per-degree charger-count bound, and
-the maximum charge received by any 3-vint.
+the maximum charge received by any 3-vint.  Each triangulation is read
+through one star map; a run of triangulations yields one AuditReport,
+and ``AuditReport.merge`` adds the report of the run that follows, so
+chunks audited in pool workers combine into the sequential report.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import comb
+from typing import NamedTuple
 
 from .enumeration import flip_graph_states
 from .errors import CapExceededError, HasDeepEdgesError, InvariantError, NotA3VintError
@@ -32,12 +36,13 @@ from .triangulation import (
     EdgeRef,
     Triangulation,
     edge,
-    edge_apex_map,
     fingerprint_bytes,
-    vertex_link,
+    star_link,
+    star_map,
 )
 
-DEFAULT_SUBTREE_CAP = 10**6
+# Most root-containing subtrees one flip-tree or rigid core may have.
+SUBTREE_CAP = 10**6
 
 # Conjectured ceiling on any single 3-vint charge; exceeding it is
 # flagged as noteworthy, only >= 30 is a hard violation.
@@ -68,9 +73,6 @@ class Vint:
     def link(self) -> list[int]:
         return self.triangulation.link_cycle(self.point)
 
-    def key(self) -> tuple[int, str]:
-        return (self.point, self.triangulation.fingerprint())
-
 
 @dataclass(frozen=True)
 class StarHole:
@@ -99,7 +101,7 @@ def support(u: Vint) -> int:
 # ---------------------------------------------------------------------------
 
 
-class FlipTreeNode:
+class FlipTreeNode(NamedTuple):
     """A non-root flip-tree node: a face of the base triangulation.
 
     ``dual`` is the triangulation edge shared with the parent triangle,
@@ -109,15 +111,12 @@ class FlipTreeNode:
     of the two triangles.
     """
 
-    __slots__ = ("dual", "apex", "opp", "rigid", "level", "children")
-
-    def __init__(self, dual, apex, opp, rigid, level, children=()):
-        self.dual = dual
-        self.apex = apex
-        self.opp = opp
-        self.rigid = rigid
-        self.level = level
-        self.children = children
+    dual: EdgeRef
+    apex: int
+    opp: int
+    rigid: bool
+    level: int
+    children: tuple[FlipTreeNode, ...] = ()
 
     def face(self) -> tuple[int, int, int]:
         return tuple(sorted((self.dual[0], self.dual[1], self.apex)))
@@ -127,25 +126,20 @@ class FlipTreeNode:
         for c in self.children:
             yield from c.iter_nodes()
 
-    def key(self):
-        return (self.dual, self.apex, self.rigid, tuple(c.key() for c in self.children))
 
-
-class FlipTree:
+class FlipTree(NamedTuple):
     """Rooted tree of the vints that flip down to a given 3-vint.
 
     The root stands for the hole triangle of the 3-vint; its children
     (at most three) arise from hole-triangle edges flippable in the base
     triangulation, deeper children (at most two each) from expansions
-    that keep the grown polygon star-shaped around the point.
+    that keep the grown polygon star-shaped around the point.  A tree
+    is a value: equal trees compare and hash equal.
     """
 
-    __slots__ = ("point", "link", "children")
-
-    def __init__(self, point, link, children):
-        self.point = point
-        self.link = link
-        self.children = children
+    point: int
+    link: tuple[int, int, int]
+    children: tuple[FlipTreeNode, ...]
 
     def nodes(self) -> list[FlipTreeNode]:
         out = []
@@ -155,9 +149,6 @@ class FlipTree:
 
     def edge_count(self) -> int:
         return len(self.nodes())
-
-    def key(self):
-        return (self.link, tuple(c.key() for c in self.children))
 
     def subtree_count(self) -> int:
         return sum(subtree_size_counts(self.children))
@@ -199,29 +190,25 @@ def subtree_size_counts(children) -> list[int]:
     return counts
 
 
-def _grow_node(xy, amap, p, u, v, ref, opp, used, level):
-    """Child through edge (u, v), or None.
-
-    ``ref`` is the apex of the near-side triangle (used to pick the far
-    face), ``opp`` the parent triangle's vertex opposite (u, v) (used
-    for the rigidity test).
-    """
-    apexes = amap.get(edge(u, v))
-    far = [w for w in apexes if w != ref]
-    if not far:
-        return None
-    q = far[0]
-    if not crosses(xy, p, q, u, v):
+def _grow_node(xy, star, p, u, v, opp, first, used, level):
+    """Child through edge (u, v), whose near triangle lies on its left,
+    or None.  ``opp`` is the parent triangle's vertex opposite (u, v)
+    (used for the rigidity test); the child edge at endpoint ``first``
+    comes first among the node's children."""
+    q = star[v].get(u)
+    if q is None or not crosses(xy, p, q, u, v):
         return None
     face = tuple(sorted((u, v, q)))
     if face in used:
         raise InvariantError("flip-tree expansion revisited a face")
     used.add(face)
     rigid = not crosses(xy, opp, q, u, v)
+    # The far face (u, q, v) lies left of its edges u -> q and q -> v;
+    # below it, the child edge at q comes first.
+    at_u, at_v = (u, q, v), (q, v, u)
     children = []
-    for x, y in ((u, v), (v, u)):
-        # child edge (q, x); the near apex and the opposite vertex are y
-        child = _grow_node(xy, amap, p, q, x, ref=y, opp=y, used=used, level=level + 1)
+    for a, b, o in (at_u, at_v) if first == u else (at_v, at_u):
+        child = _grow_node(xy, star, p, a, b, o, q, used, level + 1)
         if child is not None:
             children.append(child)
     return FlipTreeNode(edge(u, v), q, opp, rigid, level, tuple(children))
@@ -232,31 +219,27 @@ def _canon_cycle(cycle) -> tuple[int, ...]:
     return tuple(cycle[k:] + cycle[:k])
 
 
-def build_flip_tree_raw(xy, tris, p: int, amap) -> FlipTree:
-    """Flip-tree of the 3-vint (p, tris) over raw coordinate tuples;
-    ``amap`` is the ``edge_apex_map`` of ``tris`` (it is only read)."""
-    link = vertex_link(tris, p)
+def build_flip_tree_raw(xy, star, p: int) -> FlipTree:
+    """Flip-tree of the 3-vint p over raw coordinate tuples; ``star`` is
+    the ``star_map`` of its triangulation (it is only read)."""
+    link = star_link(star, p)
     if link is None:
         raise NotA3VintError(f"point {p} is not interior")
     if len(link) != 3:
         raise NotA3VintError(f"point {p} has degree {len(link)}")
     a, b, c = link
     used = set()
-    children = []
-    for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-        node = _grow_node(xy, amap, p, u, v, ref=p, opp=w, used=used, level=1)
-        if node is not None:
-            children.append(node)
-    return FlipTree(p, (a, b, c), tuple(children))
+    children = [
+        _grow_node(xy, star, p, u, v, w, u, used, 1) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))
+    ]
+    return FlipTree(p, (a, b, c), tuple(node for node in children if node is not None))
 
 
 def build_flip_tree(v: Vint) -> FlipTree:
     """Flip-tree of a 3-vint of a triangulation over an augmented set."""
     t = v.triangulation
-    if t.degree_map().get(v.point, 0) != 3:
-        raise NotA3VintError(f"point {v.point} has degree {t.degree_map().get(v.point)}")
     xy = [(pt.x, pt.y) for pt in t.points]
-    return build_flip_tree_raw(xy, t.triangles, v.point, amap=t.apex_map)
+    return build_flip_tree_raw(xy, star_map(t.triangles), v.point)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +315,13 @@ class RigidCore:
 
         return cls(tuple(build(s, 1) for s in shape))
 
-    def subtree_edge_counts(self, cap: int = DEFAULT_SUBTREE_CAP) -> list[int]:
+    def subtree_edge_counts(self) -> list[int]:
         """Edge count j of every root-containing subtree, in ascending
         order."""
         counts = subtree_size_counts(self.children)
         total = sum(counts)
-        if total > cap:
-            raise CapExceededError(f"core has {total} subtrees, cap {cap}")
+        if total > SUBTREE_CAP:
+            raise CapExceededError(f"core has {total} subtrees, cap {SUBTREE_CAP}")
         return [j for j, c in enumerate(counts) for _ in range(c)]
 
 
@@ -363,20 +346,20 @@ def contr_plus_closed_form(core: RigidCore) -> int:
     return 4 + comb(l1, 3) + l1 * l1 + 2 * l1 + (l1 + 1) * l2 + l3 + core.nu2
 
 
-def contr_plus_census(core: RigidCore, cap: int = DEFAULT_SUBTREE_CAP) -> int:
-    return sum(4 - j for j in core.subtree_edge_counts(cap) if j <= 3)
+def contr_plus_census(core: RigidCore) -> int:
+    return sum(4 - j for j in core.subtree_edge_counts() if j <= 3)
 
 
-def contr_plus(core: RigidCore, cap: int = DEFAULT_SUBTREE_CAP) -> int:
+def contr_plus(core: RigidCore) -> int:
     try:
         return contr_plus_closed_form(core)
     except HasDeepEdgesError:
-        return contr_plus_census(core, cap)
+        return contr_plus_census(core)
 
 
-def contr_minus(core: RigidCore, cap: int = DEFAULT_SUBTREE_CAP) -> int:
+def contr_minus(core: RigidCore) -> int:
     """Negative charge: subtrees with five or more edges."""
-    return sum(4 - j for j in core.subtree_edge_counts(cap) if j >= 5)
+    return sum(4 - j for j in core.subtree_edge_counts() if j >= 5)
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +389,15 @@ class SubtreeInfo:
         return len(self.dual_edges) + 3
 
 
-def iter_subtrees(tree: FlipTree, cap: int = DEFAULT_SUBTREE_CAP):
+def iter_subtrees(tree: FlipTree):
     """Yield SubtreeInfo for every root-containing subtree.
 
     The polygon is maintained incrementally: including a node replaces
     its dual edge (u, v) on the boundary cycle with (u, apex, v).
     """
     total = tree.subtree_count()
-    if total > cap:
-        raise CapExceededError(f"flip-tree has {total} subtrees, cap {cap}")
+    if total > SUBTREE_CAP:
+        raise CapExceededError(f"flip-tree has {total} subtrees, cap {SUBTREE_CAP}")
     boundary: list[int] = list(tree.link)
     pending: list[FlipTreeNode] = list(tree.children)
     chosen: list[FlipTreeNode] = []
@@ -522,15 +505,10 @@ class _PolygonCounter:
         return hit
 
 
-def charge_from_tree(
-    tree: FlipTree,
-    counter: _PolygonCounter,
-    cap: int = DEFAULT_SUBTREE_CAP,
-    fingerprint: str = "",
-) -> ChargeReport:
+def charge_from_tree(tree: FlipTree, counter: _PolygonCounter, fingerprint: str = "") -> ChargeReport:
     contribs = []
     total = Fraction(0)
-    for sub in iter_subtrees(tree, cap):
+    for sub in iter_subtrees(tree):
         supp = counter.count(sub.boundary)
         amount = Fraction(4 - sub.j, supp)
         total += amount
@@ -540,11 +518,11 @@ def charge_from_tree(
     return ChargeReport(tree.point, fingerprint, contribs, total)
 
 
-def charge(v: Vint, cap: int = DEFAULT_SUBTREE_CAP) -> ChargeReport:
+def charge(v: Vint) -> ChargeReport:
     """Exact total charge received by the 3-vint v."""
     tree = build_flip_tree(v)
     counter = _PolygonCounter([(pt.x, pt.y) for pt in v.triangulation.points])
-    return charge_from_tree(tree, counter, cap, v.triangulation.fingerprint())
+    return charge_from_tree(tree, counter, v.triangulation.fingerprint())
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +532,8 @@ def charge(v: Vint, cap: int = DEFAULT_SUBTREE_CAP) -> ChargeReport:
 
 @dataclass
 class AuditReport:
-    """Charging-scheme audit over every triangulation of an instance.
+    """Charging-scheme audit over every triangulation of an instance, or
+    over a run of them: ``merge`` adds the report of the run that follows.
 
     ``conservation_lhs`` sums (7 - deg) over every vint; the right side
     sums the charge received by every 3-vint.  Exact equality is the
@@ -562,18 +541,29 @@ class AuditReport:
     """
 
     n: int
-    triangulation_count: int
-    conservation_lhs: int
-    conservation_rhs: Fraction
-    max_charge: Fraction
-    max_charge_at: tuple[str, int] | None
-    charger_count_max: dict[int, int]
-    vhat3: Fraction | None
-    degree_totals: dict[int, int]
+    triangulation_count: int = 0
+    conservation_lhs: int = 0
+    conservation_rhs: Fraction = Fraction(0)
+    max_charge: Fraction = Fraction(0)
+    max_charge_at: tuple[str, int] | None = None
+    charger_count_max: dict[int, int] = field(default_factory=dict)
+    degree_totals: dict[int, int] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
-    exceeds_believed_max: bool = False
-    three_vint_count: int = 0
     rules: RulesReport | None = None
+
+    @property
+    def three_vint_count(self) -> int:
+        return self.degree_totals.get(3, 0)
+
+    @property
+    def vhat3(self) -> Fraction | None:
+        if not self.triangulation_count:
+            return None
+        return Fraction(self.three_vint_count, self.triangulation_count)
+
+    @property
+    def exceeds_believed_max(self) -> bool:
+        return self.max_charge > BELIEVED_MAX_CHARGE
 
     @property
     def conservation_ok(self) -> bool:
@@ -582,6 +572,34 @@ class AuditReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def offer_max(self, total: Fraction, at: tuple[str, int]) -> None:
+        """Keep the largest charge, then the smallest (fingerprint, point)."""
+        if (
+            self.max_charge_at is None
+            or total > self.max_charge
+            or (total == self.max_charge and at < self.max_charge_at)
+        ):
+            self.max_charge = total
+            self.max_charge_at = at
+
+    def offer_chargers(self, degree: int, count: int) -> None:
+        if count > self.charger_count_max.get(degree, 0):
+            self.charger_count_max[degree] = count
+
+    def merge(self, other: "AuditReport") -> None:
+        self.triangulation_count += other.triangulation_count
+        self.conservation_lhs += other.conservation_lhs
+        self.conservation_rhs += other.conservation_rhs
+        if other.max_charge_at is not None:
+            self.offer_max(other.max_charge, other.max_charge_at)
+        for d, c in other.charger_count_max.items():
+            self.offer_chargers(d, c)
+        for d, c in other.degree_totals.items():
+            self.degree_totals[d] = self.degree_totals.get(d, 0) + c
+        self.violations.extend(other.violations)
+        if self.rules is not None:
+            self.rules.merge(other.rules)
 
     def to_json_dict(self) -> dict:
         return {
@@ -606,135 +624,83 @@ class AuditReport:
         }
 
 
-def _degrees_and_trees(xy, tris, interior):
-    """Vertex degrees of one triangulation and the flip-trees of its
-    interior 3-vints (in ``interior`` order), from one edge -> apex map."""
-    amap = edge_apex_map(tris)
-    deg: dict[int, int] = {}
-    for i, j in amap:
-        deg[i] = deg.get(i, 0) + 1
-        deg[j] = deg.get(j, 0) + 1
-    trees = {p: build_flip_tree_raw(xy, tris, p, amap=amap) for p in interior if deg[p] == 3}
-    return deg, trees
-
-
-@dataclass
-class _AuditTally:
-    """The audit's aggregates over a run of states; ``merge`` adds the
-    tally of the run that follows."""
-
-    count: int = 0
-    lhs: int = 0
-    rhs: Fraction = Fraction(0)
-    max_charge: Fraction = Fraction(0)
-    max_at: tuple[str, int] | None = None
-    charger_max: dict[int, int] = field(default_factory=dict)
-    degree_totals: dict[int, int] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-    rules: RulesReport | None = None
-
-    def offer_max(self, total: Fraction, at: tuple[str, int]) -> None:
-        """Keep the largest charge, then the smallest (fingerprint, point)."""
-        if (
-            self.max_at is None
-            or total > self.max_charge
-            or (total == self.max_charge and at < self.max_at)
-        ):
-            self.max_charge = total
-            self.max_at = at
-
-    def offer_chargers(self, degree: int, count: int) -> None:
-        if count > self.charger_max.get(degree, 0):
-            self.charger_max[degree] = count
-
-    def merge(self, other: "_AuditTally") -> None:
-        self.count += other.count
-        self.lhs += other.lhs
-        self.rhs += other.rhs
-        if other.max_at is not None:
-            self.offer_max(other.max_charge, other.max_at)
-        for d, c in other.charger_max.items():
-            self.offer_chargers(d, c)
-        for d, c in other.degree_totals.items():
-            self.degree_totals[d] = self.degree_totals.get(d, 0) + c
-        self.violations.extend(other.violations)
-        if self.rules is not None:
-            self.rules.merge(other.rules)
+def _links_and_trees(xy, tris, interior):
+    """The star map of one triangulation, the link cycle of each interior
+    point and the flip-trees of the interior 3-vints, both in
+    ``interior`` order."""
+    star = star_map(tris)
+    links = {p: star_link(star, p) for p in interior}
+    trees = {p: build_flip_tree_raw(xy, star, p) for p in interior if len(star[p]) == 3}
+    return star, links, trees
 
 
 class _AuditContext:
     """Per-process audit state: the coordinates and point roles of S+,
-    the polygon counter, the charge cache keyed by flip-tree shape, the
-    subtree cap and whether the structural rules run too."""
+    the polygon counter, the charge cache keyed by flip-tree and whether
+    the structural rules run too."""
 
-    def __init__(self, P: AugmentedPointSet, cap: int, rules: bool):
+    def __init__(self, P: AugmentedPointSet, rules: bool):
+        self.n = P.n
         self.xy = [(p.x, p.y) for p in P.points]
         self.interior = list(P.interior_indices())
         self.frame = list(P.frame_indices())
         self.counter = _PolygonCounter(self.xy)
-        self.charge_cache: dict = {}
-        self.cap = cap
+        self.charge_cache: dict[FlipTree, tuple] = {}
         self.rules = rules
 
     def tree_charge(self, tree: FlipTree) -> tuple[Fraction, tuple[tuple[int, int], ...]]:
         """Total charge of a flip-tree and its (degree, charger count) items."""
-        key = tree.key()
-        hit = self.charge_cache.get(key)
+        hit = self.charge_cache.get(tree)
         if hit is None:
-            rep = charge_from_tree(tree, self.counter, self.cap)
-            hit = self.charge_cache[key] = (rep.total, tuple(sorted(rep.degree_counts().items())))
+            rep = charge_from_tree(tree, self.counter)
+            hit = self.charge_cache[tree] = (rep.total, tuple(sorted(rep.degree_counts().items())))
         return hit
 
-    def tally(self, states) -> _AuditTally:
-        """Audit each triangulation of ``states`` into one fresh tally."""
-        xy, interior = self.xy, self.interior
-        n = len(interior)
-        t = _AuditTally(rules=RulesReport() if self.rules else None)
+    def tally(self, states) -> AuditReport:
+        """Audit each triangulation of ``states`` into one fresh report."""
+        xy, interior, n = self.xy, self.interior, self.n
+        r = AuditReport(n, rules=RulesReport() if self.rules else None)
         for tris in states:
-            deg, trees = _degrees_and_trees(xy, tris, interior)
-            t.count += 1
+            star, links, trees = _links_and_trees(xy, tris, interior)
+            r.triangulation_count += 1
+            # A vertex's degree is its number of triangles, plus one on the hull.
             interior_sum = 0
             for p in interior:
-                d = deg[p]
+                d = len(star[p])
                 interior_sum += d
-                t.lhs += 7 - d
-                t.degree_totals[d] = t.degree_totals.get(d, 0) + 1
-            eq1 = sum(deg[f] for f in self.frame) + interior_sum
+                r.conservation_lhs += 7 - d
+                r.degree_totals[d] = r.degree_totals.get(d, 0) + 1
+            eq1 = sum(len(star[f]) + 1 for f in self.frame) + interior_sum
             if eq1 != 6 * n + 6:
-                t.violations.append(f"degree identity violated: {eq1} != {6 * n + 6}")
+                r.violations.append(f"degree identity violated: {eq1} != {6 * n + 6}")
             if n >= 1 and interior_sum > 6 * n - 3:
-                t.violations.append("interior degree sum exceeds 6n - 3")
+                r.violations.append("interior degree sum exceeds 6n - 3")
             # The fingerprint only labels a maximum or a violation.
             fp = None
             for p, tree in trees.items():
                 total, count_items = self.tree_charge(tree)
-                t.rhs += total
-                if t.max_at is None or total >= t.max_charge:
+                r.conservation_rhs += total
+                if r.max_charge_at is None or total >= r.max_charge:
                     fp = fp or fingerprint_bytes(tris).hex()
-                    t.offer_max(total, (fp, p))
+                    r.offer_max(total, (fp, p))
                 for degree, cnt in count_items:
-                    t.offer_chargers(degree, cnt)
+                    r.offer_chargers(degree, cnt)
                     bound = 1 if degree == 3 else catalan(degree - 1) - catalan(degree - 2)
                     if cnt > bound:
-                        t.violations.append(
+                        r.violations.append(
                             f"{cnt} chargers of degree {degree} at point {p} exceed bound {bound}"
                         )
                 if total >= HARD_CHARGE_BOUND:
                     fp = fp or fingerprint_bytes(tris).hex()
-                    t.violations.append(
+                    r.violations.append(
                         f"charge {total} >= {HARD_CHARGE_BOUND} at point {p} in {fp}"
                     )
-            if t.rules is not None:
-                _rules_state(xy, tris, interior, self.counter, trees, t.rules)
-        return t
+            if r.rules is not None:
+                _rules_state(xy, links, self.counter, trees, r.rules)
+        return r
 
 
-def audit(
-    P: AugmentedPointSet,
-    subtree_cap: int = DEFAULT_SUBTREE_CAP,
-    jobs: int = 1,
-    rules: bool = False,
-) -> AuditReport:
+def audit(P: AugmentedPointSet, jobs: int = 1, rules: bool = False) -> AuditReport:
     """Audit the charging scheme over every triangulation of S+.
 
     Checks, with exact arithmetic throughout: the degree identities, the
@@ -747,63 +713,50 @@ def audit(
     ``check_structural_rules``, reusing each 3-vint's flip-tree, and the
     report's ``rules`` holds its RulesReport (not part of
     ``to_json_dict``).  ``jobs > 1`` hands chunks of 512 states to that
-    many processes, each returning one tally per chunk; the chunks are
-    merged in walk order, so the report is identical to a sequential run.
+    many processes, each returning one partial report per chunk; the
+    chunks are merged in walk order, so the report is identical to a
+    sequential run.
     """
     if not isinstance(P, AugmentedPointSet):
         raise TypeError("audit needs an AugmentedPointSet")
     states = flip_graph_states(P)
     if jobs > 1:
-        t = _audit_parallel(P, states, jobs, subtree_cap, rules)
+        rep = _audit_parallel(P, states, jobs, rules)
     else:
-        t = _AuditContext(P, subtree_cap, rules).tally(states)
-
-    violations = t.violations
-    if t.lhs != t.rhs:
-        violations.append(
-            f"charge conservation broken: sum(7-deg)={t.lhs} but received={t.rhs}"
+        rep = _AuditContext(P, rules).tally(states)
+    if not rep.conservation_ok:
+        rep.violations.append(
+            f"charge conservation broken: sum(7-deg)={rep.conservation_lhs} "
+            f"but received={rep.conservation_rhs}"
         )
-    vhat3 = Fraction(t.degree_totals.get(3, 0), t.count) if t.count else None
+    vhat3 = rep.vhat3
     if P.n >= 1 and vhat3 is not None and vhat3 * 30 < P.n:
-        violations.append(f"vhat3 * 30 = {vhat3 * 30} < n = {P.n}")
-    return AuditReport(
-        n=P.n,
-        triangulation_count=t.count,
-        conservation_lhs=t.lhs,
-        conservation_rhs=t.rhs,
-        max_charge=t.max_charge,
-        max_charge_at=t.max_at,
-        charger_count_max=t.charger_max,
-        vhat3=vhat3,
-        degree_totals=dict(sorted(t.degree_totals.items())),
-        violations=violations,
-        exceeds_believed_max=t.max_charge > BELIEVED_MAX_CHARGE,
-        three_vint_count=t.degree_totals.get(3, 0),
-        rules=t.rules,
-    )
+        rep.violations.append(f"vhat3 * 30 = {vhat3 * 30} < n = {P.n}")
+    rep.degree_totals = dict(sorted(rep.degree_totals.items()))
+    return rep
 
 
 _worker_ctx: _AuditContext | None = None
 
 
-def _audit_worker_init(P, subtree_cap, rules):
+def _audit_worker_init(P, rules):
     global _worker_ctx
-    _worker_ctx = _AuditContext(P, subtree_cap, rules)
+    _worker_ctx = _AuditContext(P, rules)
 
 
-def _audit_worker(chunk) -> _AuditTally:
+def _audit_worker(chunk) -> AuditReport:
     return _worker_ctx.tally(chunk)
 
 
-def _audit_parallel(P, states, jobs, subtree_cap, rules) -> _AuditTally:
+def _audit_parallel(P, states, jobs, rules) -> AuditReport:
     import multiprocessing as mp
 
-    t = _AuditTally(rules=RulesReport() if rules else None)
+    rep = AuditReport(P.n, rules=RulesReport() if rules else None)
     chunks = iter(lambda: list(islice(states, 512)), [])
-    with mp.Pool(jobs, initializer=_audit_worker_init, initargs=(P, subtree_cap, rules)) as pool:
+    with mp.Pool(jobs, initializer=_audit_worker_init, initargs=(P, rules)) as pool:
         for part in pool.imap(_audit_worker, chunks):
-            t.merge(part)
-    return t
+            rep.merge(part)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -844,17 +797,16 @@ def check_structural_rules(P: AugmentedPointSet) -> RulesReport:
     counter = _PolygonCounter(xy)
     rep = RulesReport()
     for tris in flip_graph_states(P):
-        _, trees = _degrees_and_trees(xy, tris, interior)
-        _rules_state(xy, tris, interior, counter, trees, rep)
+        _, links, trees = _links_and_trees(xy, tris, interior)
+        _rules_state(xy, links, counter, trees, rep)
     return rep
 
 
-def _rules_state(xy, tris, interior, counter, trees, rep: RulesReport) -> None:
+def _rules_state(xy, links, counter, trees, rep: RulesReport) -> None:
     """Add the structural rules at every interior point of one
-    triangulation to ``rep``; ``trees`` holds the flip-tree of each
-    interior 3-vint."""
-    for p in interior:
-        cyc = vertex_link(tris, p)
+    triangulation to ``rep``; ``links`` holds each interior point's link
+    cycle and ``trees`` the flip-tree of each interior 3-vint."""
+    for p, cyc in links.items():
         if cyc is None:
             rep.violations.append(f"point {p} link is not a single cycle")
             continue

@@ -88,8 +88,7 @@ def cmd_enumerate(args) -> int:
     except CapExceededError as exc:
         result = exc.result
         code = EXIT_CAPPED
-    # A cap of 0 visits no triangulation: report 0 rather than divide by 0.
-    v3 = result.vhat(3) if result.count else Fraction(0)
+    v3 = result.vhat(3)
     report = {
         "n": result.interior_count,
         "count": str(result.count),

@@ -58,6 +58,10 @@ class EnumerationResult:
     stats: EnumerationStats = field(default_factory=EnumerationStats)
 
     def vhat(self, i: int) -> Fraction:
+        """Mean number of interior degree-i vertices; 0 when no
+        triangulation was visited (a cap of 0)."""
+        if not self.count:
+            return Fraction(0)
         return Fraction(self.degree_totals.get(i, 0), self.count)
 
 

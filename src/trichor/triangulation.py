@@ -1,7 +1,10 @@
 """Triangulations over (augmented) point sets, with edge flips.
 
-The representation is a triangle soup with a derived edge -> apex map:
-each triangulation stores its vertex-index triples in CCW order, in a
+The representation is a triangle soup with two derived maps: the edge
+-> apex map, which the flips and the flip-graph walk read, and the
+oriented star map (vertex x -> {y: z} for each CCW triangle (x, y, z)),
+from which a vertex's link cycle is walked in O(degree).  Each
+triangulation stores its vertex-index triples in CCW order, in a
 canonical sorted form, plus a reference to the underlying point
 container.  Flips return new values; nothing is mutated.
 
@@ -68,6 +71,35 @@ def edge_apex_map(tris) -> dict[EdgeRef, list[int]]:
         m.setdefault(edge(b, c), []).append(a)
         m.setdefault(edge(c, a), []).append(b)
     return m
+
+
+def star_map(tris) -> dict[int, dict[int, int]]:
+    """For each vertex x, ``{y: z}`` over the CCW triangles (x, y, z):
+    z follows y counterclockwise around x."""
+    star: dict[int, dict[int, int]] = {}
+    for a, b, c in tris:
+        star.setdefault(a, {})[b] = c
+        star.setdefault(b, {})[c] = a
+        star.setdefault(c, {})[a] = b
+    return star
+
+
+def star_link(star, p: int) -> list[int] | None:
+    """Neighbours of p in CCW order around p, starting at the smallest
+    index, or None when they do not close into one cycle (p on the hull
+    or in no triangle)."""
+    succ = star.get(p)
+    if not succ:
+        return None
+    start = min(succ)
+    cycle = [start]
+    cur = succ[start]
+    while cur != start:
+        if cur not in succ or len(cycle) == len(succ):
+            return None
+        cycle.append(cur)
+        cur = succ[cur]
+    return cycle if len(cycle) == len(succ) else None
 
 
 def fingerprint_bytes(tris) -> bytes:
@@ -189,7 +221,7 @@ class Triangulation:
     def link_cycle(self, p: int) -> list[int]:
         """Neighbours of interior vertex p in CCW order around p, starting
         at the smallest index."""
-        cycle = vertex_link(self.triangles, p)
+        cycle = star_link(star_map(self.triangles), p)
         if cycle is None:
             raise ValueError(f"vertex {p} is not interior")
         return cycle
@@ -229,32 +261,6 @@ class Triangulation:
             {"n": len(self.points), "edges": [list(e) for e in self.edge_set]},
             separators=(",", ":"),
         )
-
-
-def vertex_link(tris, p: int) -> list[int] | None:
-    """Neighbours of p in CCW order around p, starting at the smallest
-    index, or None when they do not close into one cycle (p on the hull
-    or in no triangle)."""
-    succ: dict[int, int] = {}
-    for a, b, c in tris:
-        # In the CCW triple rotated to (p, x, y), y follows x around p.
-        if a == p:
-            succ[b] = c
-        elif b == p:
-            succ[c] = a
-        elif c == p:
-            succ[a] = b
-    if not succ:
-        return None
-    start = min(succ)
-    cycle = [start]
-    cur = succ[start]
-    while cur != start:
-        if cur not in succ or len(cycle) == len(succ):
-            return None
-        cycle.append(cur)
-        cur = succ[cur]
-    return cycle if len(cycle) == len(succ) else None
 
 
 def _ccw(pts, a: int, b: int, c: int) -> Tri:

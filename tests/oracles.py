@@ -12,7 +12,7 @@ exact ray cast from the segment's midpoint.  The charging vints of a
 from collections import defaultdict
 from functools import cmp_to_key
 
-from trichor.charging import DEFAULT_SUBTREE_CAP, Vint, build_flip_tree, iter_subtrees
+from trichor.charging import Vint, build_flip_tree, iter_subtrees
 from trichor.enumeration import flip_graph_states
 from trichor.geometry import Point, point_on_open_segment, segments_cross
 from trichor.polygons import SimplePolygon, is_diagonal
@@ -220,7 +220,7 @@ def random_star_polygon(k: int, rng: SplitMix64, span: int = 40) -> SimplePolygo
     raise RuntimeError(f"could not build a star polygon with {k} vertices")
 
 
-def enumerate_charging_vints(v: Vint, cap: int = DEFAULT_SUBTREE_CAP) -> list:
+def enumerate_charging_vints(v: Vint) -> list:
     """All vints charging v, via the subtree bijection, as
     (SubtreeInfo, Vint) pairs.
 
@@ -232,7 +232,7 @@ def enumerate_charging_vints(v: Vint, cap: int = DEFAULT_SUBTREE_CAP) -> list:
     pts = t.points
     p = v.point
     out = []
-    for sub in iter_subtrees(tree, cap):
+    for sub in iter_subtrees(tree):
         # The region's faces are the three fan faces at p plus the chosen
         # node faces, and every face containing a dual edge is in the
         # region; drop them all, then re-fan the boundary from p.

@@ -1,8 +1,12 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import DownFlipOracle, enumerate_charging_vints
+from trichor import charging
 from trichor.charging import (
     BELIEVED_MAX_CHARGE,
     RigidCore,
@@ -36,7 +40,7 @@ from trichor.geometry import (
 )
 from trichor.polygons import catalan
 from trichor.rng import SplitMix64
-from trichor.triangulation import Triangulation, initial_triangulation
+from trichor.triangulation import Triangulation, initial_triangulation, star_map
 
 H2 = (((), ()), ((), ()))  # a level-1 branch, complete to height 3
 COMPLETE_H3 = (H2, H2, H2)
@@ -292,13 +296,15 @@ def test_core_rejects_too_many_children():
         RigidCore.from_shape((((), (), ()),))
 
 
-def test_subtree_cap_enforced():
+def test_subtree_cap_enforced(monkeypatch):
     core = RigidCore.from_shape(COMPLETE_H3)
+    monkeypatch.setattr(charging, "SUBTREE_CAP", 100)
     with pytest.raises(CapExceededError):
-        core.subtree_edge_counts(cap=100)
+        core.subtree_edge_counts()
     aug, t = single_point_instance()
     tree = build_flip_tree(Vint(0, t))
-    assert len(iter_subtrees(tree, cap=10)) == 1
+    monkeypatch.setattr(charging, "SUBTREE_CAP", 10)
+    assert len(iter_subtrees(tree)) == 1
 
 
 # --- charges ---
@@ -404,6 +410,35 @@ def test_audit_max_charge_tie_rule_across_chunks(P, states, ties):
         assert (rep.max_charge, rep.max_charge_at) == (top, tied[0])
 
 
+MERGE_INSTANCES = {"convex7": lambda: augment(gen_convex(7)), "n6-s14": lambda: augment(gen_random(6, 14))}
+
+
+@cache
+def merge_instance(name):
+    """The instance, its states and one tally of all of them."""
+    P = MERGE_INSTANCES[name]()
+    states = list(flip_graph_states(P))
+    return P, states, charging._AuditContext(P, rules=True).tally(states)
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_INSTANCES))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_audit_report_merge_equals_one_tally(name, data):
+    # convex7 has 4 tied maxima, so the tie rule decides across pieces.
+    P, states, whole = merge_instance(name)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(states)), max_size=5)))
+    bounds = [0, *cuts, len(states)]
+    ctx = charging._AuditContext(P, rules=True)
+    merged = ctx.tally([])
+    for lo, hi in zip(bounds, bounds[1:]):
+        merged.merge(ctx.tally(states[lo:hi]))
+    assert merged.to_json_dict() == whole.to_json_dict()
+    assert merged.rules == whole.rules
+    assert merged.degree_totals == whole.degree_totals
+    assert merged.max_charge_at == whole.max_charge_at
+
+
 def test_audit_requires_augmented():
     with pytest.raises(TypeError):
         audit(gen_convex(5))
@@ -472,10 +507,12 @@ def test_flip_tree_face_revisit_raises_invariant_error():
     xy = [(pt.x, pt.y) for pt in t.points]
     tree = build_flip_tree(Vint(p, t))
     node = tree.children[0]
-    u, v = node.dual
+    # The link edge of the root child, oriented with p on its left.
+    a, b, c = tree.link
+    u, v = next(e for e in ((a, b), (b, c), (c, a)) if set(e) == set(node.dual))
     used = {node.face()}
     with pytest.raises(InvariantError):
-        _grow_node(xy, t.apex_map, p, u, v, ref=p, opp=node.opp, used=used, level=1)
+        _grow_node(xy, star_map(t.triangles), p, u, v, node.opp, u, used, 1)
 
 
 def test_invariant_error_pickles():
@@ -519,10 +556,11 @@ def test_charges_invariant_under_coordinate_scaling():
     assert a.conservation_rhs == b.conservation_rhs
 
 
-def test_audit_subtree_cap_propagates():
+def test_audit_subtree_cap_propagates(monkeypatch):
     P = augment(gen_random(5, 9))
+    monkeypatch.setattr(charging, "SUBTREE_CAP", 1)
     with pytest.raises(CapExceededError):
-        audit(P, subtree_cap=1)
+        audit(P)
 
 
 def test_pessimistic_bound_of_m5_core_is_43():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from importlib import resources
@@ -146,6 +147,41 @@ def test_fliptree_not_a_3vint_exits_one(tmp_path, capsys):
     bad = next(q for q in P.interior_indices() if t.degree_map()[q] != 3)
     code, _ = run(capsys, "fliptree", str(f), "--point", str(bad))
     assert code == 1
+
+
+# SHA-256 of the stdout of `trichor audit` and `trichor fliptree --charge`
+# on augment(gen_random(6, 14)), taken from the edge -> apex map
+# implementation of the flip-tree growth.  The star-map growth must
+# reproduce every byte, including the DOT child order.
+R6_S14_AUDIT_SHA256 = "2afe8448899d8865d6cd7d884cb98d4ad47f821036ae5a5212970ebcf3a38fd1"
+R6_S14_SEED_FLIPTREE_SHA256 = {
+    3: "dd039cece810a325ea6f0000e369ef587e12cbdbac7f277ff6e2078c4e62058a",
+    4: "630b30e1cbe685373e238fca31908ca3034287c180b389e245ba0d3fbba89f9f",
+    5: "0caadae7855fd6cf9eefd8e52cdf53343b7438dbbd0c355732f9e094b5ef0dae",
+}
+# A state whose tree at point 5 branches at level 2 below a node whose
+# first child is the one at its tail: the seed trees never reach there.
+R6_S14_DEEP_FINGERPRINT = "9d78922ea394764c6ad08aa2a69ddc3c"
+R6_S14_DEEP_FLIPTREE_SHA256 = "d5324448ba38709c54addcf1a1f5af0088c008d440369a10bab6ab932536d0f9"
+
+
+def test_audit_and_fliptree_bytes_unchanged(tmp_path, capsys):
+    def digest(*argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    f = tmp_path / "r.txt"
+    main(["generate", "random", "--n", "6", "--seed", "14", "--augment", "--out", str(f)])
+    assert digest("audit", str(f)) == R6_S14_AUDIT_SHA256
+    P = AugmentedPointSet.from_points(read_points(f))
+    deg = initial_triangulation(P).degree_map()
+    points = [q for q in P.interior_indices() if deg[q] == 3]
+    assert points == sorted(R6_S14_SEED_FLIPTREE_SHA256)
+    for p in points:
+        assert digest("fliptree", str(f), "--point", str(p), "--charge") == R6_S14_SEED_FLIPTREE_SHA256[p]
+    deep = digest("fliptree", str(f), "--point", "5", "--fingerprint", R6_S14_DEEP_FINGERPRINT, "--charge")
+    assert deep == R6_S14_DEEP_FLIPTREE_SHA256
 
 
 def test_catalan_commands(capsys):

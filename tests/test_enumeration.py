@@ -69,6 +69,14 @@ def test_cap_raises_with_partial_result():
     assert not partial.exhaustive
 
 
+def test_cap_zero_partial_result_has_vhat_zero():
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_all(gen_convex(6), cap=0)
+    partial = exc.value.result
+    assert partial.count == 0
+    assert partial.vhat(3) == Fraction(0)
+
+
 def test_capped_fingerprints_are_prefix_of_full():
     full = enumerate_all(gen_convex(6), collect_fingerprints=True)
     with pytest.raises(CapExceededError) as exc:

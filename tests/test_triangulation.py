@@ -5,17 +5,22 @@ import pytest
 from trichor.enumeration import flip_graph_states
 from trichor.errors import NotFlippableError, UnknownEdgeError
 from trichor.geometry import (
+    CCW,
     AugmentedPointSet,
     PointSet,
     augment,
     gen_convex_arc_in_triangle,
     gen_random,
+    orient,
 )
 from trichor.rng import SplitMix64
 from trichor.triangulation import (
     Triangulation,
+    canonical_triangles,
     degree_vector,
     initial_triangulation,
+    star_link,
+    star_map,
 )
 
 
@@ -178,6 +183,34 @@ def test_link_cycle_orders_neighbors():
     assert sorted(cyc) == [1, 2, 3]
     with pytest.raises(ValueError):
         t.link_cycle(1)  # frame vertex is not interior
+
+
+@pytest.mark.parametrize(
+    "P",
+    [gen_convex_arc_in_triangle(4), augment(gen_random(5, 7))],
+    ids=["arc4", "n5-s7"],
+)
+def test_star_map_links_and_degrees(P):
+    pts = P.points
+    states = [initial_triangulation(P).triangles, *flip_graph_states(P)]
+    for tris in states:
+        t = Triangulation(P, tris)
+        star = star_map(tris)
+        degrees = {}
+        for p in P.interior_indices():
+            link = star_link(star, p)
+            neighbours = {j for e in t.edge_set if p in e for j in e if j != p}
+            assert len(link) == len(set(link)) and set(link) == neighbours
+            assert link[0] == min(link)
+            for x, y in zip(link, link[1:] + link[:1]):
+                assert orient(pts[p], pts[x], pts[y]) == CCW
+                assert canonical_triangles([(p, x, y)])[0] in t.triangles
+            degrees[p] = len(link)
+        for f in P.frame_indices():
+            assert star_link(star, f) is None
+            # A hull vertex has one more neighbour than triangles.
+            degrees[f] = len(star[f]) + 1
+        assert degrees == t.degree_map()
 
 
 def test_json_export_sorted():
