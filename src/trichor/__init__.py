@@ -21,7 +21,6 @@ from .charging import (
     audit,
     build_flip_tree,
     charge,
-    check_structural_rules,
     contr_minus,
     contr_plus,
     contr_plus_census,

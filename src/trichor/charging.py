@@ -238,8 +238,7 @@ def build_flip_tree_raw(xy, star, p: int) -> FlipTree:
 def build_flip_tree(v: Vint) -> FlipTree:
     """Flip-tree of a 3-vint of a triangulation over an augmented set."""
     t = v.triangulation
-    xy = [(pt.x, pt.y) for pt in t.points]
-    return build_flip_tree_raw(xy, star_map(t.triangles), v.point)
+    return build_flip_tree_raw(t.vertices.xy, star_map(t.triangles), v.point)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +520,7 @@ def charge_from_tree(tree: FlipTree, counter: _PolygonCounter, fingerprint: str 
 def charge(v: Vint) -> ChargeReport:
     """Exact total charge received by the 3-vint v."""
     tree = build_flip_tree(v)
-    counter = _PolygonCounter([(pt.x, pt.y) for pt in v.triangulation.points])
+    counter = _PolygonCounter(v.triangulation.vertices.xy)
     return charge_from_tree(tree, counter, v.triangulation.fingerprint())
 
 
@@ -624,16 +623,6 @@ class AuditReport:
         }
 
 
-def _links_and_trees(xy, tris, interior):
-    """The star map of one triangulation, the link cycle of each interior
-    point and the flip-trees of the interior 3-vints, both in
-    ``interior`` order."""
-    star = star_map(tris)
-    links = {p: star_link(star, p) for p in interior}
-    trees = {p: build_flip_tree_raw(xy, star, p) for p in interior if len(star[p]) == 3}
-    return star, links, trees
-
-
 class _AuditContext:
     """Per-process audit state: the coordinates and point roles of S+,
     the polygon counter, the charge cache keyed by flip-tree and whether
@@ -641,7 +630,7 @@ class _AuditContext:
 
     def __init__(self, P: AugmentedPointSet, rules: bool):
         self.n = P.n
-        self.xy = [(p.x, p.y) for p in P.points]
+        self.xy = P.xy
         self.interior = list(P.interior_indices())
         self.frame = list(P.frame_indices())
         self.counter = _PolygonCounter(self.xy)
@@ -661,7 +650,8 @@ class _AuditContext:
         xy, interior, n = self.xy, self.interior, self.n
         r = AuditReport(n, rules=RulesReport() if self.rules else None)
         for tris in states:
-            star, links, trees = _links_and_trees(xy, tris, interior)
+            star = star_map(tris)
+            trees = {p: build_flip_tree_raw(xy, star, p) for p in interior if len(star[p]) == 3}
             r.triangulation_count += 1
             # A vertex's degree is its number of triangles, plus one on the hull.
             interior_sum = 0
@@ -696,6 +686,7 @@ class _AuditContext:
                         f"charge {total} >= {HARD_CHARGE_BOUND} at point {p} in {fp}"
                     )
             if r.rules is not None:
+                links = {p: star_link(star, p) for p in interior}
                 _rules_state(xy, links, self.counter, trees, r.rules)
         return r
 
@@ -709,10 +700,10 @@ def audit(P: AugmentedPointSet, jobs: int = 1, rules: bool = False) -> AuditRepo
     is the smallest (fingerprint, point) among the 3-vints that receive
     the largest charge.
 
-    With ``rules`` the same walk also runs the structural-rule sweep of
-    ``check_structural_rules``, reusing each 3-vint's flip-tree, and the
-    report's ``rules`` holds its RulesReport (not part of
-    ``to_json_dict``).  ``jobs > 1`` hands chunks of 512 states to that
+    With ``rules`` the same walk also sweeps every vint for the
+    structural rules, reusing each 3-vint's flip-tree, and the report's
+    ``rules`` holds the RulesReport (not part of ``to_json_dict``).
+    ``jobs > 1`` hands chunks of 512 states to that
     many processes, each returning one partial report per chunk; the
     chunks are merged in walk order, so the report is identical to a
     sequential run.
@@ -766,7 +757,7 @@ def _audit_parallel(P, states, jobs, rules) -> AuditReport:
 
 @dataclass
 class RulesReport:
-    """Outcome of the structural property sweep over an instance.
+    """Outcome of the structural property sweep of ``audit(P, rules=True)``.
 
     rule1: a rigid level-1/2 edge with two non-rigid children can be
     freed by flipping at most one of them.  monotone: supports never
@@ -789,17 +780,14 @@ class RulesReport:
         self.support_checked += other.support_checked
         self.violations.extend(other.violations)
 
-
-def check_structural_rules(P: AugmentedPointSet) -> RulesReport:
-    """Sweep every vint of every triangulation for the cheap invariants."""
-    xy = [(p.x, p.y) for p in P.points]
-    interior = list(P.interior_indices())
-    counter = _PolygonCounter(xy)
-    rep = RulesReport()
-    for tris in flip_graph_states(P):
-        _, links, trees = _links_and_trees(xy, tris, interior)
-        _rules_state(xy, links, counter, trees, rep)
-    return rep
+    def to_json_dict(self) -> dict:
+        return {
+            "rule1_checked": self.rule1_checked,
+            "monotone_checked": self.monotone_checked,
+            "support_checked": self.support_checked,
+            "violations": list(self.violations),
+            "ok": self.ok,
+        }
 
 
 def _rules_state(xy, links, counter, trees, rep: RulesReport) -> None:

@@ -31,6 +31,7 @@ from .geometry import (
     gen_convex,
     gen_convex_arc_in_triangle,
     gen_random,
+    points_text,
     read_points,
     write_points,
 )
@@ -72,8 +73,7 @@ def cmd_generate(args) -> int:
     if args.out:
         write_points(ps, args.out)
     else:
-        lines = [str(len(ps.points))] + [f"{p.x} {p.y}" for p in ps.points]
-        _emit("\n".join(lines), None)
+        _emit(points_text(ps.xy), None)
     return EXIT_OK
 
 
@@ -112,13 +112,7 @@ def cmd_audit(args) -> int:
     rules = rep.rules
     v3 = check_v3_recursion(P, lhs=rep.degree_totals.get(3, 0))
     payload = rep.to_json_dict()
-    payload["rules"] = {
-        "rule1_checked": rules.rule1_checked,
-        "monotone_checked": rules.monotone_checked,
-        "support_checked": rules.support_checked,
-        "violations": rules.violations,
-        "ok": rules.ok,
-    }
+    payload["rules"] = rules.to_json_dict()
     payload["v3_recursion"] = {
         "lhs": str(v3.lhs),
         "rhs": str(v3.rhs),

@@ -27,11 +27,10 @@ from .geometry import AugmentedPointSet, crosses
 from .polygons import count_triangulations
 from .triangulation import (
     Tri,
-    _ccw,
-    canonical_triangles,
     edge_apex_map,
     edges_of,
     fingerprint_bytes,
+    flipped,
     initial_triangulation,
 )
 
@@ -80,13 +79,10 @@ def flip_graph_states(
     up in ``seen`` before it is built; only unseen flips pay for the
     crossing test and canonicalisation.
     """
-    pts = container.points
-    xy = [(p.x, p.y) for p in pts]
+    xy = container.xy
     seed = initial_triangulation(container).triangles
-    n_all = len(pts)
-    hull_size = 3 if isinstance(container, AugmentedPointSet) else len(
-        container.convex_hull_indices()
-    )
+    n_all = len(xy)
+    hull_size = len(container.convex_hull_indices())
     expected_edges = 3 * n_all - 3 - hull_size
     expected_tris = 2 * n_all - 2 - hull_size
 
@@ -116,10 +112,7 @@ def flip_graph_states(
             if nxt in seen or not crosses(xy, x, y, u, v):
                 continue
             seen.add(nxt)
-            keep = [t for t in state if not (u in t and v in t)]
-            keep.append(_ccw(pts, x, y, u))
-            keep.append(_ccw(pts, x, y, v))
-            frontier.append((canonical_triangles(keep), nxt))
+            frontier.append((flipped(xy, state, u, v, x, y), nxt))
         if stats is not None:
             stats.frontier_peak = max(stats.frontier_peak, len(frontier))
 
@@ -207,8 +200,7 @@ def check_v3_recursion(P: AugmentedPointSet, lhs: int) -> V3RecursionReport:
     """
     if not isinstance(P, AugmentedPointSet):
         raise TypeError("check_v3_recursion needs an AugmentedPointSet")
-    frame = [(p.x, p.y) for p in P.frame]
-    interior = [(p.x, p.y) for p in P.points[: P.n]]
+    frame, interior = P.xy[P.n :], P.xy[: P.n]
     per_point = {
         q: count_triangulations(frame, interior[:q] + interior[q + 1 :])
         for q in P.interior_indices()

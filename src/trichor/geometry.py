@@ -2,9 +2,13 @@
 containers, and generators for the standard test configurations.
 
 Every predicate is an exact integer determinant; no floating point is
-used anywhere.  Point sets are validated to be in general position (no
-three points collinear) on construction, because every downstream count
-silently depends on it.
+used anywhere.  The predicates take plain ``(x, y)`` int pairs or
+``Point``s alike; ``crosses`` takes a sequence of pairs and four
+indices into it.  Each container carries its points once as the pairs
+``xy``, which downstream code indexes.  Point sets are validated to be
+in general position (no three points collinear) on construction,
+because every downstream count silently depends on it.  An augmented
+set's convex hull is its frame.
 """
 
 from __future__ import annotations
@@ -40,9 +44,12 @@ class Point:
         return f"Point({self.x}, {self.y})"
 
 
-def orient(a: Point, b: Point, c: Point) -> int:
+def orient(a, b, c) -> int:
     """Sign of the determinant |b-a, c-a|: CCW, CW, or COLLINEAR."""
-    d = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    ax, ay = a
+    bx, by = b
+    cx, cy = c
+    d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     if d > 0:
         return CCW
     if d < 0:
@@ -70,29 +77,22 @@ def crosses(xy, a: int, b: int, c: int, d: int) -> bool:
     return o3 != 0 and o4 != 0 and (o3 > 0) != (o4 > 0)
 
 
-def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff the open segments ab and cd properly intersect."""
-    return crosses(((a.x, a.y), (b.x, b.y), (c.x, c.y), (d.x, d.y)), 0, 1, 2, 3)
-
-
-def signed_area_2x(pts: Sequence[Point]) -> int:
+def signed_area_2x(pts: Sequence) -> int:
     """Twice the signed area of the polygon ``pts``; positive iff CCW."""
-    k = len(pts)
-    return sum(
-        pts[i].x * pts[(i + 1) % k].y - pts[(i + 1) % k].x * pts[i].y for i in range(k)
-    )
+    return sum(ax * by - bx * ay for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]))
 
 
-def point_on_open_segment(p: Point, a: Point, b: Point) -> bool:
+def point_on_open_segment(p, a, b) -> bool:
     """True iff p lies strictly between a and b on the segment ab."""
     if orient(a, b, p) != COLLINEAR:
         return False
-    if a.x != b.x:
-        return min(a.x, b.x) < p.x < max(a.x, b.x)
-    return min(a.y, b.y) < p.y < max(a.y, b.y)
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    if ax != bx:
+        return min(ax, bx) < px < max(ax, bx)
+    return min(ay, by) < py < max(ay, by)
 
 
-def point_in_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
+def point_in_triangle(p, a, b, c) -> bool:
     """Strict interior test for a CCW triangle."""
     return (
         orient(a, b, p) == CCW
@@ -101,34 +101,35 @@ def point_in_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
     )
 
 
-def _check_general_position(points: Sequence[Point]) -> None:
+def _check_general_position(xy: Sequence[tuple[int, int]]) -> None:
     seen: dict[tuple[int, int], int] = {}
-    for i, p in enumerate(points):
-        key = (p.x, p.y)
-        if key in seen:
-            raise DuplicatePointError(seen[key], i)
-        seen[key] = i
-    n = len(points)
+    for i, p in enumerate(xy):
+        if p in seen:
+            raise DuplicatePointError(seen[p], i)
+        seen[p] = i
+    n = len(xy)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if orient(points[i], points[j], points[k]) == COLLINEAR:
+                if orient(xy[i], xy[j], xy[k]) == COLLINEAR:
                     raise CollinearTripleError(i, j, k)
 
 
 class PointSet:
     """Ordered, validated collection of distinct points in general position.
 
-    Indices 0..n-1 are stable labels used by every downstream structure.
+    Indices 0..n-1 are stable labels used by every downstream structure;
+    ``xy`` holds the same points as plain ``(x, y)`` int pairs.
     """
 
-    __slots__ = ("points",)
+    __slots__ = ("points", "xy")
 
     def __init__(self, points: Iterable[Point | tuple[int, int]]):
         pts = tuple(p if isinstance(p, Point) else Point(*p) for p in points)
         if not pts:
             raise ValueError("point set must contain at least one point")
-        _check_general_position(pts)
+        self.xy = tuple((p.x, p.y) for p in pts)
+        _check_general_position(self.xy)
         self.points = pts
 
     def __len__(self) -> int:
@@ -148,16 +149,15 @@ class PointSet:
 
     def convex_hull_indices(self) -> tuple[int, ...]:
         """Indices of the hull vertices in CCW order (monotone chain)."""
-        idx = sorted(range(len(self.points)), key=lambda i: (self.points[i].x, self.points[i].y))
+        xy = self.xy
+        idx = sorted(range(len(xy)), key=xy.__getitem__)
         if len(idx) <= 2:
             return tuple(idx)
 
         def half(order):
             chain: list[int] = []
             for i in order:
-                while len(chain) >= 2 and orient(
-                    self.points[chain[-2]], self.points[chain[-1]], self.points[i]
-                ) != CCW:
+                while len(chain) >= 2 and orient(xy[chain[-2]], xy[chain[-1]], xy[i]) != CCW:
                     chain.pop()
                 chain.append(i)
             return chain
@@ -181,10 +181,11 @@ class AugmentedPointSet:
     """A point set together with a bounding triangle that is its convex hull.
 
     The combined labelling puts the n base points first (indices 0..n-1)
-    and the three frame vertices last (n, n+1, n+2).
+    and the three frame vertices last (n, n+1, n+2), in CCW order; ``xy``
+    holds the combined points as plain ``(x, y)`` int pairs.
     """
 
-    __slots__ = ("base", "frame", "points")
+    __slots__ = ("base", "frame", "points", "xy")
 
     def __init__(self, base: PointSet | None, frame: Sequence[Point]):
         frame = tuple(frame)
@@ -200,7 +201,8 @@ class AugmentedPointSet:
             if not point_in_triangle(p, *frame):
                 raise ValueError(f"base point {i} not strictly inside the frame")
         combined = base_pts + frame
-        _check_general_position(combined)
+        self.xy = tuple((p.x, p.y) for p in combined)
+        _check_general_position(self.xy)
         self.base = base
         self.frame = frame
         self.points = combined
@@ -231,6 +233,10 @@ class AugmentedPointSet:
     def frame_indices(self) -> tuple[int, int, int]:
         n = self.n
         return (n, n + 1, n + 2)
+
+    def convex_hull_indices(self) -> tuple[int, int, int]:
+        """The frame is the hull by construction, already in CCW order."""
+        return self.frame_indices()
 
     def interior_indices(self) -> range:
         return range(self.n)
@@ -303,7 +309,7 @@ def gen_random(n: int, seed: int) -> PointSet:
         raise ValueError("need n >= 1")
     rng = SplitMix64(seed)
     side = max(16, 4 * n * n)
-    pts: list[Point] = []
+    pts: list[tuple[int, int]] = []
     attempts = 0
     max_attempts = 2000 * (n + 1)
     while len(pts) < n:
@@ -312,8 +318,8 @@ def gen_random(n: int, seed: int) -> PointSet:
                 f"placed {len(pts)}/{n} points after {attempts} attempts"
             )
         attempts += 1
-        cand = Point(rng.below(side), rng.below(side))
-        if any(cand == p for p in pts):
+        cand = (rng.below(side), rng.below(side))
+        if cand in pts:
             continue
         ok = True
         for i in range(len(pts)):
@@ -328,22 +334,30 @@ def gen_random(n: int, seed: int) -> PointSet:
     return PointSet(pts)
 
 
-# --- point-set text format: first line n, then n lines "x y" ---
+# --- point-file text format: first line k, then k lines "x y" ---
+
+
+def points_text(xy: Sequence) -> str:
+    """The point-file text of the points ``xy``."""
+    return "".join([f"{len(xy)}\n"] + [f"{x} {y}\n" for x, y in xy])
+
+
+def read_pairs(path: str | Path, kind: str) -> list[tuple[int, int]]:
+    """The ``(x, y)`` pairs of a point file; ``kind`` names the file in
+    the error for an empty one."""
+    text = Path(path).read_text().split()
+    if not text:
+        raise ValueError(f"empty {kind} file: {path}")
+    k = int(text[0])
+    coords = text[1:]
+    if len(coords) != 2 * k:
+        raise ValueError(f"expected {2 * k} coordinates, found {len(coords)}")
+    return [(int(coords[2 * i]), int(coords[2 * i + 1])) for i in range(k)]
+
 
 def write_points(ps: PointSet | AugmentedPointSet, path: str | Path) -> None:
-    pts = ps.points
-    lines = [str(len(pts))]
-    lines += [f"{p.x} {p.y}" for p in pts]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(points_text(ps.xy))
 
 
 def read_points(path: str | Path) -> PointSet:
-    text = Path(path).read_text().split()
-    if not text:
-        raise ValueError(f"empty point-set file: {path}")
-    n = int(text[0])
-    coords = text[1:]
-    if len(coords) != 2 * n:
-        raise ValueError(f"expected {2 * n} coordinates, found {len(coords)}")
-    pts = [Point(int(coords[2 * i]), int(coords[2 * i + 1])) for i in range(n)]
-    return PointSet(pts)
+    return PointSet(read_pairs(path, "point-set"))

@@ -33,11 +33,13 @@ from .errors import (
 )
 from .geometry import (
     CCW,
+    CW,
     Point,
     crosses,
     orient,
     point_on_open_segment,
-    segments_cross,
+    points_text,
+    read_pairs,
     signed_area_2x,
 )
 
@@ -82,16 +84,17 @@ class SimplePolygon:
         pts = tuple(p if isinstance(p, Point) else Point(*p) for p in boundary)
         if len(pts) < 3:
             raise NotSimpleError(f"polygon needs >= 3 vertices, got {len(pts)}")
-        if signed_area_2x(pts) < 0:
-            pts = tuple(reversed(pts))
-        _check_simple(pts)
+        xy = tuple((p.x, p.y) for p in pts)
+        if signed_area_2x(xy) < 0:
+            pts, xy = pts[::-1], xy[::-1]
+        _check_simple(xy)
         self.boundary = pts
-        self.xy = tuple((p.x, p.y) for p in pts)
+        self.xy = xy
         self.kernel_witness = kernel_witness
         if kernel_witness is not None:
-            k = len(pts)
+            k = len(xy)
             for i in range(k):
-                if orient(pts[i], pts[(i + 1) % k], kernel_witness) != CCW:
+                if orient(xy[i], xy[(i + 1) % k], kernel_witness) != CCW:
                     raise NotSimpleError(
                         f"kernel witness is not strictly left of edge {i}"
                     )
@@ -119,47 +122,30 @@ class SimplePolygon:
         return is_diagonal(self.xy, i, j)
 
 
-def _check_simple(pts: Sequence[Point]) -> None:
-    k = len(pts)
-    seen = {}
-    for idx, p in enumerate(pts):
-        if (p.x, p.y) in seen:
-            raise NotSimpleError(f"repeated boundary vertex at {idx}")
-        seen[(p.x, p.y)] = idx
+def _check_simple(xy: Sequence[tuple[int, int]]) -> None:
+    """Raise NotSimpleError unless the closed chain ``xy`` is simple: no
+    vertex repeats or lies on the open segment of another edge, and no
+    two edges properly cross (edges that share a vertex never do)."""
+    k = len(xy)
+    for w, p in enumerate(xy):
+        if p in xy[:w]:
+            raise NotSimpleError(f"repeated boundary vertex at {w}")
     for i in range(k):
-        a, b = pts[i], pts[(i + 1) % k]
+        a, b = xy[i], xy[(i + 1) % k]
+        for w in range(k):
+            if w != i and w != (i + 1) % k and point_on_open_segment(xy[w], a, b):
+                raise NotSimpleError(f"vertex {w} touches edge {i}")
         for j in range(i + 1, k):
-            c, d = pts[j], pts[(j + 1) % k]
-            if j == i or (j + 1) % k == i or (i + 1) % k == j:
-                # Adjacent edges may only touch at the shared vertex.
-                shared = {(a.x, a.y), (b.x, b.y)} & {(c.x, c.y), (d.x, d.y)}
-                if shared:
-                    others = [
-                        (p, q, r)
-                        for p, q, r in ((c, d, a), (c, d, b), (a, b, c), (a, b, d))
-                        if (r.x, r.y) not in shared
-                    ]
-                    if any(point_on_open_segment(r, p, q) for p, q, r in others):
-                        raise NotSimpleError(f"edges {i} and {j} overlap")
-                    continue
-            if segments_cross(a, b, c, d):
+            if crosses(xy, i, (i + 1) % k, j, (j + 1) % k):
                 raise NotSimpleError(f"edges {i} and {j} cross")
-            for p, q, r in ((a, b, c), (a, b, d), (c, d, a), (c, d, b)):
-                if point_on_open_segment(r, p, q):
-                    raise NotSimpleError(f"edges {i} and {j} touch")
 
 
 # --- the polygon core: a simple polygon as a CCW sequence of (x, y) pairs ---
 
 
-def _det(a, b, c) -> int:
-    """Twice the signed area of the triangle (a, b, c) of (x, y) pairs."""
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
 def is_convex(xy: Sequence[tuple[int, int]]) -> bool:
     """True iff every vertex of the CCW polygon ``xy`` turns strictly left."""
-    return all(_det(xy[i - 2], xy[i - 1], xy[i]) > 0 for i in range(len(xy)))
+    return all(orient(xy[i - 2], xy[i - 1], xy[i]) == CCW for i in range(len(xy)))
 
 
 def is_diagonal(xy: Sequence[tuple[int, int]], i: int, j: int) -> bool:
@@ -243,7 +229,7 @@ def count_triangulations(
                     part = frozenset(q for q in inside if _inside(left, q))
                     total += count(left, part) * count(right, inside - part)
         for c in inside:
-            if _det(a, b, c) <= 0 or any(
+            if orient(a, b, c) != CCW or any(
                 _in_triangle(a, b, c, q) for q in inside if q != c
             ) or any(_in_triangle(a, b, c, v) for v in xy[1 : k - 1]):
                 continue
@@ -261,7 +247,7 @@ def count_triangulations(
 
 def _in_triangle(a, b, c, q) -> bool:
     """True iff q lies in the closed CCW triangle (a, b, c)."""
-    return _det(a, b, q) >= 0 and _det(b, c, q) >= 0 and _det(c, a, q) >= 0
+    return orient(a, b, q) != CW and orient(b, c, q) != CW and orient(c, a, q) != CW
 
 
 def _inside(xy, q) -> bool:
@@ -277,7 +263,7 @@ def _inside(xy, q) -> bool:
     odd = False
     a = xy[-1]
     for b in xy:
-        if (a[1] > q[1]) != (b[1] > q[1]) and (_det(a, b, q) > 0) == (b[1] > a[1]):
+        if (a[1] > q[1]) != (b[1] > q[1]) and (orient(a, b, q) == CCW) == (b[1] > a[1]):
             odd = not odd
         a = b
     return odd
@@ -317,11 +303,10 @@ def tr_with_chords(poly: SimplePolygon, required: Sequence[Chord]) -> int:
             raise InvalidChordError(f"{ch} connects adjacent vertices")
         if not poly.sees(ch.i, ch.j):
             raise InvalidChordError(f"{ch} is not an internal diagonal")
-    pts = poly.boundary
     for a in range(len(required)):
         for b in range(a + 1, len(required)):
             c1, c2 = required[a], required[b]
-            if segments_cross(pts[c1.i], pts[c1.j], pts[c2.i], pts[c2.j]):
+            if crosses(poly.xy, c1.i, c1.j, c2.i, c2.j):
                 raise CrossingChordsError(f"{c1} crosses {c2}")
 
     # Split the boundary index cycle along each chord in turn.
@@ -376,22 +361,11 @@ def reflex_template(n: int, r: int) -> SimplePolygon:
     raise OutOfRangeError(f"templates exist for r in {{1, 2}}, got r={r}")
 
 
-# --- polygon text format: first line k, then k lines "x y" in CCW order ---
+# --- polygon files share the point-file format, vertices in CCW order ---
 
 def write_polygon(poly: SimplePolygon, path: str | Path) -> None:
-    lines = [str(len(poly))]
-    lines += [f"{p.x} {p.y}" for p in poly.boundary]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(points_text(poly.xy))
 
 
 def read_polygon(path: str | Path) -> SimplePolygon:
-    text = Path(path).read_text().split()
-    if not text:
-        raise ValueError(f"empty polygon file: {path}")
-    k = int(text[0])
-    coords = text[1:]
-    if len(coords) != 2 * k:
-        raise ValueError(f"expected {2 * k} coordinates, found {len(coords)}")
-    return SimplePolygon(
-        [Point(int(coords[2 * i]), int(coords[2 * i + 1])) for i in range(k)]
-    )
+    return SimplePolygon(read_pairs(path, "polygon"))

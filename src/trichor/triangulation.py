@@ -6,7 +6,9 @@ oriented star map (vertex x -> {y: z} for each CCW triangle (x, y, z)),
 from which a vertex's link cycle is walked in O(degree).  Each
 triangulation stores its vertex-index triples in CCW order, in a
 canonical sorted form, plus a reference to the underlying point
-container.  Flips return new values; nothing is mutated.
+container.  Flips return new values; nothing is mutated.  ``flipped``
+is the one edge flip, shared by ``Triangulation.flip`` and the
+flip-graph walk.
 
 The fingerprint is the SHA-256 of the sorted edge list (two bytes per
 index, little endian), truncated to 16 bytes.  It names a triangulation
@@ -25,9 +27,9 @@ from .geometry import (
     CCW,
     AugmentedPointSet,
     Point,
+    crosses,
     orient,
     point_in_triangle,
-    segments_cross,
     signed_area_2x,
 )
 
@@ -100,6 +102,21 @@ def star_link(star, p: int) -> list[int] | None:
         cycle.append(cur)
         cur = succ[cur]
     return cycle if len(cycle) == len(succ) else None
+
+
+def _ccw(xy, a: int, b: int, c: int) -> Tri:
+    if orient(xy[a], xy[b], xy[c]) == CCW:
+        return (a, b, c)
+    return (a, c, b)
+
+
+def flipped(xy, tris, u: int, v: int, x: int, y: int) -> tuple[Tri, ...]:
+    """The canonical triangles of ``tris`` after flipping the edge uv,
+    whose two triangles have apexes x and y, to xy."""
+    keep = [t for t in tris if not (u in t and v in t)]
+    keep.append(_ccw(xy, x, y, u))
+    keep.append(_ccw(xy, x, y, v))
+    return canonical_triangles(keep)
 
 
 def fingerprint_bytes(tris) -> bytes:
@@ -189,10 +206,9 @@ class Triangulation:
             return False
         x, y = apexes
         u, v = e
-        pts = self.points
         # The quad is strictly convex iff the candidate diagonal xy
         # properly crosses uv.
-        return segments_cross(pts[x], pts[y], pts[u], pts[v])
+        return crosses(self.vertices.xy, x, y, u, v)
 
     def flip(self, e: EdgeRef) -> "Triangulation":
         e = edge(*e)
@@ -200,11 +216,7 @@ class Triangulation:
             raise NotFlippableError(f"edge {e} cannot be flipped")
         u, v = e
         x, y = self.apex_map[e]
-        pts = self.points
-        new = [t for t in self.triangles if not ({u, v} <= set(t))]
-        new.append(_ccw(pts, x, y, u))
-        new.append(_ccw(pts, x, y, v))
-        return Triangulation(self.vertices, new)
+        return Triangulation(self.vertices, flipped(self.vertices.xy, self.triangles, u, v, x, y))
 
     def flippable_edges(self) -> list[EdgeRef]:
         return [e for e in self.edge_set if self.is_flippable(e)]
@@ -229,27 +241,22 @@ class Triangulation:
     # --- invariants ---
 
     def validate(self) -> None:
-        pts = self.points
-        for t in self.triangles:
-            if orient(pts[t[0]], pts[t[1]], pts[t[2]]) != CCW:
-                raise ValueError(f"triangle {t} is not CCW")
+        xy = self.vertices.xy
+        for a, b, c in self.triangles:
+            if orient(xy[a], xy[b], xy[c]) != CCW:
+                raise ValueError(f"triangle {(a, b, c)} is not CCW")
         # Every edge borders one or two triangles.
         for e, apexes in self.apex_map.items():
             if len(apexes) > 2:
                 raise ValueError(f"edge {e} borders {len(apexes)} triangles")
         # Exact area audit: interior-disjoint CCW triangles covering the
         # hull must sum to the hull area.
-        if isinstance(self.vertices, AugmentedPointSet):
-            hull = [len(pts) - 3 + i for i in range(3)]
-            hull_pts = [pts[i] for i in self.vertices.frame_indices()]
-        else:
-            hull = list(self.vertices.convex_hull_indices())
-            hull_pts = [pts[i] for i in hull]
-        hull_area = signed_area_2x(hull_pts)
-        tri_area = sum(signed_area_2x([pts[a], pts[b], pts[c]]) for a, b, c in self.triangles)
+        hull = self.vertices.convex_hull_indices()
+        hull_area = signed_area_2x([xy[i] for i in hull])
+        tri_area = sum(signed_area_2x((xy[a], xy[b], xy[c])) for a, b, c in self.triangles)
         if tri_area != hull_area:
             raise ValueError("triangles do not tile the hull")
-        n_all = len(pts)
+        n_all = len(xy)
         expected_edges = 3 * n_all - 3 - len(hull)
         if len(self.edge_set) != expected_edges:
             raise ValueError(
@@ -261,12 +268,6 @@ class Triangulation:
             {"n": len(self.points), "edges": [list(e) for e in self.edge_set]},
             separators=(",", ":"),
         )
-
-
-def _ccw(pts, a: int, b: int, c: int) -> Tri:
-    if orient(pts[a], pts[b], pts[c]) == CCW:
-        return (a, b, c)
-    return (a, c, b)
 
 
 def degree_vector(t: Triangulation) -> DegreeVector:
@@ -285,28 +286,23 @@ def degree_vector(t: Triangulation) -> DegreeVector:
 def initial_triangulation(container) -> Triangulation:
     """Any valid seed triangulation, by incremental insertion.
 
-    For an AugmentedPointSet the frame triangle is split repeatedly; for
-    a plain PointSet the hull is fanned first, then interior points are
-    inserted.
+    The container's hull is fanned from its first vertex (an augmented
+    set's hull is its frame, so the fan is the frame triangle), then the
+    interior points are inserted one by one, each splitting the triangle
+    that holds it.
     """
-    pts = container.points
-    if isinstance(container, AugmentedPointSet):
-        f0, f1, f2 = container.frame_indices()
-        tris: list[Tri] = [_ccw(pts, f0, f1, f2)]
-    else:
-        hull = list(container.convex_hull_indices())
-        if len(hull) < 3:
-            raise ValueError("point set has no interior: need >= 3 points")
-        tris = [
-            _ccw(pts, hull[0], hull[i], hull[i + 1]) for i in range(1, len(hull) - 1)
-        ]
+    xy = container.xy
+    hull = container.convex_hull_indices()
+    if len(hull) < 3:
+        raise ValueError("point set has no interior: need >= 3 points")
+    tris = [_ccw(xy, hull[0], hull[i], hull[i + 1]) for i in range(1, len(hull) - 1)]
     for p in container.interior_indices():
         for idx, (a, b, c) in enumerate(tris):
-            if point_in_triangle(pts[p], pts[a], pts[b], pts[c]):
+            if point_in_triangle(xy[p], xy[a], xy[b], xy[c]):
                 tris[idx : idx + 1] = [
-                    _ccw(pts, a, b, p),
-                    _ccw(pts, b, c, p),
-                    _ccw(pts, c, a, p),
+                    _ccw(xy, a, b, p),
+                    _ccw(xy, b, c, p),
+                    _ccw(xy, c, a, p),
                 ]
                 break
         else:

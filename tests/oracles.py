@@ -5,8 +5,9 @@ is computed by brute-force BFS over single down-flips across the whole
 enumerated triangulation space, and polygon counts are recomputed by
 an interval DP over valid diagonals and by backtracking over pairwise
 non-crossing diagonal subsets.  Vertex visibility is recomputed by an
-exact ray cast from the segment's midpoint.  The charging vints of a
-3-vint are rebuilt as explicit triangulations from its flip-tree.
+exact ray cast from the segment's midpoint, and boundary simplicity by
+an edge-pair sweep.  The charging vints of a 3-vint are rebuilt as
+explicit triangulations from its flip-tree.
 """
 
 from collections import defaultdict
@@ -14,7 +15,8 @@ from functools import cmp_to_key
 
 from trichor.charging import Vint, build_flip_tree, iter_subtrees
 from trichor.enumeration import flip_graph_states
-from trichor.geometry import Point, point_on_open_segment, segments_cross
+from trichor.errors import NotSimpleError
+from trichor.geometry import Point, crosses, point_on_open_segment
 from trichor.polygons import SimplePolygon, is_diagonal
 from trichor.rng import SplitMix64
 from trichor.triangulation import Triangulation, _ccw, edge
@@ -94,7 +96,7 @@ def sees_by_ray_cast(poly: SimplePolygon, i: int, j: int) -> bool:
         v = (u + 1) % k
         if u in (i, j) or v in (i, j):
             continue
-        if segments_cross(a, b, pts[u], pts[v]):
+        if crosses(poly.xy, i, j, u, v):
             return False
     # Doubled midpoint keeps the inside test in exact integers.
     mid = Point(a.x + b.x, a.y + b.y)
@@ -118,6 +120,40 @@ def _strictly_inside(q: Point, pts) -> bool:
             if (b.y > a.y and lhs < rhs) or (b.y < a.y and lhs > rhs):
                 inside = not inside
     return inside
+
+
+def check_simple_by_edge_pairs(pts) -> None:
+    """Reference for ``SimplePolygon``'s simplicity check over a boundary
+    of Points: raises NotSimpleError on a repeated vertex, on adjacent
+    edges that overlap beyond their shared vertex, and on non-adjacent
+    edges that cross or touch."""
+    k = len(pts)
+    seen = {}
+    for idx, p in enumerate(pts):
+        if (p.x, p.y) in seen:
+            raise NotSimpleError(f"repeated boundary vertex at {idx}")
+        seen[(p.x, p.y)] = idx
+    for i in range(k):
+        a, b = pts[i], pts[(i + 1) % k]
+        for j in range(i + 1, k):
+            c, d = pts[j], pts[(j + 1) % k]
+            if j == i or (j + 1) % k == i or (i + 1) % k == j:
+                # Adjacent edges may only touch at the shared vertex.
+                shared = {(a.x, a.y), (b.x, b.y)} & {(c.x, c.y), (d.x, d.y)}
+                if shared:
+                    others = [
+                        (p, q, r)
+                        for p, q, r in ((c, d, a), (c, d, b), (a, b, c), (a, b, d))
+                        if (r.x, r.y) not in shared
+                    ]
+                    if any(point_on_open_segment(r, p, q) for p, q, r in others):
+                        raise NotSimpleError(f"edges {i} and {j} overlap")
+                    continue
+            if crosses((a, b, c, d), 0, 1, 2, 3):
+                raise NotSimpleError(f"edges {i} and {j} cross")
+            for p, q, r in ((a, b, c), (a, b, d), (c, d, a), (c, d, b)):
+                if point_on_open_segment(r, p, q):
+                    raise NotSimpleError(f"edges {i} and {j} touch")
 
 
 def count_by_interval_dp(poly: SimplePolygon) -> int:
@@ -146,18 +182,17 @@ def count_by_noncrossing_sets(poly: SimplePolygon) -> int:
     k = len(poly)
     if k == 3:
         return 1
-    pts = poly.boundary
     diags = [
         (i, j)
         for i in range(k)
         for j in range(i + 2, k)
         if not (i == 0 and j == k - 1) and poly.sees(i, j)
     ]
-    crosses = {}
+    crossing = {}
     for a in range(len(diags)):
         for b in range(a + 1, len(diags)):
             (i1, j1), (i2, j2) = diags[a], diags[b]
-            crosses[(a, b)] = segments_cross(pts[i1], pts[j1], pts[i2], pts[j2])
+            crossing[(a, b)] = crosses(poly.xy, i1, j1, i2, j2)
     need = k - 3
     total = 0
 
@@ -169,7 +204,7 @@ def count_by_noncrossing_sets(poly: SimplePolygon) -> int:
         if len(diags) - start < need - len(chosen):
             return
         for nxt in range(start, len(diags)):
-            if all(not crosses[(c, nxt) if c < nxt else (nxt, c)] for c in chosen):
+            if all(not crossing[(c, nxt) if c < nxt else (nxt, c)] for c in chosen):
                 chosen.append(nxt)
                 rec(nxt + 1, chosen)
                 chosen.pop()

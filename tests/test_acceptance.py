@@ -15,7 +15,7 @@ from trichor.charging import (
     BELIEVED_MAX_CHARGE,
     RigidCore,
     Vint,
-    check_structural_rules,
+    audit,
     contr_minus,
     contr_plus_census,
     contr_plus_closed_form,
@@ -141,7 +141,7 @@ def test_criterion_08_support_properties():
     checked = mono = 0
     ok = True
     for P in instances:
-        rep = check_structural_rules(P)
+        rep = audit(P, rules=True).rules
         ok = ok and rep.ok
         checked += rep.support_checked
         mono += rep.monotone_checked

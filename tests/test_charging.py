@@ -14,7 +14,6 @@ from trichor.charging import (
     audit,
     build_flip_tree,
     charge,
-    check_structural_rules,
     contr_minus,
     contr_plus,
     contr_plus_census,
@@ -449,7 +448,7 @@ def test_audit_requires_augmented():
 
 def test_rules_vacuous_on_single_point():
     aug, _ = single_point_instance()
-    rep = check_structural_rules(aug)
+    rep = audit(aug, rules=True).rules
     assert rep.ok
     assert rep.support_checked == 1
     assert rep.rule1_checked == 0
@@ -457,7 +456,7 @@ def test_rules_vacuous_on_single_point():
 
 @pytest.mark.parametrize("seed", [1, 7, 13])
 def test_rules_hold_on_random_instances(seed):
-    rep = check_structural_rules(augment(gen_random(5, seed)))
+    rep = audit(augment(gen_random(5, seed)), rules=True).rules
     assert rep.ok, rep.violations
     assert rep.support_checked > 0
     assert rep.monotone_checked > 0
@@ -475,7 +474,7 @@ def test_rules_hold_on_random_instances(seed):
 )
 def test_fused_sweep_equals_separate_sweeps(P, jobs):
     rep = audit(P, jobs=jobs, rules=True)
-    assert rep.rules == check_structural_rules(P)
+    assert rep.rules == audit(P, jobs=1, rules=True).rules
     assert rep.degree_totals == enumerate_all(P).degree_totals
     assert rep.to_json_dict() == audit(P).to_json_dict()
     v3 = check_v3_recursion(P, lhs=rep.degree_totals.get(3, 0))
@@ -489,7 +488,7 @@ def test_fused_sweep_exercises_rule1():
 def test_rule1_exercised_somewhere():
     total = 0
     for seed in (3, 9, 14, 20):
-        rep = check_structural_rules(augment(gen_random(6, seed)))
+        rep = audit(augment(gen_random(6, seed)), rules=True).rules
         assert rep.ok, rep.violations
         total += rep.rule1_checked
     assert total > 0

@@ -1,0 +1,150 @@
+"""Property and reference tests for the geometric kernel.
+
+The predicates, the hull rule, the one edge flip and the simplicity
+check each live in one function over ``(x, y)`` pairs; these tests tie
+every caller to it and keep the predicate modules free of inexact
+arithmetic.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from oracles import check_simple_by_edge_pairs
+from test_enumeration import big_sets
+from trichor.enumeration import flip_graph_states
+from trichor.errors import NotSimpleError
+from trichor.geometry import (
+    Point,
+    PointSet,
+    augment,
+    crosses,
+    gen_convex_arc_in_triangle,
+    gen_random,
+    orient,
+    point_in_triangle,
+    point_on_open_segment,
+    signed_area_2x,
+)
+from trichor.polygons import SimplePolygon
+from trichor.rng import SplitMix64
+from trichor.triangulation import Triangulation
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "trichor"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(big_sets())
+def test_flip_lands_on_walk_state_and_is_an_involution(P):
+    states = list(flip_graph_states(P))
+    walk = set(states)
+    for tris in states:
+        t = Triangulation(P, tris)
+        for u, v in t.flippable_edges():
+            x, y = t.apex_map[u, v]
+            f = t.flip((u, v))
+            assert f.triangles in walk
+            f.validate()
+            assert f.flip((x, y)).triangles == tris
+
+
+coord = st.integers(-4, 4) | st.integers(-(2**40), 2**40)
+pair = st.tuples(coord, coord)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(pair, min_size=4, max_size=4))
+def test_predicates_agree_on_points_and_pairs(xy):
+    pts = [Point(x, y) for x, y in xy]
+    a, b, c, d = xy
+    pa, pb, pc, pd = pts
+    assert orient(a, b, c) == orient(pa, pb, pc)
+    assert crosses(xy, 0, 1, 2, 3) == crosses(pts, 0, 1, 2, 3)
+    assert point_in_triangle(d, a, b, c) == point_in_triangle(pd, pa, pb, pc)
+    assert point_on_open_segment(c, a, b) == point_on_open_segment(pc, pa, pb)
+    assert signed_area_2x(xy) == signed_area_2x(pts)
+    assert signed_area_2x(tuple(xy)) == signed_area_2x(tuple(pts))
+
+
+def _rotations(seq):
+    return {tuple(seq[i:] + seq[:i]) for i in range(len(seq))}
+
+
+@pytest.mark.parametrize(
+    "P",
+    [gen_convex_arc_in_triangle(4), augment(gen_random(5, 7)), augment(gen_random(8, 148))],
+    ids=["arc4", "n5-s7", "n8-s148"],
+)
+def test_augmented_hull_is_the_frame(P):
+    hull = list(PointSet(P.points).convex_hull_indices())
+    assert P.convex_hull_indices() in _rotations(hull)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(big_sets())
+def test_augmented_hull_is_the_frame_on_large_coordinates(P):
+    hull = list(PointSet(P.points).convex_hull_indices())
+    assert P.convex_hull_indices() in _rotations(hull)
+
+
+def test_simple_polygon_accepts_what_the_edge_pair_sweep_accepts():
+    rng = SplitMix64(8)
+    rejected = 0
+    for trial in range(4000):
+        side = 3 + trial % 4
+        pts = [Point(rng.below(side), rng.below(side)) for _ in range(3 + rng.below(5))]
+        ccw = pts[::-1] if signed_area_2x(pts) < 0 else pts
+        try:
+            check_simple_by_edge_pairs(ccw)
+            want = True
+        except NotSimpleError:
+            want = False
+        try:
+            SimplePolygon(pts)
+            got = True
+        except NotSimpleError:
+            got = False
+        assert got == want, pts
+        rejected += not want
+    assert 0 < rejected < 4000
+
+
+PREDICATE_MODULES = ["geometry.py", "polygons.py", "triangulation.py"]
+
+
+def _inexact_nodes(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield node, "float constant"
+        elif isinstance(node, ast.Name) and node.id == "float":
+            yield node, "float"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node, "true division"
+        elif isinstance(node, ast.Import) and any(
+            a.name.split(".")[0] == "numpy" for a in node.names
+        ):
+            yield node, "numpy import"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            yield node, "numpy import"
+
+
+@pytest.mark.parametrize("name", PREDICATE_MODULES)
+def test_predicate_modules_use_exact_arithmetic(name):
+    found = [
+        f"{name}:{node.lineno}: {what}"
+        for node, what in _inexact_nodes(ast.parse((SRC / name).read_text()))
+    ]
+    assert not found, found
+
+
+def test_exact_arithmetic_guard_catches_each_kind():
+    source = "import numpy\nfrom numpy import linalg\nx = 0.5\ny = float(1)\nz = 1 / 2\nz /= 2\n"
+    kinds = sorted(what for _, what in _inexact_nodes(ast.parse(source)))
+    assert kinds == sorted(
+        ["numpy import", "numpy import", "float constant", "float", "true division", "true division"]
+    )
