@@ -626,7 +626,10 @@ class AuditReport:
 class _AuditContext:
     """Per-process audit state: the coordinates and point roles of S+,
     the polygon counter, the charge cache keyed by flip-tree and whether
-    the structural rules run too."""
+    the structural rules run too.  Per process (each pool worker has its
+    own), a 3-vint's charge and rules are computed once per flip-tree and
+    a larger vint's rules once per ``(point, link cycle)`` in
+    ``rules_memo``; the report still counts and repeats every occurrence."""
 
     def __init__(self, P: AugmentedPointSet, rules: bool):
         self.n = P.n
@@ -635,14 +638,17 @@ class _AuditContext:
         self.frame = list(P.frame_indices())
         self.counter = _PolygonCounter(self.xy)
         self.charge_cache: dict[FlipTree, tuple] = {}
+        self.rules_memo: dict[tuple[int, tuple[int, ...]], tuple[int, int, tuple[str, ...]]] = {}
         self.rules = rules
 
-    def tree_charge(self, tree: FlipTree) -> tuple[Fraction, tuple[tuple[int, int], ...]]:
-        """Total charge of a flip-tree and its (degree, charger count) items."""
+    def tree_charge(self, tree: FlipTree) -> tuple:
+        """Total charge of a flip-tree, its (degree, charger count) items
+        and, when the rules run, its 3-vint's ``_rules_vint`` result."""
         hit = self.charge_cache.get(tree)
         if hit is None:
             rep = charge_from_tree(tree, self.counter)
-            hit = self.charge_cache[tree] = (rep.total, tuple(sorted(rep.degree_counts().items())))
+            rules = _rules_vint(self.xy, tree.point, tree.link, self.counter, tree) if self.rules else None
+            hit = self.charge_cache[tree] = (rep.total, tuple(sorted(rep.degree_counts().items())), rules)
         return hit
 
     def tally(self, states) -> AuditReport:
@@ -668,7 +674,7 @@ class _AuditContext:
             # The fingerprint only labels a maximum or a violation.
             fp = None
             for p, tree in trees.items():
-                total, count_items = self.tree_charge(tree)
+                total, count_items, _ = self.tree_charge(tree)
                 r.conservation_rhs += total
                 if r.max_charge_at is None or total >= r.max_charge:
                     fp = fp or fingerprint_bytes(tris).hex()
@@ -686,8 +692,20 @@ class _AuditContext:
                         f"charge {total} >= {HARD_CHARGE_BOUND} at point {p} in {fp}"
                     )
             if r.rules is not None:
-                links = {p: star_link(star, p) for p in interior}
-                _rules_state(xy, links, self.counter, trees, r.rules)
+                rr = r.rules
+                for p in interior:
+                    if p in trees:
+                        hit = self.tree_charge(trees[p])[2]
+                    elif (cyc := star_link(star, p)) is None:
+                        # A broken link is reported at every occurrence, never memoised.
+                        rr.violations.append(f"point {p} link is not a single cycle")
+                        continue
+                    elif (hit := self.rules_memo.get(key := (p, tuple(cyc)))) is None:
+                        hit = self.rules_memo[key] = _rules_vint(xy, p, cyc, self.counter, None)
+                    rr.support_checked += 1
+                    rr.rule1_checked += hit[0]
+                    rr.monotone_checked += hit[1]
+                    rr.violations.extend(hit[2])
         return r
 
 
@@ -702,7 +720,9 @@ def audit(P: AugmentedPointSet, jobs: int = 1, rules: bool = False) -> AuditRepo
 
     With ``rules`` the same walk also sweeps every vint for the
     structural rules, reusing each 3-vint's flip-tree, and the report's
-    ``rules`` holds the RulesReport (not part of ``to_json_dict``).
+    ``rules`` holds the RulesReport (not part of ``to_json_dict``).  Each
+    process computes them once per distinct flip-tree or (point, link
+    cycle); the counters and violations still count every occurrence.
     ``jobs > 1`` hands chunks of 512 states to that
     many processes, each returning one partial report per chunk; the
     chunks are merged in walk order, so the report is identical to a
@@ -790,53 +810,53 @@ class RulesReport:
         }
 
 
-def _rules_state(xy, links, counter, trees, rep: RulesReport) -> None:
-    """Add the structural rules at every interior point of one
-    triangulation to ``rep``; ``links`` holds each interior point's link
-    cycle and ``trees`` the flip-tree of each interior 3-vint."""
-    for p, cyc in links.items():
-        if cyc is None:
-            rep.violations.append(f"point {p} link is not a single cycle")
+def _rules_vint(xy, p, cyc, counter, tree) -> tuple[int, int, tuple[str, ...]]:
+    """The structural rules at the interior point p with link cycle
+    ``cyc``; ``tree`` is p's flip-tree when p has degree 3.  Returns the
+    rule-1 and monotone check counts and the violations (``()`` when
+    there are none); the vint's one support check is the caller's."""
+    violations = []
+    d = len(cyc)
+    supp = counter.count(tuple(cyc))
+    bound = catalan(d - 2)
+    convex = is_convex([xy[i] for i in cyc])
+    if not 1 <= supp <= bound:
+        violations.append(f"support {supp} outside [1, {bound}]")
+    if (supp == bound) != convex:
+        violations.append(
+            f"support {supp} vs bound {bound}: convexity mismatch at point {p}"
+        )
+    # Monotonicity along each single down-flip at p.
+    monotone = 0
+    for idx, x in enumerate(cyc):
+        if d <= 3:
+            break
+        alpha = cyc[(idx - 1) % d]
+        beta = cyc[(idx + 1) % d]
+        # Edge (p, x) flips iff the quad (p, alpha, x, beta) is
+        # strictly convex, i.e. alpha-beta crosses p-x.
+        if not crosses(xy, alpha, beta, p, x):
             continue
-        d = len(cyc)
-        supp = counter.count(tuple(cyc))
-        bound = catalan(d - 2)
-        convex = is_convex([xy[i] for i in cyc])
-        rep.support_checked += 1
-        if not 1 <= supp <= bound:
-            rep.violations.append(f"support {supp} outside [1, {bound}]")
-        if (supp == bound) != convex:
-            rep.violations.append(
-                f"support {supp} vs bound {bound}: convexity mismatch at point {p}"
+        reduced = tuple(cyc[:idx] + cyc[idx + 1 :])
+        supp_after = counter.count(reduced)
+        monotone += 1
+        if supp < supp_after:
+            violations.append(
+                f"support grew {supp} -> {supp_after} along down-flip at {p}"
             )
-        # Monotonicity along each single down-flip at p.
-        for idx, x in enumerate(cyc):
-            if d <= 3:
-                break
-            alpha = cyc[(idx - 1) % d]
-            beta = cyc[(idx + 1) % d]
-            # Edge (p, x) flips iff the quad (p, alpha, x, beta) is
-            # strictly convex, i.e. alpha-beta crosses p-x.
-            if not crosses(xy, alpha, beta, p, x):
+    rule1 = 0
+    if d == 3:
+        for node in tree.nodes():
+            if node.level > 2 or not node.rigid or len(node.children) != 2:
                 continue
-            reduced = tuple(cyc[:idx] + cyc[idx + 1 :])
-            supp_after = counter.count(reduced)
-            rep.monotone_checked += 1
-            if supp < supp_after:
-                rep.violations.append(
-                    f"support grew {supp} -> {supp_after} along down-flip at {p}"
+            e1, e2 = node.children
+            if e1.rigid or e2.rigid:
+                continue
+            rule1 += 1
+            frees1 = crosses(xy, node.opp, e1.apex, *node.dual)
+            frees2 = crosses(xy, node.opp, e2.apex, *node.dual)
+            if frees1 and frees2:
+                violations.append(
+                    f"both children of a rigid edge can free it at point {p}"
                 )
-        if d == 3:
-            for node in trees[p].nodes():
-                if node.level > 2 or not node.rigid or len(node.children) != 2:
-                    continue
-                e1, e2 = node.children
-                if e1.rigid or e2.rigid:
-                    continue
-                rep.rule1_checked += 1
-                frees1 = crosses(xy, node.opp, e1.apex, *node.dual)
-                frees2 = crosses(xy, node.opp, e2.apex, *node.dual)
-                if frees1 and frees2:
-                    rep.violations.append(
-                        f"both children of a rigid edge can free it at point {p}"
-                    )
+    return rule1, monotone, tuple(violations)

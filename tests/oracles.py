@@ -7,17 +7,18 @@ an interval DP over valid diagonals and by backtracking over pairwise
 non-crossing diagonal subsets.  Vertex visibility is recomputed by an
 exact ray cast from the segment's midpoint, and boundary simplicity by
 an edge-pair sweep.  The charging vints of a 3-vint are rebuilt as
-explicit triangulations from its flip-tree.
+explicit triangulations from its flip-tree, and the structural-rule
+sweep is redone one vint at a time with explicit flips.
 """
 
 from collections import defaultdict
 from functools import cmp_to_key
 
-from trichor.charging import Vint, build_flip_tree, iter_subtrees
+from trichor.charging import RulesReport, Vint, build_flip_tree, hole_of, iter_subtrees, support
 from trichor.enumeration import flip_graph_states
 from trichor.errors import NotSimpleError
 from trichor.geometry import Point, crosses, point_on_open_segment
-from trichor.polygons import SimplePolygon, is_diagonal
+from trichor.polygons import SimplePolygon, catalan, is_diagonal
 from trichor.rng import SplitMix64
 from trichor.triangulation import Triangulation, _ccw, edge
 
@@ -291,3 +292,44 @@ def enumerate_charging_vints(v: Vint) -> list:
         vint = Vint(p, Triangulation(t.vertices, new_tris))
         out.append((sub, vint))
     return out
+
+
+def walk_vints(P):
+    """Every interior vint of every triangulation of P, in walk order."""
+    for tris in flip_graph_states(P):
+        T = Triangulation(P, tris)
+        for p in P.interior_indices():
+            yield Vint(p, T)
+
+
+def rules_by_walk(P) -> RulesReport:
+    """Reference for ``audit(P, rules=True).rules`` from public objects,
+    one vint occurrence at a time and nothing cached: support from
+    ``support``, convexity from the hole polygon, each monotone pair from
+    an explicit ``Triangulation.flip`` of an edge at the point, rule 1
+    from ``build_flip_tree``.  Counters and strings come in walk order."""
+    rep = RulesReport()
+    for v in walk_vints(P):
+        p, T = v.point, v.triangulation
+        cyc = v.link()
+        supp, bound = support(v), catalan(len(cyc) - 2)
+        rep.support_checked += 1
+        if not 1 <= supp <= bound:
+            rep.violations.append(f"support {supp} outside [1, {bound}]")
+        if (supp == bound) != hole_of(v).polygon.is_convex():
+            rep.violations.append(f"support {supp} vs bound {bound}: convexity mismatch at point {p}")
+        for x in cyc:
+            if T.is_flippable(edge(p, x)):
+                after = support(Vint(p, T.flip(edge(p, x))))
+                rep.monotone_checked += 1
+                if supp < after:
+                    rep.violations.append(f"support grew {supp} -> {after} along down-flip at {p}")
+        if len(cyc) != 3:
+            continue
+        for node in build_flip_tree(v).nodes():
+            kids = node.children
+            if node.level <= 2 and node.rigid and len(kids) == 2 and not any(k.rigid for k in kids):
+                rep.rule1_checked += 1
+                if all(crosses(P.xy, node.opp, k.apex, *node.dual) for k in kids):
+                    rep.violations.append(f"both children of a rigid edge can free it at point {p}")
+    return rep

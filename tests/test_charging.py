@@ -2,10 +2,11 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import DownFlipOracle, enumerate_charging_vints
+from oracles import DownFlipOracle, enumerate_charging_vints, rules_by_walk, walk_vints
+from test_enumeration import big_sets
 from trichor import charging
 from trichor.charging import (
     BELIEVED_MAX_CHARGE,
@@ -37,7 +38,7 @@ from trichor.geometry import (
     gen_convex_arc_in_triangle,
     gen_random,
 )
-from trichor.polygons import catalan
+from trichor.polygons import SimplePolygon, catalan
 from trichor.rng import SplitMix64
 from trichor.triangulation import Triangulation, initial_triangulation, star_map
 
@@ -474,11 +475,26 @@ def test_rules_hold_on_random_instances(seed):
 )
 def test_fused_sweep_equals_separate_sweeps(P, jobs):
     rep = audit(P, jobs=jobs, rules=True)
-    assert rep.rules == audit(P, jobs=1, rules=True).rules
+    assert rep.rules == rules_by_walk(P)
     assert rep.degree_totals == enumerate_all(P).degree_totals
     assert rep.to_json_dict() == audit(P).to_json_dict()
     v3 = check_v3_recursion(P, lhs=rep.degree_totals.get(3, 0))
     assert v3 == check_v3_recursion(P, lhs=enumerate_all(P).degree_totals.get(3, 0))
+
+
+def test_rule_violations_repeat_at_every_occurrence(monkeypatch):
+    # Rule results are memoised per flip-tree and per (point, link), so
+    # every convex hole reports the forced mismatch at each occurrence.
+    # convex7 has 594 states, so jobs=2 merges several chunks.
+    P = augment(gen_convex(7))
+    convex = sum(hole_of(v).polygon.is_convex() for v in walk_vints(P))
+    monkeypatch.setattr(charging, "is_convex", lambda xy: False)
+    seq = audit(P, rules=True).rules.violations
+    assert len(seq) == convex > 0
+    assert all("convexity mismatch" in v for v in seq)
+    assert audit(P, jobs=2, rules=True).rules.violations == seq
+    monkeypatch.setattr(SimplePolygon, "is_convex", lambda self: False)
+    assert rules_by_walk(P).violations == seq
 
 
 def test_fused_sweep_exercises_rule1():
@@ -609,6 +625,19 @@ def test_audit_rhs_matches_direct_charge_sum():
             if T.degree_map()[p] == 3:
                 total += charge(Vint(p, T)).total
     assert total == rep.conservation_rhs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(big_sets(max_points=5))
+def test_charge_conservation_on_large_coordinates(P):
+    rep = audit(P)
+    totals = enumerate_all(P).degree_totals
+    assert rep.conservation_lhs == sum((7 - d) * c for d, c in totals.items())
+    charges = [charge(v).total for v in walk_vints(P) if v.degree == 3]
+    assert rep.conservation_rhs == sum(charges)
+    assert rep.max_charge == max(charges, default=0)
+    assert rep.conservation_rhs == rep.conservation_lhs
 
 
 def test_conservation_crosses_triangulations():

@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from trichor.cli import main
-from trichor.geometry import AugmentedPointSet, read_points
+from trichor.geometry import AugmentedPointSet, augment, gen_random, read_points, write_points
 from trichor.triangulation import initial_triangulation
 
 
@@ -182,6 +182,21 @@ def test_audit_and_fliptree_bytes_unchanged(tmp_path, capsys):
         assert digest("fliptree", str(f), "--point", str(p), "--charge") == R6_S14_SEED_FLIPTREE_SHA256[p]
     deep = digest("fliptree", str(f), "--point", "5", "--fingerprint", R6_S14_DEEP_FINGERPRINT, "--charge")
     assert deep == R6_S14_DEEP_FLIPTREE_SHA256
+
+
+# `trichor audit --out` on augment(gen_random(7, 148)): the bytes and rule
+# counters of the benchmark's audit-n7 reference.  The rule sweep memoises
+# per distinct key, and every counter still counts occurrences.
+R7_S148_AUDIT_SHA256 = "46f2329c9376386a7a1e5e5ffa8aa98207cc627f82ce5b605944ffeb18024beb"
+
+
+def test_audit_n7_bytes_and_rule_counters_unchanged(tmp_path):
+    f, out = tmp_path / "r7.txt", tmp_path / "r7.json"
+    write_points(augment(gen_random(7, 148)), f)
+    assert main(["audit", str(f), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == R7_S148_AUDIT_SHA256
+    rules = json.loads(out.read_bytes())["rules"]
+    assert (rules["support_checked"], rules["monotone_checked"], rules["rule1_checked"]) == (10248, 16911, 72)
 
 
 def test_catalan_commands(capsys):

@@ -197,14 +197,14 @@ M = 2**40
 
 
 @st.composite
-def big_sets(draw):
-    """One to six points inside the frame (-M, -M), (M, t), (-M, M), drawn
-    from the box x in [-M/2, 0], |y| <= M/4, which lies strictly inside
-    for every |t| <= M/4.  A point's y may repeat t or an earlier
-    point's y, so horizontal rays through vertices get exercised."""
+def big_sets(draw, max_points=6):
+    """One to ``max_points`` points inside the frame (-M, -M), (M, t),
+    (-M, M), drawn from the box x in [-M/2, 0], |y| <= M/4, which lies
+    strictly inside for every |t| <= M/4.  A point's y may repeat t or an
+    earlier point's y, so horizontal rays through vertices get exercised."""
     t = draw(st.integers(-M // 4, M // 4))
     pts = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, max_points))):
         ys = [t] + [y for _, y in pts]
         y = draw(st.one_of(st.integers(-M // 4, M // 4), st.sampled_from(ys)))
         pts.append((draw(st.integers(-M // 2, 0)), y))
