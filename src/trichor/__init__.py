@@ -66,7 +66,6 @@ from .geometry import (
     gen_random,
     orient,
     read_points,
-    validate_general_position,
     write_points,
 )
 from .polygons import (

@@ -238,7 +238,7 @@ def build_flip_tree_raw(xy, star, p: int) -> FlipTree:
 def build_flip_tree(v: Vint) -> FlipTree:
     """Flip-tree of a 3-vint of a triangulation over an augmented set."""
     t = v.triangulation
-    return build_flip_tree_raw(t.vertices.xy, star_map(t.triangles), v.point)
+    return build_flip_tree_raw(t.vertices.xy, t.star, v.point)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +541,6 @@ class AuditReport:
 
     n: int
     triangulation_count: int = 0
-    conservation_lhs: int = 0
     conservation_rhs: Fraction = Fraction(0)
     max_charge: Fraction = Fraction(0)
     max_charge_at: tuple[str, int] | None = None
@@ -553,6 +552,10 @@ class AuditReport:
     @property
     def three_vint_count(self) -> int:
         return self.degree_totals.get(3, 0)
+
+    @property
+    def conservation_lhs(self) -> int:
+        return sum((7 - d) * c for d, c in self.degree_totals.items())
 
     @property
     def vhat3(self) -> Fraction | None:
@@ -588,7 +591,6 @@ class AuditReport:
 
     def merge(self, other: "AuditReport") -> None:
         self.triangulation_count += other.triangulation_count
-        self.conservation_lhs += other.conservation_lhs
         self.conservation_rhs += other.conservation_rhs
         if other.max_charge_at is not None:
             self.offer_max(other.max_charge, other.max_charge_at)
@@ -664,7 +666,6 @@ class _AuditContext:
             for p in interior:
                 d = len(star[p])
                 interior_sum += d
-                r.conservation_lhs += 7 - d
                 r.degree_totals[d] = r.degree_totals.get(d, 0) + 1
             eq1 = sum(len(star[f]) + 1 for f in self.frame) + interior_sum
             if eq1 != 6 * n + 6:

@@ -27,11 +27,10 @@ from .geometry import AugmentedPointSet, crosses
 from .polygons import count_triangulations
 from .triangulation import (
     Tri,
-    edge_apex_map,
     edges_of,
-    fingerprint_bytes,
     flipped,
     initial_triangulation,
+    star_map,
 )
 
 
@@ -53,7 +52,6 @@ class EnumerationResult:
     interior_count: int
     degree_totals: dict[int, int]
     exhaustive: bool
-    fingerprints: list[str] | None = None
     stats: EnumerationStats = field(default_factory=EnumerationStats)
 
     def vhat(self, i: int) -> Fraction:
@@ -77,14 +75,16 @@ def flip_graph_states(
     A state's key is its edge set as an int bitmask over the index
     pairs.  Flipping uv to xy toggles two bits, so a neighbour is looked
     up in ``seen`` before it is built; only unseen flips pay for the
-    crossing test and canonicalisation.
+    crossing test and canonicalisation.  A state's ``star_map`` gives
+    its flips and, before it is yielded, its Euler counts.
     """
     xy = container.xy
     seed = initial_triangulation(container).triangles
     n_all = len(xy)
     hull_size = len(container.convex_hull_indices())
-    expected_edges = 3 * n_all - 3 - hull_size
     expected_tris = 2 * n_all - 2 - hull_size
+    # Of the 3 * expected_tris directed edges, an interior edge has two.
+    expected_inner = 3 * expected_tris - (3 * n_all - 3 - hull_size)
 
     bit: dict[tuple[int, int], int] = {}
     for k, (i, j) in enumerate(combinations(range(n_all), 2)):
@@ -97,30 +97,35 @@ def flip_graph_states(
         if cap is not None and yielded >= cap:
             raise CapExceededError(f"enumeration cap {cap} reached")
         state, mask = frontier.popleft()
-        amap = edge_apex_map(state)
-        if len(state) != expected_tris or len(amap) != expected_edges:
+        star = star_map(state)
+        if len(state) != expected_tris:
             raise InvariantError("Euler count violated during enumeration")
-        yield state
-        yielded += 1
-        for (u, v), apexes in amap.items():
-            if len(apexes) != 2:
-                continue
-            x, y = apexes
-            nxt = mask ^ bit[u, v] ^ bit[x, y]
-            # For a non-convex quad, xy is already an edge or crosses an
-            # edge other than uv: that mask is no triangulation, never seen.
-            if nxt in seen or not crosses(xy, x, y, u, v):
-                continue
-            seen.add(nxt)
-            frontier.append((flipped(xy, state, u, v, x, y), nxt))
+        if sum(map(len, star.values())) != 3 * expected_tris:
+            raise InvariantError("a directed edge lies in two triangles during enumeration")
+        inner = 0
+        for u, succ in star.items():
+            for v, x in succ.items():
+                if v < u or (y := star[v].get(u)) is None:
+                    continue
+                inner += 1
+                nxt = mask ^ bit[u, v] ^ bit[x, y]
+                # For a non-convex quad, xy is already an edge or crosses an
+                # edge other than uv: that mask is no triangulation, never seen.
+                if nxt in seen or not crosses(xy, x, y, u, v):
+                    continue
+                seen.add(nxt)
+                frontier.append((flipped(xy, state, u, v, x, y), nxt))
+        if inner != expected_inner:
+            raise InvariantError("Euler count violated during enumeration")
         if stats is not None:
             stats.frontier_peak = max(stats.frontier_peak, len(frontier))
+        yield state
+        yielded += 1
 
 
 def enumerate_all(
     container,
     cap: int | None = None,
-    collect_fingerprints: bool = False,
 ) -> EnumerationResult:
     """Count all triangulations and accumulate interior degree totals.
 
@@ -133,7 +138,6 @@ def enumerate_all(
     t0 = time.perf_counter()
     count = 0
     degree_totals: dict[int, int] = {}
-    fps: list[str] | None = [] if collect_fingerprints else None
 
     def build(exhaustive: bool) -> EnumerationResult:
         stats.wall_time = time.perf_counter() - t0
@@ -142,7 +146,6 @@ def enumerate_all(
             interior_count=len(interior),
             degree_totals=dict(sorted(degree_totals.items())),
             exhaustive=exhaustive,
-            fingerprints=fps,
             stats=stats,
         )
 
@@ -159,8 +162,6 @@ def enumerate_all(
             for p in interior:
                 d = deg[p]
                 degree_totals[d] = degree_totals.get(d, 0) + 1
-            if fps is not None:
-                fps.append(fingerprint_bytes(state).hex())
     except CapExceededError as exc:
         exc.result = build(False)
         raise

@@ -172,11 +172,6 @@ class PointSet:
         return tuple(i for i in range(len(self.points)) if i not in hull)
 
 
-def validate_general_position(points: Iterable[Point | tuple[int, int]]) -> PointSet:
-    """Build a PointSet, raising DuplicatePointError / CollinearTripleError."""
-    return PointSet(points)
-
-
 class AugmentedPointSet:
     """A point set together with a bounding triangle that is its convex hull.
 

@@ -1,14 +1,15 @@
 """Triangulations over (augmented) point sets, with edge flips.
 
-The representation is a triangle soup with two derived maps: the edge
--> apex map, which the flips and the flip-graph walk read, and the
-oriented star map (vertex x -> {y: z} for each CCW triangle (x, y, z)),
-from which a vertex's link cycle is walked in O(degree).  Each
-triangulation stores its vertex-index triples in CCW order, in a
-canonical sorted form, plus a reference to the underlying point
-container.  Flips return new values; nothing is mutated.  ``flipped``
-is the one edge flip, shared by ``Triangulation.flip`` and the
-flip-graph walk.
+The representation is a triangle soup with one derived adjacency map,
+the oriented star map (vertex x -> {y: z} for each CCW triangle
+(x, y, z)).  The flips, the flip-graph walk, the link cycles and the
+flip-trees all read it: the edge uv has apexes ``star[u][v]`` and
+``star[v][u]`` (one is absent on the hull), and a vertex's link cycle
+is walked in O(degree).  Each triangulation stores its vertex-index
+triples in CCW order, in a canonical sorted form, plus a reference to
+the underlying point container.  Flips return new values; nothing is
+mutated.  ``flipped`` is the one edge flip, shared by
+``Triangulation.flip`` and the flip-graph walk.
 
 The fingerprint is the SHA-256 of the sorted edge list (two bytes per
 index, little endian), truncated to 16 bytes.  It names a triangulation
@@ -63,16 +64,6 @@ def edges_of(tris) -> list[EdgeRef]:
         es.add(edge(b, c))
         es.add(edge(c, a))
     return sorted(es)
-
-
-def edge_apex_map(tris) -> dict[EdgeRef, list[int]]:
-    """For each edge, the apexes of its incident triangles (1 or 2)."""
-    m: dict[EdgeRef, list[int]] = {}
-    for a, b, c in tris:
-        m.setdefault(edge(a, b), []).append(c)
-        m.setdefault(edge(b, c), []).append(a)
-        m.setdefault(edge(c, a), []).append(b)
-    return m
 
 
 def star_map(tris) -> dict[int, dict[int, int]]:
@@ -150,13 +141,13 @@ class Triangulation:
     triples.
     """
 
-    __slots__ = ("vertices", "triangles", "_edges", "_apexes", "_fp")
+    __slots__ = ("vertices", "triangles", "_edges", "_star", "_fp")
 
     def __init__(self, vertices, triangles, check: bool = False):
         self.vertices = vertices
         self.triangles = canonical_triangles(triangles)
         self._edges = None
-        self._apexes = None
+        self._star = None
         self._fp = None
         if check:
             self.validate()
@@ -172,10 +163,11 @@ class Triangulation:
         return self._edges
 
     @property
-    def apex_map(self) -> dict[EdgeRef, list[int]]:
-        if self._apexes is None:
-            self._apexes = edge_apex_map(self.triangles)
-        return self._apexes
+    def star(self) -> dict[int, dict[int, int]]:
+        """The ``star_map`` of the triangles (read it, do not mutate it)."""
+        if self._star is None:
+            self._star = star_map(self.triangles)
+        return self._star
 
     def fingerprint(self) -> str:
         if self._fp is None:
@@ -198,24 +190,19 @@ class Triangulation:
     # --- flips ---
 
     def is_flippable(self, e: EdgeRef) -> bool:
-        e = edge(*e)
-        apexes = self.apex_map.get(e)
-        if apexes is None:
-            raise UnknownEdgeError(f"edge {e} not in triangulation")
-        if len(apexes) < 2:
-            return False
-        x, y = apexes
-        u, v = e
-        # The quad is strictly convex iff the candidate diagonal xy
-        # properly crosses uv.
-        return crosses(self.vertices.xy, x, y, u, v)
+        u, v = edge(*e)
+        x, y = self.star.get(u, {}).get(v), self.star.get(v, {}).get(u)
+        if x is None and y is None:
+            raise UnknownEdgeError(f"edge {(u, v)} not in triangulation")
+        # A hull edge has one apex.  The quad is strictly convex iff the
+        # candidate diagonal xy properly crosses uv.
+        return None not in (x, y) and crosses(self.vertices.xy, x, y, u, v)
 
     def flip(self, e: EdgeRef) -> "Triangulation":
-        e = edge(*e)
-        if not self.is_flippable(e):
-            raise NotFlippableError(f"edge {e} cannot be flipped")
-        u, v = e
-        x, y = self.apex_map[e]
+        u, v = edge(*e)
+        if not self.is_flippable((u, v)):
+            raise NotFlippableError(f"edge {(u, v)} cannot be flipped")
+        x, y = self.star[u][v], self.star[v][u]
         return Triangulation(self.vertices, flipped(self.vertices.xy, self.triangles, u, v, x, y))
 
     def flippable_edges(self) -> list[EdgeRef]:
@@ -224,16 +211,13 @@ class Triangulation:
     # --- structure queries ---
 
     def degree_map(self) -> dict[int, int]:
-        deg: dict[int, int] = {}
-        for i, j in self.edge_set:
-            deg[i] = deg.get(i, 0) + 1
-            deg[j] = deg.get(j, 0) + 1
-        return deg
+        # A vertex's neighbours are the keys and the values of its star.
+        return {p: len(succ.keys() | succ.values()) for p, succ in self.star.items()}
 
     def link_cycle(self, p: int) -> list[int]:
         """Neighbours of interior vertex p in CCW order around p, starting
         at the smallest index."""
-        cycle = star_link(star_map(self.triangles), p)
+        cycle = star_link(self.star, p)
         if cycle is None:
             raise ValueError(f"vertex {p} is not interior")
         return cycle
@@ -245,10 +229,9 @@ class Triangulation:
         for a, b, c in self.triangles:
             if orient(xy[a], xy[b], xy[c]) != CCW:
                 raise ValueError(f"triangle {(a, b, c)} is not CCW")
-        # Every edge borders one or two triangles.
-        for e, apexes in self.apex_map.items():
-            if len(apexes) > 2:
-                raise ValueError(f"edge {e} borders {len(apexes)} triangles")
+        # One triangle per directed edge, so at most two per edge.
+        if sum(map(len, self.star.values())) != 3 * len(self.triangles):
+            raise ValueError("a directed edge lies in two triangles")
         # Exact area audit: interior-disjoint CCW triangles covering the
         # hull must sum to the hull area.
         hull = self.vertices.convex_hull_indices()

@@ -2,7 +2,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import DownFlipOracle, enumerate_charging_vints, rules_by_walk, walk_vints
@@ -40,7 +40,7 @@ from trichor.geometry import (
 )
 from trichor.polygons import SimplePolygon, catalan
 from trichor.rng import SplitMix64
-from trichor.triangulation import Triangulation, initial_triangulation, star_map
+from trichor.triangulation import Triangulation, initial_triangulation
 
 H2 = (((), ()), ((), ()))  # a level-1 branch, complete to height 3
 COMPLETE_H3 = (H2, H2, H2)
@@ -527,7 +527,7 @@ def test_flip_tree_face_revisit_raises_invariant_error():
     u, v = next(e for e in ((a, b), (b, c), (c, a)) if set(e) == set(node.dual))
     used = {node.face()}
     with pytest.raises(InvariantError):
-        _grow_node(xy, star_map(t.triangles), p, u, v, node.opp, u, used, 1)
+        _grow_node(xy, t.star, p, u, v, node.opp, u, used, 1)
 
 
 def test_invariant_error_pickles():
@@ -627,8 +627,7 @@ def test_audit_rhs_matches_direct_charge_sum():
     assert total == rep.conservation_rhs
 
 
-@settings(max_examples=100, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.filter_too_much])
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(big_sets(max_points=5))
 def test_charge_conservation_on_large_coordinates(P):
     rep = audit(P)

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trichor.enumeration import (
@@ -11,7 +12,7 @@ from trichor.enumeration import (
     tri_upper_bound,
     vhat,
 )
-from trichor.errors import CapExceededError, TrichorError
+from trichor.errors import CapExceededError, InvariantError
 from trichor.geometry import (
     AugmentedPointSet,
     Point,
@@ -20,6 +21,7 @@ from trichor.geometry import (
     gen_convex,
     gen_convex_arc_in_triangle,
     gen_random,
+    orient,
     read_points,
     write_points,
 )
@@ -78,12 +80,62 @@ def test_cap_zero_partial_result_has_vhat_zero():
 
 
 def test_capped_fingerprints_are_prefix_of_full():
-    full = enumerate_all(gen_convex(6), collect_fingerprints=True)
-    with pytest.raises(CapExceededError) as exc:
-        enumerate_all(gen_convex(6), cap=5, collect_fingerprints=True)
-    capped = exc.value.result
-    assert len(capped.fingerprints) == 5
-    assert set(capped.fingerprints) <= set(full.fingerprints)
+    full = list(flip_graph_states(gen_convex(6)))
+    capped = []
+    with pytest.raises(CapExceededError):
+        for state in flip_graph_states(gen_convex(6), cap=5):
+            capped.append(state)
+    assert capped == full[:5]
+
+
+def _drop_one(tris):
+    return tris[:-1]
+
+
+def _duplicate_one(tris):
+    return tris + tris[:1]
+
+
+def _replace_by_duplicate(tris):
+    # The count is right, but two triangles share all three directed edges.
+    return tris[1:2] + tris[1:]
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [(_drop_one, "Euler"), (_duplicate_one, "Euler"), (_replace_by_duplicate, "directed edge")],
+)
+def test_walk_rejects_corrupted_flip_before_yielding_it(monkeypatch, corrupt, message):
+    import trichor.enumeration as enumeration
+
+    real = enumeration.flipped
+    bad = []
+
+    def flipped(*args):
+        bad.append(corrupt(real(*args)))
+        return bad[-1]
+
+    monkeypatch.setattr(enumeration, "flipped", flipped)
+    P = augment(gen_random(5, 4))
+    yielded = []
+    with pytest.raises(InvariantError, match=message):
+        for state in flip_graph_states(P):
+            yielded.append(state)
+    assert bad and yielded
+    assert not set(yielded) & set(bad)
+
+
+def test_walk_rejects_overlapping_triangles_by_edge_count(monkeypatch):
+    # The fan of a convex hexagon from vertex 0 with its last triangle
+    # swapped for (1, 3, 5): four CCW triangles, no directed edge twice,
+    # but only two interior edges where a triangulation has three.
+    import trichor.enumeration as enumeration
+
+    P = gen_convex(6)
+    bad = Triangulation(P, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (1, 3, 5)])
+    monkeypatch.setattr(enumeration, "initial_triangulation", lambda c: bad)
+    with pytest.raises(InvariantError, match="Euler"):
+        next(flip_graph_states(P))
 
 
 WALK_INSTANCES = (
@@ -201,22 +253,28 @@ def big_sets(draw, max_points=6):
     """One to ``max_points`` points inside the frame (-M, -M), (M, t),
     (-M, M), drawn from the box x in [-M/2, 0], |y| <= M/4, which lies
     strictly inside for every |t| <= M/4.  A point's y may repeat t or an
-    earlier point's y, so horizontal rays through vertices get exercised."""
+    earlier point's y, so horizontal rays through vertices get exercised.
+
+    A drawn point that would repeat a point or lie on a line through two
+    is skipped, not rejected.  The size is one plus the coordinate sum
+    modulo ``max_points``: hypothesis draws its examples in near-copies,
+    so a size drawn on its own repeats across them and leaves some sizes
+    rare in a short run."""
     t = draw(st.integers(-M // 4, M // 4))
+    frame = [(-M, -M), (M, t), (-M, M)]
     pts = []
-    for _ in range(draw(st.integers(1, max_points))):
-        ys = [t] + [y for _, y in pts]
-        y = draw(st.one_of(st.integers(-M // 4, M // 4), st.sampled_from(ys)))
-        pts.append((draw(st.integers(-M // 2, 0)), y))
-    frame = [Point(-M, -M), Point(M, t), Point(-M, M)]
-    try:
-        return AugmentedPointSet(PointSet(pts), frame)
-    except TrichorError:
-        assume(False)
+    for _ in range(3 * max_points):
+        y = draw(st.integers(-M // 4, M // 4) | st.sampled_from([t] + [y for _, y in pts]))
+        p = (draw(st.integers(-M // 2, 0)), y)
+        if all(orient(a, b, p) for a, b in combinations(frame + pts, 2)):
+            pts.append(p)
+        if len(pts) == max_points:
+            break
+    n = 1 + sum(map(sum, pts)) % max_points
+    return AugmentedPointSet(PointSet(pts[:n]), [Point(*q) for q in frame])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.filter_too_much])
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(big_sets())
 def test_recursion_counts_equal_walk_on_large_coordinates(P):
     walk = enumerate_all(P)

@@ -16,7 +16,6 @@ from trichor.geometry import (
     orient,
     point_in_triangle,
     read_points,
-    validate_general_position,
     write_points,
 )
 from trichor.rng import SplitMix64
@@ -45,19 +44,19 @@ def test_point_rejects_floats():
 
 
 def test_validate_general_position_ok():
-    ps = validate_general_position([(0, 0), (5, 1), (1, 5)])
+    ps = PointSet([(0, 0), (5, 1), (1, 5)])
     assert len(ps) == 3
 
 
 def test_validate_collinear_rejected():
     with pytest.raises(CollinearTripleError) as exc:
-        validate_general_position([(0, 0), (1, 1), (2, 2)])
+        PointSet([(0, 0), (1, 1), (2, 2)])
     assert exc.value.indices == (0, 1, 2)
 
 
 def test_validate_duplicate_rejected():
     with pytest.raises(DuplicatePointError) as exc:
-        validate_general_position([(0, 0), (0, 0)])
+        PointSet([(0, 0), (0, 0)])
     assert exc.value.indices == (0, 1)
 
 
@@ -127,7 +126,7 @@ def test_gen_random_deterministic():
 def test_gen_random_general_position():
     for seed in range(8):
         ps = gen_random(7, seed)
-        validate_general_position(ps.points)
+        PointSet(ps.points)
 
 
 def test_points_roundtrip(tmp_path):

@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import check_simple_by_edge_pairs
@@ -36,16 +36,15 @@ from trichor.triangulation import Triangulation
 SRC = Path(__file__).resolve().parent.parent / "src" / "trichor"
 
 
-@settings(max_examples=30, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.filter_too_much])
-@given(big_sets())
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(big_sets(max_points=5))
 def test_flip_lands_on_walk_state_and_is_an_involution(P):
     states = list(flip_graph_states(P))
     walk = set(states)
     for tris in states:
         t = Triangulation(P, tris)
         for u, v in t.flippable_edges():
-            x, y = t.apex_map[u, v]
+            x, y = t.star[u][v], t.star[v][u]
             f = t.flip((u, v))
             assert f.triangles in walk
             f.validate()
@@ -84,8 +83,7 @@ def test_augmented_hull_is_the_frame(P):
     assert P.convex_hull_indices() in _rotations(hull)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.filter_too_much])
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(big_sets())
 def test_augmented_hull_is_the_frame_on_large_coordinates(P):
     hull = list(PointSet(P.points).convex_hull_indices())

@@ -224,7 +224,7 @@ def test_json_export_sorted():
 
 def test_validate_rejects_overlapping_triangles():
     ps = square()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="directed edge"):
         Triangulation(ps, [(0, 1, 2), (0, 2, 3), (0, 1, 3)], check=True)
 
 
