@@ -15,9 +15,10 @@ all-rigid subtree at the root) captures exactly the support-1 chargers.
 ``audit`` runs the whole scheme over every triangulation of an instance
 and checks charge conservation, the per-degree charger-count bound, and
 the maximum charge received by any 3-vint.  Each triangulation is read
-through one star map; a run of triangulations yields one AuditReport,
-and ``AuditReport.merge`` adds the report of the run that follows, so
-chunks audited in pool workers combine into the sequential report.
+through one star map and each 3-vint through its flat flip-tree key; a
+run of triangulations yields one AuditReport, and ``AuditReport.merge``
+adds the report of the run that follows, so chunks audited in pool
+workers combine into the sequential report.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, lcm
 from typing import NamedTuple
 
 from .enumeration import flip_graph_states
@@ -118,9 +119,6 @@ class FlipTreeNode(NamedTuple):
     level: int
     children: tuple[FlipTreeNode, ...] = ()
 
-    def face(self) -> tuple[int, int, int]:
-        return tuple(sorted((self.dual[0], self.dual[1], self.apex)))
-
     def iter_nodes(self):
         yield self
         for c in self.children:
@@ -134,7 +132,7 @@ class FlipTree(NamedTuple):
     (at most three) arise from hole-triangle edges flippable in the base
     triangulation, deeper children (at most two each) from expansions
     that keep the grown polygon star-shaped around the point.  A tree
-    is a value: equal trees compare and hash equal.
+    is a value, equal to another exactly when their ``flip_tree_key``s are.
     """
 
     point: int
@@ -190,28 +188,25 @@ def subtree_size_counts(children) -> list[int]:
     return counts
 
 
-def _grow_node(xy, star, p, u, v, opp, first, used, level):
-    """Child through edge (u, v), whose near triangle lies on its left,
-    or None.  ``opp`` is the parent triangle's vertex opposite (u, v)
-    (used for the rigidity test); the child edge at endpoint ``first``
-    comes first among the node's children."""
+def _grow_node(xy, star, p, u, v, opp, first, used, out):
+    """Append to ``out`` the preorder of the child slot through edge
+    (u, v), whose near triangle lies on its left: -1 if it is empty, else
+    the apex q, 1 if (u, v) is rigid (cannot flip to (opp, q)) or 0, and
+    its two child slots, the one at endpoint ``first`` first.  ``used``
+    holds the vertex bit masks of the faces grown so far."""
     q = star[v].get(u)
     if q is None or not crosses(xy, p, q, u, v):
-        return None
-    face = tuple(sorted((u, v, q)))
+        out.append(-1)
+        return
+    face = 1 << u | 1 << v | 1 << q
     if face in used:
         raise InvariantError("flip-tree expansion revisited a face")
     used.add(face)
-    rigid = not crosses(xy, opp, q, u, v)
+    out += (q, 0 if crosses(xy, opp, q, u, v) else 1)
     # The far face (u, q, v) lies left of its edges u -> q and q -> v;
-    # below it, the child edge at q comes first.
-    at_u, at_v = (u, q, v), (q, v, u)
-    children = []
-    for a, b, o in (at_u, at_v) if first == u else (at_v, at_u):
-        child = _grow_node(xy, star, p, a, b, o, q, used, level + 1)
-        if child is not None:
-            children.append(child)
-    return FlipTreeNode(edge(u, v), q, opp, rigid, level, tuple(children))
+    # below it, the child slot at q comes first.
+    for a, b, o in ((u, q, v), (q, v, u)) if first == u else ((q, v, u), (u, q, v)):
+        _grow_node(xy, star, p, a, b, o, q, used, out)
 
 
 def _canon_cycle(cycle) -> tuple[int, ...]:
@@ -219,20 +214,44 @@ def _canon_cycle(cycle) -> tuple[int, ...]:
     return tuple(cycle[k:] + cycle[:k])
 
 
-def build_flip_tree_raw(xy, star, p: int) -> FlipTree:
-    """Flip-tree of the 3-vint p over raw coordinate tuples; ``star`` is
-    the ``star_map`` of its triangulation (it is only read)."""
+def flip_tree_key(xy, star, p: int) -> tuple[int, ...]:
+    """The flip-tree of the 3-vint p as the flat key ``(p, a, b, c,
+    *preorder)`` over p's link (a, b, c) and the ``star_map`` ``star``
+    (only read); equal keys mean equal flip-trees."""
     link = star_link(star, p)
     if link is None:
         raise NotA3VintError(f"point {p} is not interior")
     if len(link) != 3:
         raise NotA3VintError(f"point {p} has degree {len(link)}")
     a, b, c = link
+    out = [p, a, b, c]
     used = set()
-    children = [
-        _grow_node(xy, star, p, u, v, w, u, used, 1) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))
-    ]
-    return FlipTree(p, (a, b, c), tuple(node for node in children if node is not None))
+    for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+        _grow_node(xy, star, p, u, v, w, u, used, out)
+    return tuple(out)
+
+
+def tree_from_key(key: tuple[int, ...]) -> FlipTree:
+    """Decode a ``flip_tree_key``; a slot's place fixes dual, opp and level."""
+    p, a, b, c = key[:4]
+    preorder = iter(key[4:])
+
+    def node(u, v, opp, first, level):
+        q = next(preorder)
+        if q < 0:
+            return None
+        rigid = next(preorder) == 1
+        slots = ((u, q, v), (q, v, u)) if first == u else ((q, v, u), (u, q, v))
+        kids = [node(x, y, o, q, level + 1) for x, y, o in slots]
+        return FlipTreeNode(edge(u, v), q, opp, rigid, level, tuple(k for k in kids if k is not None))
+
+    kids = [node(u, v, w, u, 1) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))]
+    return FlipTree(p, (a, b, c), tuple(k for k in kids if k is not None))
+
+
+def build_flip_tree_raw(xy, star, p: int) -> FlipTree:
+    """The FlipTree of the 3-vint p: its ``flip_tree_key``, decoded."""
+    return tree_from_key(flip_tree_key(xy, star, p))
 
 
 def build_flip_tree(v: Vint) -> FlipTree:
@@ -388,19 +407,16 @@ class SubtreeInfo:
         return len(self.dual_edges) + 3
 
 
-def iter_subtrees(tree: FlipTree):
-    """Yield SubtreeInfo for every root-containing subtree.
-
-    The polygon is maintained incrementally: including a node replaces
-    its dual edge (u, v) on the boundary cycle with (u, apex, v).
-    """
+def _subtree_walk(tree: FlipTree):
+    """Yield (chosen nodes, CCW boundary of the grown hole) for every
+    root-containing subtree, as live lists: copy what you keep.  Taking a
+    node replaces its dual edge (u, v) on the boundary with (u, apex, v)."""
     total = tree.subtree_count()
     if total > SUBTREE_CAP:
         raise CapExceededError(f"flip-tree has {total} subtrees, cap {SUBTREE_CAP}")
     boundary: list[int] = list(tree.link)
     pending: list[FlipTreeNode] = list(tree.children)
     chosen: list[FlipTreeNode] = []
-    out: list[SubtreeInfo] = []
 
     def insert(node: FlipTreeNode) -> int:
         u, v = node.dual
@@ -414,27 +430,29 @@ def iter_subtrees(tree: FlipTree):
 
     def rec():
         if not pending:
-            out.append(
-                SubtreeInfo(
-                    dual_edges=tuple(sorted(n.dual for n in chosen)),
-                    boundary=tuple(boundary),
-                    all_rigid=all(n.rigid for n in chosen),
-                )
-            )
+            yield chosen, boundary
             return
         node = pending.pop()
-        rec()
+        yield from rec()
         pos = insert(node)
         chosen.append(node)
         pending.extend(node.children)
-        rec()
+        yield from rec()
         for _ in node.children:
             pending.pop()
         chosen.pop()
         boundary.pop(pos)
         pending.append(node)
 
-    rec()
+    return rec()
+
+
+def iter_subtrees(tree: FlipTree) -> list[SubtreeInfo]:
+    """SubtreeInfo for every root-containing subtree, by (j, dual edges)."""
+    out = [
+        SubtreeInfo(tuple(sorted(n.dual for n in chosen)), tuple(boundary), all(n.rigid for n in chosen))
+        for chosen, boundary in _subtree_walk(tree)
+    ]
     out.sort(key=lambda s: (s.j, s.dual_edges))
     return out
 
@@ -627,10 +645,10 @@ class AuditReport:
 
 class _AuditContext:
     """Per-process audit state: the coordinates and point roles of S+,
-    the polygon counter, the charge cache keyed by flip-tree and whether
-    the structural rules run too.  Per process (each pool worker has its
-    own), a 3-vint's charge and rules are computed once per flip-tree and
-    a larger vint's rules once per ``(point, link cycle)`` in
+    the polygon counter, the charge cache keyed by ``flip_tree_key`` and
+    whether the structural rules run too.  Per process (each pool worker
+    has its own), a 3-vint's tree is decoded, charged and ruled once per
+    key and a larger vint's rules once per ``(point, link cycle)`` in
     ``rules_memo``; the report still counts and repeats every occurrence."""
 
     def __init__(self, P: AugmentedPointSet, rules: bool):
@@ -639,18 +657,22 @@ class _AuditContext:
         self.interior = list(P.interior_indices())
         self.frame = list(P.frame_indices())
         self.counter = _PolygonCounter(self.xy)
-        self.charge_cache: dict[FlipTree, tuple] = {}
+        self.charge_cache: dict[tuple[int, ...], tuple] = {}
         self.rules_memo: dict[tuple[int, tuple[int, ...]], tuple[int, int, tuple[str, ...]]] = {}
         self.rules = rules
 
-    def tree_charge(self, tree: FlipTree) -> tuple:
-        """Total charge of a flip-tree, its (degree, charger count) items
-        and, when the rules run, its 3-vint's ``_rules_vint`` result."""
-        hit = self.charge_cache.get(tree)
+    def tree_charge(self, key: tuple[int, ...]) -> tuple:
+        """Total charge of a flip-tree key, its (degree, charger count)
+        items and, when the rules run, its 3-vint's ``_rules_vint``."""
+        hit = self.charge_cache.get(key)
         if hit is None:
-            rep = charge_from_tree(tree, self.counter)
+            tree = tree_from_key(key)
+            subs = [(len(chosen), self.counter.count(boundary)) for chosen, boundary in _subtree_walk(tree)]
+            den = lcm(*(supp for _, supp in subs))
+            total = Fraction(sum((4 - j) * (den // supp) for j, supp in subs), den)
+            items = tuple((j + 3, c) for j, c in enumerate(subtree_size_counts(tree.children)) if c)
             rules = _rules_vint(self.xy, tree.point, tree.link, self.counter, tree) if self.rules else None
-            hit = self.charge_cache[tree] = (rep.total, tuple(sorted(rep.degree_counts().items())), rules)
+            hit = self.charge_cache[key] = (total, items, rules)
         return hit
 
     def tally(self, states) -> AuditReport:
@@ -659,7 +681,7 @@ class _AuditContext:
         r = AuditReport(n, rules=RulesReport() if self.rules else None)
         for tris in states:
             star = star_map(tris)
-            trees = {p: build_flip_tree_raw(xy, star, p) for p in interior if len(star[p]) == 3}
+            keys = {p: flip_tree_key(xy, star, p) for p in interior if len(star[p]) == 3}
             r.triangulation_count += 1
             # A vertex's degree is its number of triangles, plus one on the hull.
             interior_sum = 0
@@ -674,8 +696,8 @@ class _AuditContext:
                 r.violations.append("interior degree sum exceeds 6n - 3")
             # The fingerprint only labels a maximum or a violation.
             fp = None
-            for p, tree in trees.items():
-                total, count_items, _ = self.tree_charge(tree)
+            for p, key in keys.items():
+                total, count_items, _ = self.tree_charge(key)
                 r.conservation_rhs += total
                 if r.max_charge_at is None or total >= r.max_charge:
                     fp = fp or fingerprint_bytes(tris).hex()
@@ -695,8 +717,8 @@ class _AuditContext:
             if r.rules is not None:
                 rr = r.rules
                 for p in interior:
-                    if p in trees:
-                        hit = self.tree_charge(trees[p])[2]
+                    if p in keys:
+                        hit = self.tree_charge(keys[p])[2]
                     elif (cyc := star_link(star, p)) is None:
                         # A broken link is reported at every occurrence, never memoised.
                         rr.violations.append(f"point {p} link is not a single cycle")

@@ -203,7 +203,9 @@ class Triangulation:
         if not self.is_flippable((u, v)):
             raise NotFlippableError(f"edge {(u, v)} cannot be flipped")
         x, y = self.star[u][v], self.star[v][u]
-        return Triangulation(self.vertices, flipped(self.vertices.xy, self.triangles, u, v, x, y))
+        t = Triangulation(self.vertices, ())
+        t.triangles = flipped(self.vertices.xy, self.triangles, u, v, x, y)  # already canonical
+        return t
 
     def flippable_edges(self) -> list[EdgeRef]:
         return [e for e in self.edge_set if self.is_flippable(e)]

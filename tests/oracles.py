@@ -8,19 +8,29 @@ non-crossing diagonal subsets.  Vertex visibility is recomputed by an
 exact ray cast from the segment's midpoint, and boundary simplicity by
 an edge-pair sweep.  The charging vints of a 3-vint are rebuilt as
 explicit triangulations from its flip-tree, and the structural-rule
-sweep is redone one vint at a time with explicit flips.
+sweep is redone one vint at a time with explicit flips.  Flip-trees are
+rebuilt node by node as ``FlipTree`` values, without the flat key.
 """
 
 from collections import defaultdict
 from functools import cmp_to_key
 
-from trichor.charging import RulesReport, Vint, build_flip_tree, hole_of, iter_subtrees, support
+from trichor.charging import (
+    FlipTree,
+    FlipTreeNode,
+    RulesReport,
+    Vint,
+    build_flip_tree,
+    hole_of,
+    iter_subtrees,
+    support,
+)
 from trichor.enumeration import flip_graph_states
-from trichor.errors import NotSimpleError
+from trichor.errors import InvariantError, NotA3VintError, NotSimpleError
 from trichor.geometry import Point, crosses, point_on_open_segment
 from trichor.polygons import SimplePolygon, catalan, is_diagonal
 from trichor.rng import SplitMix64
-from trichor.triangulation import Triangulation, _ccw, edge
+from trichor.triangulation import Triangulation, _ccw, edge, star_link
 
 
 class DownFlipOracle:
@@ -333,3 +343,44 @@ def rules_by_walk(P) -> RulesReport:
                 if all(crosses(P.xy, node.opp, k.apex, *node.dual) for k in kids):
                     rep.violations.append(f"both children of a rigid edge can free it at point {p}")
     return rep
+
+
+def _reference_grow_node(xy, star, p, u, v, opp, first, used, level):
+    """Child through edge (u, v), whose near triangle lies on its left,
+    or None.  ``opp`` is the parent triangle's vertex opposite (u, v)
+    (used for the rigidity test); the child edge at endpoint ``first``
+    comes first among the node's children."""
+    q = star[v].get(u)
+    if q is None or not crosses(xy, p, q, u, v):
+        return None
+    face = tuple(sorted((u, v, q)))
+    if face in used:
+        raise InvariantError("flip-tree expansion revisited a face")
+    used.add(face)
+    rigid = not crosses(xy, opp, q, u, v)
+    # The far face (u, q, v) lies left of its edges u -> q and q -> v;
+    # below it, the child edge at q comes first.
+    at_u, at_v = (u, q, v), (q, v, u)
+    children = []
+    for a, b, o in (at_u, at_v) if first == u else (at_v, at_u):
+        child = _reference_grow_node(xy, star, p, a, b, o, q, used, level + 1)
+        if child is not None:
+            children.append(child)
+    return FlipTreeNode(edge(u, v), q, opp, rigid, level, tuple(children))
+
+
+def reference_flip_tree(xy, star, p: int) -> FlipTree:
+    """Reference for ``build_flip_tree_raw``: the flip-tree of the 3-vint
+    p grown node by node into ``FlipTreeNode`` values, with no flat key;
+    ``star`` is the ``star_map`` of its triangulation."""
+    link = star_link(star, p)
+    if link is None:
+        raise NotA3VintError(f"point {p} is not interior")
+    if len(link) != 3:
+        raise NotA3VintError(f"point {p} has degree {len(link)}")
+    a, b, c = link
+    used = set()
+    children = [
+        _reference_grow_node(xy, star, p, u, v, w, u, used, 1) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))
+    ]
+    return FlipTree(p, (a, b, c), tuple(node for node in children if node is not None))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import DownFlipOracle, enumerate_charging_vints, rules_by_walk, walk_vints
+from conftest import full_corpus
+from oracles import DownFlipOracle, enumerate_charging_vints, reference_flip_tree, rules_by_walk, walk_vints
 from test_enumeration import big_sets
 from trichor import charging
 from trichor.charging import (
@@ -15,14 +16,17 @@ from trichor.charging import (
     audit,
     build_flip_tree,
     charge,
+    charge_from_tree,
     contr_minus,
     contr_plus,
     contr_plus_census,
     contr_plus_closed_form,
+    flip_tree_key,
     hole_of,
     iter_subtrees,
     rigid_core,
     support,
+    tree_from_key,
 )
 from trichor.enumeration import check_v3_recursion, enumerate_all, flip_graph_states
 from trichor.errors import (
@@ -40,7 +44,7 @@ from trichor.geometry import (
 )
 from trichor.polygons import SimplePolygon, catalan
 from trichor.rng import SplitMix64
-from trichor.triangulation import Triangulation, initial_triangulation
+from trichor.triangulation import Triangulation, initial_triangulation, star_map
 
 H2 = (((), ()), ((), ()))  # a level-1 branch, complete to height 3
 COMPLETE_H3 = (H2, H2, H2)
@@ -525,9 +529,77 @@ def test_flip_tree_face_revisit_raises_invariant_error():
     # The link edge of the root child, oriented with p on its left.
     a, b, c = tree.link
     u, v = next(e for e in ((a, b), (b, c), (c, a)) if set(e) == set(node.dual))
-    used = {node.face()}
+    # The growth routine marks a face by the bit mask of its vertices.
+    used = {1 << u | 1 << v | 1 << node.apex}
     with pytest.raises(InvariantError):
-        _grow_node(xy, t.star, p, u, v, node.opp, u, used, 1)
+        _grow_node(xy, t.star, p, u, v, node.opp, u, used, [])
+
+
+# --- flat flip-tree keys ---
+
+KEY_INSTANCES = dict(
+    [(name, P) for name, P in full_corpus() if P.n <= 6] + [("random-n7-s148", augment(gen_random(7, 148)))]
+)
+
+
+@cache
+def keyed_occurrences(name):
+    """(flat key, reference tree) for every 3-vint of every state."""
+    P = KEY_INSTANCES[name]
+    out = []
+    for tris in flip_graph_states(P):
+        star = star_map(tris)
+        for p in P.interior_indices():
+            if len(star[p]) == 3:
+                out.append((flip_tree_key(P.xy, star, p), reference_flip_tree(P.xy, star, p)))
+    return out
+
+
+def test_flip_tree_keys_decode_to_reference_trees_and_split_like_them():
+    classes = {}
+    for name in KEY_INSTANCES:
+        pairs = keyed_occurrences(name)
+        for key, ref in pairs:
+            assert tree_from_key(key) == ref
+        # Keys and trees give the same partition iff they pair up one to one.
+        keys, trees = {k for k, _ in pairs}, {t for _, t in pairs}
+        assert len(keys) == len(trees) == len(set(pairs))
+        classes[name] = len(keys)
+    assert classes["random-n7-s148"] == 487
+
+
+def test_audit_grows_every_key_and_decodes_once_per_miss(monkeypatch):
+    grown, decoded = [], []
+
+    def grow(xy, star, p):
+        grown.append(flip_tree_key(xy, star, p))
+        return grown[-1]
+
+    def decode(key):
+        decoded.append(key)
+        return tree_from_key(key)
+
+    monkeypatch.setattr(charging, "flip_tree_key", grow)
+    monkeypatch.setattr(charging, "tree_from_key", decode)
+    rep = audit(KEY_INSTANCES["random-n7-s148"], rules=True)
+    assert len(grown) == rep.three_vint_count
+    assert sorted(decoded) == sorted(set(grown)) and len(decoded) == 487
+
+
+def test_audit_census_agrees_with_charge_from_tree():
+    for name, P in KEY_INSTANCES.items():
+        ctx = charging._AuditContext(P, rules=False)
+        counter = charging._PolygonCounter(P.xy)
+        for key in dict(keyed_occurrences(name)):
+            tree = tree_from_key(key)
+            total, count_items, _ = ctx.tree_charge(key)
+            rep = charge_from_tree(tree, counter)
+            assert total == rep.total
+            assert count_items == tuple(sorted(rep.degree_counts().items()))
+            lean = sorted((len(chosen), tuple(boundary)) for chosen, boundary in charging._subtree_walk(tree))
+            assert lean == sorted((s.j, s.boundary) for s in iter_subtrees(tree))
+        assert len(ctx.charge_cache) == len(dict(keyed_occurrences(name)))
+        assert all(type(x) is int for k in ctx.charge_cache for x in k)
 
 
 def test_invariant_error_pickles():
@@ -625,6 +697,15 @@ def test_audit_rhs_matches_direct_charge_sum():
             if T.degree_map()[p] == 3:
                 total += charge(Vint(p, T)).total
     assert total == rep.conservation_rhs
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(big_sets(max_points=5))
+def test_audit_jobs_agree_on_large_coordinates(P):
+    one, two = audit(P, jobs=1, rules=True), audit(P, jobs=2, rules=True)
+    assert two.to_json_dict() == one.to_json_dict()
+    assert two.rules == one.rules
+    assert two.degree_totals == one.degree_totals
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
