@@ -23,6 +23,7 @@ workers combine into the sequential report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -148,8 +149,17 @@ class FlipTree(NamedTuple):
     def edge_count(self) -> int:
         return len(self.nodes())
 
+    def shape(self) -> tuple:
+        """The tree with its labels dropped: each node is the tuple of
+        its children's shapes."""
+
+        def of(nodes):
+            return tuple(of(n.children) for n in nodes)
+
+        return of(self.children)
+
     def subtree_count(self) -> int:
-        return sum(subtree_size_counts(self.children))
+        return sum(subtree_size_counts(self.shape()))
 
     def to_dot(self) -> str:
         lines = ["digraph fliptree {", "  node [shape=circle];"]
@@ -172,14 +182,13 @@ class FlipTree(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def subtree_size_counts(children) -> list[int]:
-    """``counts[j]``: the number of root-containing subtrees with j edges,
-    for a root whose child nodes are ``children`` (any nodes with
-    ``.children``)."""
+def subtree_size_counts(shape: tuple) -> list[int]:
+    """``counts[j]``: the number of root-containing subtrees with j edges
+    of the tree ``shape``, whose nodes are the tuples of their children."""
     counts = [1]
-    for c in children:
+    for c in shape:
         # Leave c out (1), or take the edge to c and a subtree below it.
-        factor = [1] + subtree_size_counts(c.children)
+        factor = [1] + subtree_size_counts(c)
         prod = [0] * (len(counts) + len(factor) - 1)
         for i, a in enumerate(counts):
             for k, b in enumerate(factor):
@@ -249,15 +258,10 @@ def tree_from_key(key: tuple[int, ...]) -> FlipTree:
     return FlipTree(p, (a, b, c), tuple(k for k in kids if k is not None))
 
 
-def build_flip_tree_raw(xy, star, p: int) -> FlipTree:
-    """The FlipTree of the 3-vint p: its ``flip_tree_key``, decoded."""
-    return tree_from_key(flip_tree_key(xy, star, p))
-
-
 def build_flip_tree(v: Vint) -> FlipTree:
     """Flip-tree of a 3-vint of a triangulation over an augmented set."""
     t = v.triangulation
-    return build_flip_tree_raw(t.vertices.xy, t.star, v.point)
+    return tree_from_key(flip_tree_key(t.vertices.xy, t.star, v.point))
 
 
 # ---------------------------------------------------------------------------
@@ -265,52 +269,36 @@ def build_flip_tree(v: Vint) -> FlipTree:
 # ---------------------------------------------------------------------------
 
 
-class CoreNode:
-    """Abstract rigid-core node: only the branching shape matters."""
-
-    __slots__ = ("children", "level")
-
-    def __init__(self, children=(), level=1):
-        self.children = tuple(children)
-        self.level = level
-
-    def iter_nodes(self):
-        yield self
-        for c in self.children:
-            yield from c.iter_nodes()
-
-
 class RigidCore:
-    """Maximal root-containing all-rigid subtree of a flip-tree.
+    """Maximal root-containing all-rigid subtree of a flip-tree, kept as
+    its ``shape``: each node is the tuple of its children's shapes, e.g.
+    the complete height-3 core is ``(h2, h2, h2)`` with
+    ``h2 = (((), ()), ((), ()))``.
 
     Level statistics: lambda1..lambda3 count edges per level, nu2 counts
-    level-1 nodes with two child edges.  The structural restrictions
-    lambda1 <= 3, lambda2 <= 2 lambda1, lambda3 <= 2 lambda2 and
-    nu2 <= lambda2 / 2 are validated on construction.
+    level-1 nodes with two child edges.  The child counts (at most three
+    at the root, two below) and the restrictions lambda2 <= 2 lambda1,
+    lambda3 <= 2 lambda2 and nu2 <= lambda2 / 2 are validated on
+    construction.
     """
 
-    __slots__ = ("children", "m", "lambda1", "lambda2", "lambda3", "nu2", "max_level")
+    __slots__ = ("shape", "m", "lambda1", "lambda2", "lambda3", "nu2", "max_level")
 
-    def __init__(self, children: tuple[CoreNode, ...]):
-        if len(children) > 3:
+    def __init__(self, shape: tuple):
+        if len(shape) > 3:
             raise ValueError("core root has more than three children")
-        self.children = children
-        levels: dict[int, int] = {}
-        self.nu2 = 0
-        self.m = 0
-        self.max_level = 0
-        for c in children:
-            for node in c.iter_nodes():
-                if len(node.children) > 2:
-                    raise ValueError("core node has more than two children")
-                self.m += 1
-                levels[node.level] = levels.get(node.level, 0) + 1
-                self.max_level = max(self.max_level, node.level)
-                if node.level == 1 and len(node.children) == 2:
-                    self.nu2 += 1
-        self.lambda1 = levels.get(1, 0)
-        self.lambda2 = levels.get(2, 0)
-        self.lambda3 = levels.get(3, 0)
+        self.shape = shape
+        # widths[i]: the number of edges (nodes) at level i + 1.
+        widths, level = [], shape
+        while level:
+            if any(len(node) > 2 for node in level):
+                raise ValueError("core node has more than two children")
+            widths.append(len(level))
+            level = [c for node in level for c in node]
+        self.m = sum(widths)
+        self.max_level = len(widths)
+        self.lambda1, self.lambda2, self.lambda3 = (widths + [0, 0, 0])[:3]
+        self.nu2 = sum(len(node) == 2 for node in shape)
         if not (
             self.lambda2 <= 2 * self.lambda1
             and self.lambda3 <= 2 * self.lambda2
@@ -318,25 +306,10 @@ class RigidCore:
         ):
             raise ValueError("rigid-core level statistics violate the restrictions")
 
-    @classmethod
-    def from_shape(cls, shape) -> "RigidCore":
-        """Build an abstract core from nested child-count tuples.
-
-        ``shape`` is a tuple of child shapes for the root; each child
-        shape is again a tuple for that node's children, e.g. the
-        complete height-3 core is ``(h2, h2, h2)`` with
-        ``h2 = (((), ()), ((), ()))``.
-        """
-
-        def build(sub, level):
-            return CoreNode(tuple(build(s, level + 1) for s in sub), level)
-
-        return cls(tuple(build(s, 1) for s in shape))
-
     def subtree_edge_counts(self) -> list[int]:
         """Edge count j of every root-containing subtree, in ascending
         order."""
-        counts = subtree_size_counts(self.children)
+        counts = subtree_size_counts(self.shape)
         total = sum(counts)
         if total > SUBTREE_CAP:
             raise CapExceededError(f"core has {total} subtrees, cap {SUBTREE_CAP}")
@@ -344,16 +317,13 @@ class RigidCore:
 
 
 def rigid_core(tree: FlipTree) -> RigidCore:
-    """Extract the maximal root-containing all-rigid subtree."""
+    """The RigidCore of the tree's all-rigid part: a child is kept only
+    when its edge is rigid, recursively."""
 
-    def keep(node: FlipTreeNode, level: int) -> CoreNode | None:
-        if not node.rigid:
-            return None
-        kids = [keep(c, level + 1) for c in node.children]
-        return CoreNode(tuple(k for k in kids if k is not None), level)
+    def keep(nodes):
+        return tuple(keep(n.children) for n in nodes if n.rigid)
 
-    kept = [keep(c, 1) for c in tree.children]
-    return RigidCore(tuple(k for k in kept if k is not None))
+    return RigidCore(keep(tree.children))
 
 
 def contr_plus_closed_form(core: RigidCore) -> int:
@@ -647,9 +617,12 @@ class _AuditContext:
     """Per-process audit state: the coordinates and point roles of S+,
     the polygon counter, the charge cache keyed by ``flip_tree_key`` and
     whether the structural rules run too.  Per process (each pool worker
-    has its own), a 3-vint's tree is decoded, charged and ruled once per
-    key and a larger vint's rules once per ``(point, link cycle)`` in
-    ``rules_memo``; the report still counts and repeats every occurrence."""
+    has its own), a 3-vint's tree is decoded and censused once per key,
+    and everything that depends only on the key is cached with it: the
+    charge, the charger counts per degree, their bound violations and
+    the rules.  A larger vint's rules are computed once per ``(point,
+    link cycle)`` in ``rules_memo``; the report still counts and repeats
+    every occurrence."""
 
     def __init__(self, P: AugmentedPointSet, rules: bool):
         self.n = P.n
@@ -663,16 +636,22 @@ class _AuditContext:
 
     def tree_charge(self, key: tuple[int, ...]) -> tuple:
         """Total charge of a flip-tree key, its (degree, charger count)
-        items and, when the rules run, its 3-vint's ``_rules_vint``."""
+        items by degree, the charger-count-bound violations and, when the
+        rules run, its 3-vint's ``_rules_vint``."""
         hit = self.charge_cache.get(key)
         if hit is None:
             tree = tree_from_key(key)
             subs = [(len(chosen), self.counter.count(boundary)) for chosen, boundary in _subtree_walk(tree)]
             den = lcm(*(supp for _, supp in subs))
             total = Fraction(sum((4 - j) * (den // supp) for j, supp in subs), den)
-            items = tuple((j + 3, c) for j, c in enumerate(subtree_size_counts(tree.children)) if c)
+            items = tuple(sorted(Counter(j + 3 for j, _ in subs).items()))
+            over = []
+            for degree, cnt in items:
+                bound = 1 if degree == 3 else catalan(degree - 1) - catalan(degree - 2)
+                if cnt > bound:
+                    over.append(f"{cnt} chargers of degree {degree} at point {tree.point} exceed bound {bound}")
             rules = _rules_vint(self.xy, tree.point, tree.link, self.counter, tree) if self.rules else None
-            hit = self.charge_cache[key] = (total, items, rules)
+            hit = self.charge_cache[key] = (total, items, tuple(over), rules)
         return hit
 
     def tally(self, states) -> AuditReport:
@@ -681,7 +660,7 @@ class _AuditContext:
         r = AuditReport(n, rules=RulesReport() if self.rules else None)
         for tris in states:
             star = star_map(tris)
-            keys = {p: flip_tree_key(xy, star, p) for p in interior if len(star[p]) == 3}
+            charged = {p: self.tree_charge(flip_tree_key(xy, star, p)) for p in interior if len(star[p]) == 3}
             r.triangulation_count += 1
             # A vertex's degree is its number of triangles, plus one on the hull.
             interior_sum = 0
@@ -696,19 +675,14 @@ class _AuditContext:
                 r.violations.append("interior degree sum exceeds 6n - 3")
             # The fingerprint only labels a maximum or a violation.
             fp = None
-            for p, key in keys.items():
-                total, count_items, _ = self.tree_charge(key)
+            for p, (total, count_items, over, _) in charged.items():
                 r.conservation_rhs += total
                 if r.max_charge_at is None or total >= r.max_charge:
                     fp = fp or fingerprint_bytes(tris).hex()
                     r.offer_max(total, (fp, p))
                 for degree, cnt in count_items:
                     r.offer_chargers(degree, cnt)
-                    bound = 1 if degree == 3 else catalan(degree - 1) - catalan(degree - 2)
-                    if cnt > bound:
-                        r.violations.append(
-                            f"{cnt} chargers of degree {degree} at point {p} exceed bound {bound}"
-                        )
+                r.violations.extend(over)
                 if total >= HARD_CHARGE_BOUND:
                     fp = fp or fingerprint_bytes(tris).hex()
                     r.violations.append(
@@ -717,8 +691,8 @@ class _AuditContext:
             if r.rules is not None:
                 rr = r.rules
                 for p in interior:
-                    if p in keys:
-                        hit = self.tree_charge(keys[p])[2]
+                    if p in charged:
+                        hit = charged[p][3]
                     elif (cyc := star_link(star, p)) is None:
                         # A broken link is reported at every occurrence, never memoised.
                         rr.violations.append(f"point {p} link is not a single cycle")

@@ -44,21 +44,14 @@ EXIT_CAPPED = 2
 EXIT_VIOLATION = 3
 
 
-def _out_stream(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
 def _emit(text: str, out: str | None) -> None:
-    stream, close = _out_stream(out)
-    try:
-        stream.write(text)
-        if not text.endswith("\n"):
-            stream.write("\n")
-    finally:
-        if close:
-            stream.close()
+    """Write ``text``, newline-terminated, to the file ``out`` or stdout."""
+    text = text if text.endswith("\n") else text + "\n"
+    if out is None or out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(out, "w") as stream:
+            stream.write(text)
 
 
 def cmd_generate(args) -> int:
@@ -193,6 +186,13 @@ def _threads() -> int:
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
+def _cap(text: str) -> int:
+    """A ``--cap`` value: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="trichor", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("enumerate", help="count all triangulations")
     e.add_argument("input")
-    e.add_argument("--cap", type=int, default=None)
+    e.add_argument("--cap", type=_cap, default=None)
     e.add_argument("--out", default=None)
     e.set_defaults(fn=cmd_enumerate)
 
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("input")
     f.add_argument("--fingerprint", default=None, help="hex fingerprint; default: seed triangulation")
     f.add_argument("--point", type=int, required=True)
-    f.add_argument("--cap", type=int, default=None)
+    f.add_argument("--cap", type=_cap, default=None)
     f.add_argument("--charge", action="store_true", help="also print the charge report")
     f.add_argument("--out", default=None)
     f.set_defaults(fn=cmd_fliptree)
@@ -243,7 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error.
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except InvariantError as exc:

@@ -370,9 +370,10 @@ def _reference_grow_node(xy, star, p, u, v, opp, first, used, level):
 
 
 def reference_flip_tree(xy, star, p: int) -> FlipTree:
-    """Reference for ``build_flip_tree_raw``: the flip-tree of the 3-vint
-    p grown node by node into ``FlipTreeNode`` values, with no flat key;
-    ``star`` is the ``star_map`` of its triangulation."""
+    """Reference for ``build_flip_tree`` (``tree_from_key`` of a
+    ``flip_tree_key``): the flip-tree of the 3-vint p grown node by node
+    into ``FlipTreeNode`` values, with no flat key; ``star`` is the
+    ``star_map`` of its triangulation."""
     link = star_link(star, p)
     if link is None:
         raise NotA3VintError(f"point {p} is not interior")

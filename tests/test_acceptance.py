@@ -190,7 +190,7 @@ def test_criterion_10_contr_formulas():
     rng = SplitMix64(9000)
     ok = True
     for _ in range(1000):
-        core = RigidCore.from_shape(_random_core_shape(rng))
+        core = RigidCore(_random_core_shape(rng))
         plus = contr_plus_closed_form(core)
         if plus != contr_plus_census(core):
             ok = False
@@ -199,7 +199,7 @@ def test_criterion_10_contr_formulas():
         if contr_minus(core) > min(0, 14 - 3 * core.m):
             ok = False
     h2 = (((), ()), ((), ()))
-    complete = RigidCore.from_shape((h2, h2, h2))
+    complete = RigidCore((h2, h2, h2))
     ok = ok and contr_plus_closed_form(complete) == 59
     report(10, ok, "contr+ closed form == census on 1000 cores, bounds hold, height-3 core gives 59")
 

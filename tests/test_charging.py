@@ -36,6 +36,8 @@ from trichor.errors import (
     NotA3VintError,
 )
 from trichor.geometry import (
+    AugmentedPointSet,
+    Point,
     PointSet,
     augment,
     gen_convex,
@@ -226,7 +228,7 @@ def test_rigid_core_all_or_nothing():
 
 
 def test_core_stats_complete_height3():
-    core = RigidCore.from_shape(COMPLETE_H3)
+    core = RigidCore(COMPLETE_H3)
     assert (core.m, core.lambda1, core.lambda2, core.lambda3, core.nu2) == (21, 3, 6, 12, 3)
     assert contr_plus_closed_form(core) == 59
     assert contr_plus_census(core) == 59
@@ -262,7 +264,7 @@ def _random_core_shape(rng, max_depth=3):
 def test_contr_plus_closed_form_equals_census_random_cores():
     rng = SplitMix64(2024)
     for _ in range(300):
-        core = RigidCore.from_shape(_random_core_shape(rng))
+        core = RigidCore(_random_core_shape(rng))
         plus = contr_plus_closed_form(core)
         assert plus == contr_plus_census(core)
         m = core.m
@@ -272,21 +274,21 @@ def test_contr_plus_closed_form_equals_census_random_cores():
 
 def test_contr_minus_small_cores():
     # m <= 4: no subtree has 5 edges.
-    core = RigidCore.from_shape((((((),),),),))
+    core = RigidCore((((((),),),),))
     assert core.m == 4
     assert contr_minus(core) == 0
     # m = 5: the whole core is the only 5-edge subtree.
-    core5 = RigidCore.from_shape((((((),),),), ()))
+    core5 = RigidCore((((((),),),), ()))
     assert core5.m == 5
     assert contr_minus(core5) == -1
     # m = 6 with exactly two leaves: -2 - 2 = -4 = 14 - 3*6.
-    core6 = RigidCore.from_shape((((((),),),), ((),)))
+    core6 = RigidCore((((((),),),), ((),)))
     assert core6.m == 6
     assert contr_minus(core6) == -4
 
 
 def test_contr_plus_deep_core_falls_back_to_census():
-    deep = RigidCore.from_shape((((((),),),),))  # levels 1..4
+    deep = RigidCore((((((),),),),))  # levels 1..4
     assert deep.max_level == 4
     with pytest.raises(HasDeepEdgesError):
         contr_plus_closed_form(deep)
@@ -295,13 +297,13 @@ def test_contr_plus_deep_core_falls_back_to_census():
 
 def test_core_rejects_too_many_children():
     with pytest.raises(ValueError):
-        RigidCore.from_shape(((), (), (), ()))
+        RigidCore(((), (), (), ()))
     with pytest.raises(ValueError):
-        RigidCore.from_shape((((), (), ()),))
+        RigidCore((((), (), ()),))
 
 
 def test_subtree_cap_enforced(monkeypatch):
-    core = RigidCore.from_shape(COMPLETE_H3)
+    core = RigidCore(COMPLETE_H3)
     monkeypatch.setattr(charging, "SUBTREE_CAP", 100)
     with pytest.raises(CapExceededError):
         core.subtree_edge_counts()
@@ -324,7 +326,7 @@ def test_isolated_three_vint_charges_four():
 
 def test_simplified_worst_case_positive_part_is_59():
     # Full support-1 tree up to the 6-vints: 4*1 + 3*3 + 2*9 + 1*28.
-    core = RigidCore.from_shape(COMPLETE_H3)
+    core = RigidCore(COMPLETE_H3)
     sizes = [j for j in core.subtree_edge_counts() if j <= 3]
     assert sum(4 - j for j in sizes) == 59
     by_j = {j: sizes.count(j) for j in range(4)}
@@ -592,7 +594,7 @@ def test_audit_census_agrees_with_charge_from_tree():
         counter = charging._PolygonCounter(P.xy)
         for key in dict(keyed_occurrences(name)):
             tree = tree_from_key(key)
-            total, count_items, _ = ctx.tree_charge(key)
+            total, count_items, _, _ = ctx.tree_charge(key)
             rep = charge_from_tree(tree, counter)
             assert total == rep.total
             assert count_items == tuple(sorted(rep.degree_counts().items()))
@@ -629,8 +631,6 @@ def test_dot_export_structure():
 
 
 def test_charges_invariant_under_coordinate_scaling():
-    from trichor.geometry import AugmentedPointSet, Point, PointSet
-
     P = augment(gen_random(4, 6))
     scale = 10**9
     big = AugmentedPointSet(
@@ -657,7 +657,7 @@ def test_pessimistic_bound_of_m5_core_is_43():
     # support 2 for every positively-charging vint outside the core and
     # ignoring negative vints outside it bounds the total by
     # contr+ + (59 - contr+)/2 + contr-.
-    core = RigidCore.from_shape((((), ()), (), ()))
+    core = RigidCore((((), ()), (), ()))
     sizes = core.subtree_edge_counts()
     hist = {j: sizes.count(j) for j in set(sizes)}
     assert hist == {0: 1, 1: 3, 2: 5, 3: 6, 4: 4, 5: 1}
@@ -703,6 +703,28 @@ def test_audit_rhs_matches_direct_charge_sum():
 @given(big_sets(max_points=5))
 def test_audit_jobs_agree_on_large_coordinates(P):
     one, two = audit(P, jobs=1, rules=True), audit(P, jobs=2, rules=True)
+    assert two.to_json_dict() == one.to_json_dict()
+    assert two.rules == one.rules
+    assert two.degree_totals == one.degree_totals
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    big_sets(max_points=5),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.integers(-(2**40), 2**40),
+    st.integers(-(2**40), 2**40),
+)
+def test_audit_invariant_under_unimodular_shear(P, k1, k2, dx, dy):
+    # The shear ((1 + k1*k2, k1), (k2, 1)) has determinant 1, so it keeps
+    # every orientation sign; with the labels kept, the audit depends only
+    # on the order type.
+    def image(p):
+        return Point((1 + k1 * k2) * p.x + k1 * p.y + dx, k2 * p.x + p.y + dy)
+
+    Q = AugmentedPointSet(PointSet([image(p) for p in P.base]), [image(p) for p in P.frame])
+    one, two = audit(P, rules=True), audit(Q, rules=True)
     assert two.to_json_dict() == one.to_json_dict()
     assert two.rules == one.rules
     assert two.degree_totals == one.degree_totals
@@ -757,25 +779,35 @@ def test_audit_frame_only_instance():
 def test_rigid_core_is_maximal_rigid_subtree():
     # Every core edge is rigid, and every rigid tree edge whose whole
     # ancestor chain is rigid appears in the core (same level census).
-    P = augment(gen_random(6, 14))
-    checked = 0
-    for tris in flip_graph_states(P):
-        T = Triangulation(P, tris)
-        for p in P.interior_indices():
-            if T.degree_map()[p] != 3:
-                continue
-            tree = build_flip_tree(Vint(p, T))
-            core = rigid_core(tree)
+    # The n=7 instance has cores whose branches differ, so the order of
+    # a core's children is checked too.
+    def rigid_census(nodes):
+        total = 0
+        for n_ in nodes:
+            if n_.rigid:
+                total += 1 + rigid_census(n_.children)
+        return total
 
-            def rigid_census(nodes):
-                total = 0
-                for n_ in nodes:
-                    if n_.rigid:
-                        total += 1 + rigid_census(n_.children)
-                return total
+    def rigid_part(nodes):
+        return tuple(rigid_part(n_.children) for n_ in nodes if n_.rigid)
 
-            assert core.m == rigid_census(tree.children)
-            checked += 1
-        if checked > 60:
-            break
-    assert checked > 0
+    stats = ("m", "lambda1", "lambda2", "lambda3", "nu2", "max_level")
+    for P in (augment(gen_random(6, 14)), augment(gen_random(7, 148))):
+        checked = 0
+        for tris in flip_graph_states(P):
+            T = Triangulation(P, tris)
+            for p in P.interior_indices():
+                if T.degree_map()[p] != 3:
+                    continue
+                tree = build_flip_tree(Vint(p, T))
+                core = rigid_core(tree)
+                assert core.m == rigid_census(tree.children)
+                # The whole core: the all-rigid pruning of the reference tree.
+                shape = rigid_part(reference_flip_tree(P.xy, T.star, p).children)
+                assert core.shape == shape
+                ref = RigidCore(shape)
+                assert [getattr(core, s) for s in stats] == [getattr(ref, s) for s in stats]
+                checked += 1
+            if checked > 60:
+                break
+        assert checked > 0

@@ -238,6 +238,37 @@ def test_missing_file_exit_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], 1),
+        (["audit"], 1),
+        (["enumerate", "f", "--cap", "abc"], 1),
+        (["enumerate", "f", "--cap", "-1"], 1),
+        (["fliptree", "f", "--point", "0", "--cap", "-1"], 1),
+        (["catalan", "zz", "3"], 1),
+        (["--help"], 0),
+        (["enumerate", "--help"], 0),
+    ],
+    ids=[
+        "no-command",
+        "audit-no-file",
+        "cap-not-int",
+        "cap-negative",
+        "fliptree-cap-negative",
+        "catalan-kind",
+        "help",
+        "enumerate-help",
+    ],
+)
+def test_argument_errors_exit_one_and_help_exits_zero(capsys, argv, code):
+    # Exit code 2 means a cap was hit, so a usage error must not use it.
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert ("usage:" in out) == (code == 0)
+    assert ("error:" in err) == (code != 0)
+
+
 def test_threads_env(tmp_path, capsys, monkeypatch):
     # n=6, seed 14 gives the rule sweep work in the pool workers: 33 rule-1
     # checks and monotone checks.
