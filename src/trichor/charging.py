@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .enumeration import flip_graph_states
 from .errors import CapExceededError, HasDeepEdgesError, InvariantError, NotA3VintError
 from .geometry import AugmentedPointSet, crosses
-from .polygons import SimplePolygon, catalan, count_triangulations, is_convex
+from .polygons import PolygonCounter, SimplePolygon, catalan, count_triangulations, is_convex
 from .triangulation import (
     EdgeRef,
     Triangulation,
@@ -197,36 +197,31 @@ def subtree_size_counts(shape: tuple) -> list[int]:
     return counts
 
 
-def _grow_node(xy, star, p, u, v, opp, first, used, out):
+def _grow_node(signs, star, p, u, v, opp, first, used, out):
     """Append to ``out`` the preorder of the child slot through edge
     (u, v), whose near triangle lies on its left: -1 if it is empty, else
     the apex q, 1 if (u, v) is rigid (cannot flip to (opp, q)) or 0, and
     its two child slots, the one at endpoint ``first`` first.  ``used``
     holds the vertex bit masks of the faces grown so far."""
     q = star[v].get(u)
-    if q is None or not crosses(xy, p, q, u, v):
+    if q is None or not crosses(signs, p, q, u, v):
         out.append(-1)
         return
     face = 1 << u | 1 << v | 1 << q
     if face in used:
         raise InvariantError("flip-tree expansion revisited a face")
     used.add(face)
-    out += (q, 0 if crosses(xy, opp, q, u, v) else 1)
+    out += (q, 0 if crosses(signs, opp, q, u, v) else 1)
     # The far face (u, q, v) lies left of its edges u -> q and q -> v;
     # below it, the child slot at q comes first.
     for a, b, o in ((u, q, v), (q, v, u)) if first == u else ((q, v, u), (u, q, v)):
-        _grow_node(xy, star, p, a, b, o, q, used, out)
+        _grow_node(signs, star, p, a, b, o, q, used, out)
 
 
-def _canon_cycle(cycle) -> tuple[int, ...]:
-    k = cycle.index(min(cycle))
-    return tuple(cycle[k:] + cycle[:k])
-
-
-def flip_tree_key(xy, star, p: int) -> tuple[int, ...]:
+def flip_tree_key(signs, star, p: int) -> tuple[int, ...]:
     """The flip-tree of the 3-vint p as the flat key ``(p, a, b, c,
-    *preorder)`` over p's link (a, b, c) and the ``star_map`` ``star``
-    (only read); equal keys mean equal flip-trees."""
+    *preorder)`` over p's link (a, b, c), the ``star_map`` ``star`` (only
+    read) and the order type ``signs``; equal keys mean equal trees."""
     link = star_link(star, p)
     if link is None:
         raise NotA3VintError(f"point {p} is not interior")
@@ -236,7 +231,7 @@ def flip_tree_key(xy, star, p: int) -> tuple[int, ...]:
     out = [p, a, b, c]
     used = set()
     for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-        _grow_node(xy, star, p, u, v, w, u, used, out)
+        _grow_node(signs, star, p, u, v, w, u, used, out)
     return tuple(out)
 
 
@@ -261,7 +256,7 @@ def tree_from_key(key: tuple[int, ...]) -> FlipTree:
 def build_flip_tree(v: Vint) -> FlipTree:
     """Flip-tree of a 3-vint of a triangulation over an augmented set."""
     t = v.triangulation
-    return tree_from_key(flip_tree_key(t.vertices.xy, t.star, v.point))
+    return tree_from_key(flip_tree_key(t.vertices.signs, t.star, v.point))
 
 
 # ---------------------------------------------------------------------------
@@ -473,26 +468,7 @@ class ChargeReport:
         }
 
 
-class _PolygonCounter:
-    """Memoized hole-polygon triangulation counts over one point set,
-    given as ``(x, y)`` pairs; a boundary is a CCW index cycle."""
-
-    __slots__ = ("xy", "cache")
-
-    def __init__(self, xy):
-        self.xy = xy
-        self.cache: dict[tuple[int, ...], int] = {}
-
-    def count(self, boundary: tuple[int, ...]) -> int:
-        key = _canon_cycle(list(boundary))
-        hit = self.cache.get(key)
-        if hit is None:
-            xy = self.xy
-            hit = self.cache[key] = count_triangulations([xy[i] for i in key])
-        return hit
-
-
-def charge_from_tree(tree: FlipTree, counter: _PolygonCounter, fingerprint: str = "") -> ChargeReport:
+def charge_from_tree(tree: FlipTree, counter: PolygonCounter, fingerprint: str = "") -> ChargeReport:
     contribs = []
     total = Fraction(0)
     for sub in iter_subtrees(tree):
@@ -507,9 +483,8 @@ def charge_from_tree(tree: FlipTree, counter: _PolygonCounter, fingerprint: str 
 
 def charge(v: Vint) -> ChargeReport:
     """Exact total charge received by the 3-vint v."""
-    tree = build_flip_tree(v)
-    counter = _PolygonCounter(v.triangulation.vertices.xy)
-    return charge_from_tree(tree, counter, v.triangulation.fingerprint())
+    P = v.triangulation.vertices
+    return charge_from_tree(build_flip_tree(v), PolygonCounter(P.xy, P.signs), v.triangulation.fingerprint())
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +589,8 @@ class AuditReport:
 
 
 class _AuditContext:
-    """Per-process audit state: the coordinates and point roles of S+,
-    the polygon counter, the charge cache keyed by ``flip_tree_key`` and
+    """Per-process audit state: the point roles of S+, the polygon
+    counter over its order type, the charge cache keyed by ``flip_tree_key`` and
     whether the structural rules run too.  Per process (each pool worker
     has its own), a 3-vint's tree is decoded and censused once per key,
     and everything that depends only on the key is cached with it: the
@@ -626,10 +601,9 @@ class _AuditContext:
 
     def __init__(self, P: AugmentedPointSet, rules: bool):
         self.n = P.n
-        self.xy = P.xy
         self.interior = list(P.interior_indices())
         self.frame = list(P.frame_indices())
-        self.counter = _PolygonCounter(self.xy)
+        self.counter = PolygonCounter(P.xy, P.signs)
         self.charge_cache: dict[tuple[int, ...], tuple] = {}
         self.rules_memo: dict[tuple[int, tuple[int, ...]], tuple[int, int, tuple[str, ...]]] = {}
         self.rules = rules
@@ -650,17 +624,17 @@ class _AuditContext:
                 bound = 1 if degree == 3 else catalan(degree - 1) - catalan(degree - 2)
                 if cnt > bound:
                     over.append(f"{cnt} chargers of degree {degree} at point {tree.point} exceed bound {bound}")
-            rules = _rules_vint(self.xy, tree.point, tree.link, self.counter, tree) if self.rules else None
+            rules = _rules_vint(self.counter.signs, tree.point, tree.link, self.counter, tree) if self.rules else None
             hit = self.charge_cache[key] = (total, items, tuple(over), rules)
         return hit
 
     def tally(self, states) -> AuditReport:
         """Audit each triangulation of ``states`` into one fresh report."""
-        xy, interior, n = self.xy, self.interior, self.n
+        signs, interior, n = self.counter.signs, self.interior, self.n
         r = AuditReport(n, rules=RulesReport() if self.rules else None)
         for tris in states:
             star = star_map(tris)
-            charged = {p: self.tree_charge(flip_tree_key(xy, star, p)) for p in interior if len(star[p]) == 3}
+            charged = {p: self.tree_charge(flip_tree_key(signs, star, p)) for p in interior if len(star[p]) == 3}
             r.triangulation_count += 1
             # A vertex's degree is its number of triangles, plus one on the hull.
             interior_sum = 0
@@ -698,7 +672,7 @@ class _AuditContext:
                         rr.violations.append(f"point {p} link is not a single cycle")
                         continue
                     elif (hit := self.rules_memo.get(key := (p, tuple(cyc)))) is None:
-                        hit = self.rules_memo[key] = _rules_vint(xy, p, cyc, self.counter, None)
+                        hit = self.rules_memo[key] = _rules_vint(signs, p, cyc, self.counter, None)
                     rr.support_checked += 1
                     rr.rule1_checked += hit[0]
                     rr.monotone_checked += hit[1]
@@ -807,16 +781,17 @@ class RulesReport:
         }
 
 
-def _rules_vint(xy, p, cyc, counter, tree) -> tuple[int, int, tuple[str, ...]]:
+def _rules_vint(signs, p, cyc, counter, tree) -> tuple[int, int, tuple[str, ...]]:
     """The structural rules at the interior point p with link cycle
-    ``cyc``; ``tree`` is p's flip-tree when p has degree 3.  Returns the
+    ``cyc`` over the order type ``signs``; ``tree`` is p's flip-tree when
+    p has degree 3.  Returns the
     rule-1 and monotone check counts and the violations (``()`` when
     there are none); the vint's one support check is the caller's."""
     violations = []
     d = len(cyc)
-    supp = counter.count(tuple(cyc))
+    supp = counter.count(cyc)
     bound = catalan(d - 2)
-    convex = is_convex([xy[i] for i in cyc])
+    convex = is_convex(signs, cyc)
     if not 1 <= supp <= bound:
         violations.append(f"support {supp} outside [1, {bound}]")
     if (supp == bound) != convex:
@@ -832,10 +807,9 @@ def _rules_vint(xy, p, cyc, counter, tree) -> tuple[int, int, tuple[str, ...]]:
         beta = cyc[(idx + 1) % d]
         # Edge (p, x) flips iff the quad (p, alpha, x, beta) is
         # strictly convex, i.e. alpha-beta crosses p-x.
-        if not crosses(xy, alpha, beta, p, x):
+        if not crosses(signs, alpha, beta, p, x):
             continue
-        reduced = tuple(cyc[:idx] + cyc[idx + 1 :])
-        supp_after = counter.count(reduced)
+        supp_after = counter.count(cyc[:idx] + cyc[idx + 1 :])
         monotone += 1
         if supp < supp_after:
             violations.append(
@@ -850,8 +824,8 @@ def _rules_vint(xy, p, cyc, counter, tree) -> tuple[int, int, tuple[str, ...]]:
             if e1.rigid or e2.rigid:
                 continue
             rule1 += 1
-            frees1 = crosses(xy, node.opp, e1.apex, *node.dual)
-            frees2 = crosses(xy, node.opp, e2.apex, *node.dual)
+            frees1 = crosses(signs, node.opp, e1.apex, *node.dual)
+            frees2 = crosses(signs, node.opp, e2.apex, *node.dual)
             if frees1 and frees2:
                 violations.append(
                     f"both children of a rigid edge can free it at point {p}"

@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .errors import CapExceededError, InvariantError
 from .geometry import AugmentedPointSet, crosses
-from .polygons import count_triangulations
+from .polygons import PolygonCounter
 from .triangulation import (
     Tri,
     edges_of,
@@ -78,9 +78,9 @@ def flip_graph_states(
     crossing test and canonicalisation.  A state's ``star_map`` gives
     its flips and, before it is yielded, its Euler counts.
     """
-    xy = container.xy
+    signs = container.signs
     seed = initial_triangulation(container).triangles
-    n_all = len(xy)
+    n_all = len(signs)
     hull_size = len(container.convex_hull_indices())
     expected_tris = 2 * n_all - 2 - hull_size
     # Of the 3 * expected_tris directed edges, an interior edge has two.
@@ -111,10 +111,10 @@ def flip_graph_states(
                 nxt = mask ^ bit[u, v] ^ bit[x, y]
                 # For a non-convex quad, xy is already an edge or crosses an
                 # edge other than uv: that mask is no triangulation, never seen.
-                if nxt in seen or not crosses(xy, x, y, u, v):
+                if nxt in seen or not crosses(signs, x, y, u, v):
                     continue
                 seen.add(nxt)
-                frontier.append((flipped(xy, state, u, v, x, y), nxt))
+                frontier.append((flipped(signs, state, u, v, x, y), nxt))
         if inner != expected_inner:
             raise InvariantError("Euler count violated during enumeration")
         if stats is not None:
@@ -197,15 +197,13 @@ def check_v3_recursion(P: AugmentedPointSet, lhs: int) -> V3RecursionReport:
     or audit of P.  Each term of the right side is counted by the
     polygon recursion, the frame with the other interior points inside
     it, so the identity compares the flip walk with an independent
-    algorithm.
+    algorithm.  The n terms share one ``PolygonCounter``.
     """
     if not isinstance(P, AugmentedPointSet):
         raise TypeError("check_v3_recursion needs an AugmentedPointSet")
-    frame, interior = P.xy[P.n :], P.xy[: P.n]
-    per_point = {
-        q: count_triangulations(frame, interior[:q] + interior[q + 1 :])
-        for q in P.interior_indices()
-    }
+    counter = PolygonCounter(P.xy, P.signs)
+    interior = P.interior_indices()
+    per_point = {q: counter.count(P.frame_indices(), set(interior) - {q}) for q in interior}
     return V3RecursionReport(lhs=lhs, rhs=sum(per_point.values()), per_point=per_point)
 
 

@@ -2,18 +2,21 @@
 containers, and generators for the standard test configurations.
 
 Every predicate is an exact integer determinant; no floating point is
-used anywhere.  The predicates take plain ``(x, y)`` int pairs or
-``Point``s alike; ``crosses`` takes a sequence of pairs and four
-indices into it.  Each container carries its points once as the pairs
-``xy``, which downstream code indexes.  Point sets are validated to be
-in general position (no three points collinear) on construction,
-because every downstream count silently depends on it.  An augmented
-set's convex hull is its frame.
+used anywhere.  ``orient`` is the one determinant, over ``(x, y)`` int
+pairs or ``Point``s alike.  ``order_type`` tables its sign for every
+index triple of a point list; the flip layers and the polygon core read
+that table, and ``crosses`` takes it and four indices.  Each container
+carries its points once as the pairs ``xy`` and their order type once
+as ``signs``.  Point sets are validated from the table to be in general
+position (no three points collinear) on construction, because every
+downstream count silently depends on it.  An augmented set's convex
+hull is its frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -57,39 +60,33 @@ def orient(a, b, c) -> int:
     return COLLINEAR
 
 
-def crosses(xy, a: int, b: int, c: int, d: int) -> bool:
+def order_type(xy: Sequence) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The orientation signs of the points ``xy``: ``signs[a][b][c] ==
+    orient(xy[a], xy[b], xy[c])`` for every index triple.  One ``orient``
+    call per triple a < b < c; the other five orders follow by swapping
+    (a repeated index gives COLLINEAR)."""
+    n = len(xy)
+    signs = [[[COLLINEAR] * n for _ in range(n)] for _ in range(n)]
+    for a, b, c in combinations(range(n), 3):
+        o = orient(xy[a], xy[b], xy[c])
+        signs[a][b][c] = signs[b][c][a] = signs[c][a][b] = o
+        signs[a][c][b] = signs[c][b][a] = signs[b][a][c] = -o
+    return tuple(tuple(map(tuple, plane)) for plane in signs)
+
+
+def crosses(signs, a: int, b: int, c: int, d: int) -> bool:
     """True iff the open segments ab and cd properly intersect, where
-    a, b, c, d index the coordinate pairs ``xy``.
+    a, b, c, d index the order type ``signs``.
 
     Shared endpoints, endpoint-on-segment contacts, and collinear
     overlaps do not count as proper crossings.
     """
-    ax, ay = xy[a]
-    bx, by = xy[b]
-    cx, cy = xy[c]
-    dx, dy = xy[d]
-    o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
-    if o1 == 0 or o2 == 0 or (o1 > 0) == (o2 > 0):
-        return False
-    o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
-    o4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
-    return o3 != 0 and o4 != 0 and (o3 > 0) != (o4 > 0)
+    return signs[a][b][c] * signs[a][b][d] < 0 and signs[c][d][a] * signs[c][d][b] < 0
 
 
 def signed_area_2x(pts: Sequence) -> int:
     """Twice the signed area of the polygon ``pts``; positive iff CCW."""
     return sum(ax * by - bx * ay for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]))
-
-
-def point_on_open_segment(p, a, b) -> bool:
-    """True iff p lies strictly between a and b on the segment ab."""
-    if orient(a, b, p) != COLLINEAR:
-        return False
-    (px, py), (ax, ay), (bx, by) = p, a, b
-    if ax != bx:
-        return min(ax, bx) < px < max(ax, bx)
-    return min(ay, by) < py < max(ay, by)
 
 
 def point_in_triangle(p, a, b, c) -> bool:
@@ -101,35 +98,37 @@ def point_in_triangle(p, a, b, c) -> bool:
     )
 
 
-def _check_general_position(xy: Sequence[tuple[int, int]]) -> None:
+def _general_position_signs(xy: Sequence[tuple[int, int]]):
+    """The ``order_type`` of ``xy``, which must hold distinct points with
+    no three collinear; the first repeat or collinear triple raises."""
     seen: dict[tuple[int, int], int] = {}
     for i, p in enumerate(xy):
         if p in seen:
             raise DuplicatePointError(seen[p], i)
         seen[p] = i
-    n = len(xy)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if orient(xy[i], xy[j], xy[k]) == COLLINEAR:
-                    raise CollinearTripleError(i, j, k)
+    signs = order_type(xy)
+    for i, j, k in combinations(range(len(xy)), 3):
+        if signs[i][j][k] == COLLINEAR:
+            raise CollinearTripleError(i, j, k)
+    return signs
 
 
 class PointSet:
     """Ordered, validated collection of distinct points in general position.
 
     Indices 0..n-1 are stable labels used by every downstream structure;
-    ``xy`` holds the same points as plain ``(x, y)`` int pairs.
+    ``xy`` holds the same points as plain ``(x, y)`` int pairs and
+    ``signs`` their ``order_type``.
     """
 
-    __slots__ = ("points", "xy")
+    __slots__ = ("points", "xy", "signs")
 
     def __init__(self, points: Iterable[Point | tuple[int, int]]):
         pts = tuple(p if isinstance(p, Point) else Point(*p) for p in points)
         if not pts:
             raise ValueError("point set must contain at least one point")
         self.xy = tuple((p.x, p.y) for p in pts)
-        _check_general_position(self.xy)
+        self.signs = _general_position_signs(self.xy)
         self.points = pts
 
     def __len__(self) -> int:
@@ -148,23 +147,19 @@ class PointSet:
         return f"PointSet({len(self.points)} points)"
 
     def convex_hull_indices(self) -> tuple[int, ...]:
-        """Indices of the hull vertices in CCW order (monotone chain)."""
-        xy = self.xy
-        idx = sorted(range(len(xy)), key=xy.__getitem__)
-        if len(idx) <= 2:
-            return tuple(idx)
-
-        def half(order):
-            chain: list[int] = []
-            for i in order:
-                while len(chain) >= 2 and orient(xy[chain[-2]], xy[chain[-1]], xy[i]) != CCW:
-                    chain.pop()
-                chain.append(i)
-            return chain
-
-        lower = half(idx)
-        upper = half(reversed(idx))
-        return tuple(lower[:-1] + upper[:-1])
+        """Indices of the hull vertices in CCW order from the smallest
+        point: i -> j is a hull edge iff every other point lies left of it."""
+        signs, n = self.signs, len(self.xy)
+        succ = {
+            i: j
+            for i in range(n)
+            for j in range(n)
+            if i != j and all(signs[i][j][k] == CCW for k in range(n) if k != i and k != j)
+        }
+        hull = [min(range(n), key=self.xy.__getitem__)]
+        while succ.get(hull[-1], hull[0]) != hull[0]:
+            hull.append(succ[hull[-1]])
+        return tuple(hull)
 
     def interior_indices(self) -> tuple[int, ...]:
         """Indices of the points off the convex hull, ascending."""
@@ -177,10 +172,11 @@ class AugmentedPointSet:
 
     The combined labelling puts the n base points first (indices 0..n-1)
     and the three frame vertices last (n, n+1, n+2), in CCW order; ``xy``
-    holds the combined points as plain ``(x, y)`` int pairs.
+    holds the combined points as plain ``(x, y)`` int pairs and
+    ``signs`` their ``order_type``.
     """
 
-    __slots__ = ("base", "frame", "points", "xy")
+    __slots__ = ("base", "frame", "points", "xy", "signs")
 
     def __init__(self, base: PointSet | None, frame: Sequence[Point]):
         frame = tuple(frame)
@@ -197,7 +193,7 @@ class AugmentedPointSet:
                 raise ValueError(f"base point {i} not strictly inside the frame")
         combined = base_pts + frame
         self.xy = tuple((p.x, p.y) for p in combined)
-        _check_general_position(self.xy)
+        self.signs = _general_position_signs(self.xy)
         self.base = base
         self.frame = frame
         self.points = combined

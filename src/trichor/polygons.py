@@ -6,14 +6,13 @@ points inside it, counts constrained to contain given chords, and the
 Catalan family C_m, C'_n, C''_n, C^(r)_n for convex polygons with
 minimally-blocking reflex vertices.
 
-All counts are exact Python integers.  The core works on a polygon
-given as a CCW sequence of integer ``(x, y)`` pairs: one diagonal test
-(``is_diagonal``), one convexity test (``is_convex``) and the counting
-recursion (``count_triangulations``), which also counts the
-triangulations of a point set as its hull plus the points inside;
-``SimplePolygon`` is the validated wrapper that delegates to it.  Two
-vertices see each other iff the open segment between them stays
-strictly inside the polygon, decided by exact integer tests: no third
+All counts are exact Python integers.  The core works on a CCW index
+cycle over one point list and its order type ``signs``: one diagonal
+test (``is_diagonal``), one convexity test (``is_convex``) and one
+memoised counter (``PolygonCounter``), which also counts a point set as
+its hull plus the points inside.  ``SimplePolygon`` validates a bare
+boundary and builds its ``signs``.  Two vertices see each other iff the
+open segment between them stays strictly inside the polygon: no third
 vertex on the segment (grazing a vertex counts as blocked), no proper
 crossing with a non-incident edge, and the in-cone test at one
 endpoint.
@@ -25,23 +24,8 @@ from math import comb
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import (
-    CrossingChordsError,
-    InvalidChordError,
-    NotSimpleError,
-    OutOfRangeError,
-)
-from .geometry import (
-    CCW,
-    CW,
-    Point,
-    crosses,
-    orient,
-    point_on_open_segment,
-    points_text,
-    read_pairs,
-    signed_area_2x,
-)
+from .errors import CrossingChordsError, InvalidChordError, NotSimpleError, OutOfRangeError
+from .geometry import CCW, CW, Point, crosses, order_type, orient, points_text, read_pairs, signed_area_2x
 
 
 def catalan(m: int) -> int:
@@ -68,13 +52,14 @@ class SimplePolygon:
     """A simple polygon given by its boundary in CCW order.
 
     A clockwise boundary is reversed on construction.  ``xy`` holds the
-    boundary as ``(x, y)`` pairs, the form the polygon core works on.
-    An optional kernel witness asserts star-shapedness: construction
-    checks that every boundary edge has the witness strictly on its
-    left, i.e. the witness lies in the polygon's kernel.
+    boundary as ``(x, y)`` pairs and ``signs`` their ``order_type``, so
+    the polygon core works on the index cycle ``0..k-1``.  An optional
+    kernel witness asserts star-shapedness: construction checks that
+    every boundary edge has the witness strictly on its left, i.e. the
+    witness lies in the polygon's kernel.
     """
 
-    __slots__ = ("boundary", "xy", "kernel_witness")
+    __slots__ = ("boundary", "xy", "signs", "kernel_witness")
 
     def __init__(
         self,
@@ -87,7 +72,8 @@ class SimplePolygon:
         xy = tuple((p.x, p.y) for p in pts)
         if signed_area_2x(xy) < 0:
             pts, xy = pts[::-1], xy[::-1]
-        _check_simple(xy)
+        self.signs = order_type(xy)
+        _check_simple(xy, self.signs)
         self.boundary = pts
         self.xy = xy
         self.kernel_witness = kernel_witness
@@ -106,7 +92,7 @@ class SimplePolygon:
         return f"SimplePolygon({len(self.boundary)} vertices)"
 
     def is_convex(self) -> bool:
-        return is_convex(self.xy)
+        return is_convex(self.signs, range(len(self.xy)))
 
     def sees(self, i: int, j: int) -> bool:
         """True iff boundary vertices i and j see each other.
@@ -119,70 +105,140 @@ class SimplePolygon:
         j %= k
         if i == j or (i + 1) % k == j or (j + 1) % k == i:
             return False
-        return is_diagonal(self.xy, i, j)
+        return is_diagonal(self.xy, self.signs, range(k), i, j)
 
 
-def _check_simple(xy: Sequence[tuple[int, int]]) -> None:
-    """Raise NotSimpleError unless the closed chain ``xy`` is simple: no
-    vertex repeats or lies on the open segment of another edge, and no
-    two edges properly cross (edges that share a vertex never do)."""
+def _check_simple(xy: Sequence[tuple[int, int]], signs) -> None:
+    """Raise NotSimpleError unless the closed chain ``xy``, with order
+    type ``signs``, is simple: no vertex repeats or lies on the open
+    segment of another edge, and no two edges properly cross (edges that
+    share a vertex never do)."""
     k = len(xy)
     for w, p in enumerate(xy):
         if p in xy[:w]:
             raise NotSimpleError(f"repeated boundary vertex at {w}")
     for i in range(k):
-        a, b = xy[i], xy[(i + 1) % k]
+        i1 = (i + 1) % k
         for w in range(k):
-            if w != i and w != (i + 1) % k and point_on_open_segment(xy[w], a, b):
+            if w != i and w != i1 and not signs[i][i1][w] and _between(xy, w, i, i1):
                 raise NotSimpleError(f"vertex {w} touches edge {i}")
         for j in range(i + 1, k):
-            if crosses(xy, i, (i + 1) % k, j, (j + 1) % k):
+            if crosses(signs, i, i1, j, (j + 1) % k):
                 raise NotSimpleError(f"edges {i} and {j} cross")
 
 
-# --- the polygon core: a simple polygon as a CCW sequence of (x, y) pairs ---
+# --- the polygon core: a CCW index cycle over one point list and its signs ---
 
 
-def is_convex(xy: Sequence[tuple[int, int]]) -> bool:
-    """True iff every vertex of the CCW polygon ``xy`` turns strictly left."""
-    return all(orient(xy[i - 2], xy[i - 1], xy[i]) == CCW for i in range(len(xy)))
+def _between(xy, w: int, a: int, b: int) -> bool:
+    """True iff the point w, collinear with a and b, lies strictly between
+    them.  Only a bare polygon, not a point set in general position, has
+    such a point.  This and ``_inside``'s y comparisons are the only
+    coordinate reads of the polygon core."""
+    (wx, wy), (ax, ay), (bx, by) = xy[w], xy[a], xy[b]
+    return min(ax, bx) < wx < max(ax, bx) if ax != bx else min(ay, by) < wy < max(ay, by)
 
 
-def is_diagonal(xy: Sequence[tuple[int, int]], i: int, j: int) -> bool:
-    """True iff the non-adjacent vertices i and j of the CCW polygon
-    ``xy`` see each other: the open segment between them runs strictly
-    inside the polygon.
+def is_convex(signs, cycle: Sequence[int]) -> bool:
+    """True iff every vertex of the CCW index cycle turns strictly left."""
+    return all(signs[cycle[i - 2]][cycle[i - 1]][cycle[i]] == CCW for i in range(len(cycle)))
+
+
+def is_diagonal(xy, signs, cycle: Sequence[int], i: int, j: int) -> bool:
+    """True iff the non-adjacent places i and j of the CCW index cycle
+    ``cycle`` over the points ``xy`` (order type ``signs``) see each
+    other: the open segment between them runs strictly inside the
+    polygon.
 
     No other vertex may lie on the open segment (grazing a vertex
     blocks), no edge away from i and j may properly cross it, and it
     must leave i inside the interior angle at i.  The first two tests
     keep the segment off the boundary, so the third decides.
     """
-    k = len(xy)
-    ax, ay = xy[i]
-    bx, by = xy[j]
-    dx, dy = bx - ax, by - ay
+    k = len(cycle)
+    a, b = cycle[i], cycle[j]
+    sab = signs[a][b]
     for w in range(k):
         if w == i or w == j:
             continue
-        wx, wy = xy[w]
-        if dx * (wy - ay) == dy * (wx - ax) and (
-            min(ax, bx) < wx < max(ax, bx) if dx else min(ay, by) < wy < max(ay, by)
-        ):
+        c = cycle[w]
+        if not sab[c] and _between(xy, c, a, b):
             return False
         v = (w + 1) % k
-        if v != i and v != j and crosses(xy, i, j, w, v):
+        if v != i and v != j and crosses(signs, a, b, c, cycle[v]):
             return False
     # In-cone test at i (O'Rourke, Computational Geometry in C, 1.6).
-    px, py = xy[i - 1]
-    nx, ny = xy[(i + 1) % k]
-    o_prev = dx * (py - ay) - dy * (px - ax)  # orient(a, b, prev)
-    o_next = dx * (ny - ay) - dy * (nx - ax)  # orient(a, b, next)
-    if (nx - ax) * (py - ay) - (ny - ay) * (px - ax) >= 0:
+    prev, nxt = cycle[i - 1], cycle[(i + 1) % k]
+    if signs[a][nxt][prev] != CW:
         # i is convex (or straight): b lies strictly inside the wedge.
-        return o_prev > 0 and o_next < 0
+        return sab[prev] == CCW and sab[nxt] == CW
     # i is reflex: b must not lie in the closed exterior wedge.
-    return not (o_next >= 0 and o_prev <= 0)
+    return sab[prev] == CCW or sab[nxt] == CW
+
+
+class PolygonCounter:
+    """Memoised triangulation counts of polygons over one point list
+    ``xy`` with order type ``signs``.  A polygon is a CCW index cycle,
+    possibly with the indices of points strictly inside it; the memo is
+    keyed by the cycle rotated to its smallest index and the inside set,
+    so every count over the list shares its sub-problems.
+
+    Ear recursion on the fixed edge (k-1, 0): every triangulation has
+    one triangle on it, so the count sums over its apex.
+    - A boundary apex m needs two diagonals (or edges) and an empty
+      triangle; the chains ``cycle[:m+1]`` and ``cycle[m:]`` are counted
+      apart, each with the inside points that an exact ray-parity test
+      places in it.
+    - An inside apex c must lie left of the fixed edge, its triangle
+      must hold no other point, and its two new sides must cross no
+      boundary edge; c then joins the boundary between k-1 and 0.
+    """
+
+    __slots__ = ("xy", "signs", "memo")
+
+    def __init__(self, xy, signs):
+        self.xy = xy
+        self.signs = signs
+        self.memo: dict[tuple, int] = {}
+
+    def count(self, cycle: Sequence[int], inside: Iterable[int] = frozenset()) -> int:
+        cycle, inside = tuple(cycle), frozenset(inside)
+        k = len(cycle)
+        if k <= 3 and not inside:
+            # A chain of two vertices closes into the chord itself.
+            return 1
+        r = cycle.index(min(cycle))
+        cycle = cycle[r:] + cycle[:r]
+        # A hole (no inside points) is keyed by its bare cycle, which
+        # saves a pair per entry and never equals a (cycle, inside) key.
+        key = (cycle, inside) if inside else cycle
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        xy, signs = self.xy, self.signs
+        total = 0
+        a, b = cycle[k - 1], cycle[0]
+        for m in range(1, k - 1):
+            if (m == 1 or is_diagonal(xy, signs, cycle, 0, m)) and (
+                m == k - 2 or is_diagonal(xy, signs, cycle, m, k - 1)
+            ):
+                left, right = cycle[: m + 1], cycle[m:]
+                if not inside:
+                    total += self.count(left) * self.count(right)
+                elif not any(_in_triangle(signs, a, b, cycle[m], q) for q in inside):
+                    part = frozenset(q for q in inside if _inside(xy, signs, left, q))
+                    total += self.count(left, part) * self.count(right, inside - part)
+        for c in inside:
+            if signs[a][b][c] != CCW or any(
+                _in_triangle(signs, a, b, c, q) for q in inside if q != c
+            ) or any(_in_triangle(signs, a, b, c, v) for v in cycle[1 : k - 1]):
+                continue
+            if not any(
+                crosses(signs, c, cycle[j], cycle[w], cycle[w + 1]) for j in (0, k - 1) for w in range(k - 1)
+            ):
+                total += self.count(cycle + (c,), inside - {c})
+        self.memo[key] = total
+        return total
 
 
 def count_triangulations(
@@ -193,65 +249,34 @@ def count_triangulations(
     set also holds the ``inside`` points, integer ``(x, y)`` pairs
     strictly inside it.
 
-    ``poly`` is a SimplePolygon or its boundary as CCW ``(x, y)`` pairs.
-    Ear recursion on the fixed edge (k-1, 0): every triangulation has
-    one triangle on it, so the count sums over its apex.
-    - A boundary apex m needs two diagonals (or edges) and an empty
-      triangle; the chains ``xy[:m+1]`` and ``xy[m:]`` are counted
-      apart, each with the inside points that an exact ray-parity test
-      places in it.
-    - An inside apex c must lie left of the fixed edge, its triangle
-      must hold no other point, and its two new sides must cross no
-      boundary edge; c then joins the boundary between k-1 and 0.
-    Sub-problems are memoised on (boundary, inside points).
+    ``poly`` is a SimplePolygon or its boundary as ``(x, y)`` pairs in
+    either orientation (validated as a SimplePolygon).  An inside point
+    on or outside the boundary, or one that repeats a point, raises
+    ValueError.  The count is one ``PolygonCounter`` over the boundary
+    followed by the inside points.
     """
-    memo: dict[tuple, int] = {}
-
-    def count(xy: tuple[tuple[int, int], ...], inside: frozenset) -> int:
-        k = len(xy)
-        if k <= 3 and not inside:
-            # A chain of two vertices closes into the chord itself.
-            return 1
-        key = (xy, inside)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = 0
-        a, b = xy[k - 1], xy[0]
-        for m in range(1, k - 1):
-            if (m == 1 or is_diagonal(xy, 0, m)) and (
-                m == k - 2 or is_diagonal(xy, m, k - 1)
-            ):
-                left, right = xy[: m + 1], xy[m:]
-                if not inside:
-                    total += count(left, inside) * count(right, inside)
-                elif not any(_in_triangle(a, b, xy[m], q) for q in inside):
-                    part = frozenset(q for q in inside if _inside(left, q))
-                    total += count(left, part) * count(right, inside - part)
-        for c in inside:
-            if orient(a, b, c) != CCW or any(
-                _in_triangle(a, b, c, q) for q in inside if q != c
-            ) or any(_in_triangle(a, b, c, v) for v in xy[1 : k - 1]):
-                continue
-            ext = xy + (c,)
-            if not any(
-                crosses(ext, k, j, w, w + 1) for j in (0, k - 1) for w in range(k - 1)
-            ):
-                total += count(ext, inside - {c})
-        memo[key] = total
-        return total
-
-    xy = poly.xy if isinstance(poly, SimplePolygon) else tuple(poly)
-    return count(xy, frozenset(inside))
+    if not isinstance(poly, SimplePolygon):
+        poly = SimplePolygon(poly)
+    k, cycle = len(poly.xy), range(len(poly.xy))
+    xy = poly.xy + tuple(tuple(q) for q in inside)
+    if len(set(xy)) < len(xy):
+        raise ValueError("an inside point repeats a point")
+    signs = order_type(xy) if len(xy) > k else poly.signs
+    for q in range(k, len(xy)):
+        on_edge = any(not signs[cycle[w - 1]][w][q] and _between(xy, q, cycle[w - 1], w) for w in cycle)
+        if on_edge or not _inside(xy, signs, cycle, q):
+            raise ValueError(f"inside point {xy[q]} is not strictly inside the polygon")
+    return PolygonCounter(xy, signs).count(cycle, range(k, len(xy)))
 
 
-def _in_triangle(a, b, c, q) -> bool:
+def _in_triangle(signs, a: int, b: int, c: int, q: int) -> bool:
     """True iff q lies in the closed CCW triangle (a, b, c)."""
-    return orient(a, b, q) != CW and orient(b, c, q) != CW and orient(c, a, q) != CW
+    return signs[a][b][q] != CW and signs[b][c][q] != CW and signs[c][a][q] != CW
 
 
-def _inside(xy, q) -> bool:
-    """Ray parity: True iff q, off the boundary, is inside the polygon ``xy``.
+def _inside(xy, signs, cycle: Sequence[int], q: int) -> bool:
+    """Ray parity: True iff the point q, off the boundary, is inside the
+    CCW index cycle ``cycle``.
 
     The ray runs from q towards +x.  An edge counts when its endpoints
     lie on opposite sides of the half-open split y > q.y: a vertex at
@@ -260,10 +285,12 @@ def _inside(xy, q) -> bool:
     touches.  The edge meets the ray right of q iff q is left of the
     upward edge or right of the downward one.
     """
+    qy = xy[q][1]
     odd = False
-    a = xy[-1]
-    for b in xy:
-        if (a[1] > q[1]) != (b[1] > q[1]) and (orient(a, b, q) == CCW) == (b[1] > a[1]):
+    a = cycle[-1]
+    for b in cycle:
+        ay, by = xy[a][1], xy[b][1]
+        if (ay > qy) != (by > qy) and (signs[a][b][q] == CCW) == (by > ay):
             odd = not odd
         a = b
     return odd
@@ -306,7 +333,7 @@ def tr_with_chords(poly: SimplePolygon, required: Sequence[Chord]) -> int:
     for a in range(len(required)):
         for b in range(a + 1, len(required)):
             c1, c2 = required[a], required[b]
-            if crosses(poly.xy, c1.i, c1.j, c2.i, c2.j):
+            if crosses(poly.signs, c1.i, c1.j, c2.i, c2.j):
                 raise CrossingChordsError(f"{c1} crosses {c2}")
 
     # Split the boundary index cycle along each chord in turn.
@@ -324,9 +351,10 @@ def tr_with_chords(poly: SimplePolygon, required: Sequence[Chord]) -> int:
         else:
             raise CrossingChordsError(f"{ch} does not fit the prior splits")
 
+    counter = PolygonCounter(poly.xy, poly.signs)
     total = 1
     for piece in pieces:
-        total *= count_triangulations([poly.xy[i] for i in piece])
+        total *= counter.count(piece)
     return total
 
 

@@ -9,7 +9,9 @@ is walked in O(degree).  Each triangulation stores its vertex-index
 triples in CCW order, in a canonical sorted form, plus a reference to
 the underlying point container.  Flips return new values; nothing is
 mutated.  ``flipped`` is the one edge flip, shared by
-``Triangulation.flip`` and the flip-graph walk.
+``Triangulation.flip`` and the flip-graph walk.  Every orientation
+decision reads the container's order type ``signs``; only the area
+audit of ``validate`` reads coordinates.
 
 The fingerprint is the SHA-256 of the sorted edge list (two bytes per
 index, little endian), truncated to 16 bytes.  It names a triangulation
@@ -24,15 +26,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import NotFlippableError, UnknownEdgeError
-from .geometry import (
-    CCW,
-    AugmentedPointSet,
-    Point,
-    crosses,
-    orient,
-    point_in_triangle,
-    signed_area_2x,
-)
+from .geometry import CCW, AugmentedPointSet, Point, crosses, signed_area_2x
 
 # An edge is an index pair (i, j) with i < j.
 EdgeRef = tuple[int, int]
@@ -95,18 +89,17 @@ def star_link(star, p: int) -> list[int] | None:
     return cycle if len(cycle) == len(succ) else None
 
 
-def _ccw(xy, a: int, b: int, c: int) -> Tri:
-    if orient(xy[a], xy[b], xy[c]) == CCW:
-        return (a, b, c)
-    return (a, c, b)
+def _ccw(signs, a: int, b: int, c: int) -> Tri:
+    """The triangle abc in CCW order, by the order type ``signs``."""
+    return (a, b, c) if signs[a][b][c] == CCW else (a, c, b)
 
 
-def flipped(xy, tris, u: int, v: int, x: int, y: int) -> tuple[Tri, ...]:
+def flipped(signs, tris, u: int, v: int, x: int, y: int) -> tuple[Tri, ...]:
     """The canonical triangles of ``tris`` after flipping the edge uv,
-    whose two triangles have apexes x and y, to xy."""
+    whose two triangles have apexes x and y, to xy (order type ``signs``)."""
     keep = [t for t in tris if not (u in t and v in t)]
-    keep.append(_ccw(xy, x, y, u))
-    keep.append(_ccw(xy, x, y, v))
+    keep.append(_ccw(signs, x, y, u))
+    keep.append(_ccw(signs, x, y, v))
     return canonical_triangles(keep)
 
 
@@ -196,7 +189,7 @@ class Triangulation:
             raise UnknownEdgeError(f"edge {(u, v)} not in triangulation")
         # A hull edge has one apex.  The quad is strictly convex iff the
         # candidate diagonal xy properly crosses uv.
-        return None not in (x, y) and crosses(self.vertices.xy, x, y, u, v)
+        return None not in (x, y) and crosses(self.vertices.signs, x, y, u, v)
 
     def flip(self, e: EdgeRef) -> "Triangulation":
         u, v = edge(*e)
@@ -204,7 +197,7 @@ class Triangulation:
             raise NotFlippableError(f"edge {(u, v)} cannot be flipped")
         x, y = self.star[u][v], self.star[v][u]
         t = Triangulation(self.vertices, ())
-        t.triangles = flipped(self.vertices.xy, self.triangles, u, v, x, y)  # already canonical
+        t.triangles = flipped(self.vertices.signs, self.triangles, u, v, x, y)  # already canonical
         return t
 
     def flippable_edges(self) -> list[EdgeRef]:
@@ -227,9 +220,9 @@ class Triangulation:
     # --- invariants ---
 
     def validate(self) -> None:
-        xy = self.vertices.xy
+        xy, signs = self.vertices.xy, self.vertices.signs
         for a, b, c in self.triangles:
-            if orient(xy[a], xy[b], xy[c]) != CCW:
+            if signs[a][b][c] != CCW:
                 raise ValueError(f"triangle {(a, b, c)} is not CCW")
         # One triangle per directed edge, so at most two per edge.
         if sum(map(len, self.star.values())) != 3 * len(self.triangles):
@@ -271,24 +264,20 @@ def degree_vector(t: Triangulation) -> DegreeVector:
 def initial_triangulation(container) -> Triangulation:
     """Any valid seed triangulation, by incremental insertion.
 
-    The container's hull is fanned from its first vertex (an augmented
-    set's hull is its frame, so the fan is the frame triangle), then the
-    interior points are inserted one by one, each splitting the triangle
-    that holds it.
+    The container's CCW hull is fanned from its first vertex (an
+    augmented set's hull is its frame, so the fan is the frame triangle),
+    then the interior points are inserted one by one, each splitting the
+    CCW triangle that holds it into three CCW triangles.
     """
-    xy = container.xy
+    signs = container.signs
     hull = container.convex_hull_indices()
     if len(hull) < 3:
         raise ValueError("point set has no interior: need >= 3 points")
-    tris = [_ccw(xy, hull[0], hull[i], hull[i + 1]) for i in range(1, len(hull) - 1)]
+    tris = [(hull[0], hull[i], hull[i + 1]) for i in range(1, len(hull) - 1)]
     for p in container.interior_indices():
         for idx, (a, b, c) in enumerate(tris):
-            if point_in_triangle(xy[p], xy[a], xy[b], xy[c]):
-                tris[idx : idx + 1] = [
-                    _ccw(xy, a, b, p),
-                    _ccw(xy, b, c, p),
-                    _ccw(xy, c, a, p),
-                ]
+            if signs[a][b][p] == signs[b][c][p] == signs[c][a][p] == CCW:
+                tris[idx : idx + 1] = [(a, b, p), (b, c, p), (c, a, p)]
                 break
         else:
             raise ValueError(f"point {p} not inside any triangle")

@@ -10,6 +10,8 @@ an edge-pair sweep.  The charging vints of a 3-vint are rebuilt as
 explicit triangulations from its flip-tree, and the structural-rule
 sweep is redone one vint at a time with explicit flips.  Flip-trees are
 rebuilt node by node as ``FlipTree`` values, without the flat key.
+Crossings are decided here by ``crosses`` on coordinates, four
+determinants per test, not by the order-type table the package reads.
 """
 
 from collections import defaultdict
@@ -27,10 +29,34 @@ from trichor.charging import (
 )
 from trichor.enumeration import flip_graph_states
 from trichor.errors import InvariantError, NotA3VintError, NotSimpleError
-from trichor.geometry import Point, crosses, point_on_open_segment
+from trichor.geometry import COLLINEAR, Point, orient
 from trichor.polygons import SimplePolygon, catalan, is_diagonal
 from trichor.rng import SplitMix64
 from trichor.triangulation import Triangulation, _ccw, edge, star_link
+
+
+def point_on_open_segment(p, a, b) -> bool:
+    """True iff the point p lies strictly between a and b on the segment
+    ab, from coordinates."""
+    if orient(a, b, p) != COLLINEAR:
+        return False
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    if ax != bx:
+        return min(ax, bx) < px < max(ax, bx)
+    return min(ay, by) < py < max(ay, by)
+
+
+def crosses(xy, a: int, b: int, c: int, d: int) -> bool:
+    """Reference for ``geometry.crosses`` on the points ``xy`` (pairs or
+    ``Point``s): the open segments ab and cd properly intersect."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = xy[a], xy[b], xy[c], xy[d]
+    o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
+    if o1 == 0 or o2 == 0 or (o1 > 0) == (o2 > 0):
+        return False
+    o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
+    o4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
+    return o3 != 0 and o4 != 0 and (o3 > 0) != (o4 > 0)
 
 
 class DownFlipOracle:
@@ -174,7 +200,7 @@ def count_by_interval_dp(poly: SimplePolygon) -> int:
     chord (i, j), built by choosing the apex of the triangle resting on
     that chord; it is 0 when (i, j) is neither an edge nor a diagonal.
     """
-    xy = poly.xy
+    xy, signs = poly.xy, poly.signs
     k = len(xy)
     ways = [[0] * k for _ in range(k)]
     for i in range(k - 1):
@@ -182,7 +208,7 @@ def count_by_interval_dp(poly: SimplePolygon) -> int:
     for span in range(2, k):
         for i in range(k - span):
             j = i + span
-            if span == k - 1 or is_diagonal(xy, i, j):
+            if span == k - 1 or is_diagonal(xy, signs, range(k), i, j):
                 wi = ways[i]
                 wi[j] = sum(wi[m] * ways[m][j] for m in range(i + 1, j))
     return ways[0][k - 1]
@@ -275,7 +301,6 @@ def enumerate_charging_vints(v: Vint) -> list:
     """
     tree = build_flip_tree(v)
     t = v.triangulation
-    pts = t.points
     p = v.point
     out = []
     for sub in iter_subtrees(tree):
@@ -297,7 +322,7 @@ def enumerate_charging_vints(v: Vint) -> list:
         k = len(sub.boundary)
         for i in range(k):
             new_tris.append(
-                _ccw(pts, p, sub.boundary[i], sub.boundary[(i + 1) % k])
+                _ccw(t.vertices.signs, p, sub.boundary[i], sub.boundary[(i + 1) % k])
             )
         vint = Vint(p, Triangulation(t.vertices, new_tris))
         out.append((sub, vint))

@@ -44,7 +44,7 @@ from trichor.geometry import (
     gen_convex_arc_in_triangle,
     gen_random,
 )
-from trichor.polygons import SimplePolygon, catalan
+from trichor.polygons import PolygonCounter, SimplePolygon, catalan
 from trichor.rng import SplitMix64
 from trichor.triangulation import Triangulation, initial_triangulation, star_map
 
@@ -494,7 +494,7 @@ def test_rule_violations_repeat_at_every_occurrence(monkeypatch):
     # convex7 has 594 states, so jobs=2 merges several chunks.
     P = augment(gen_convex(7))
     convex = sum(hole_of(v).polygon.is_convex() for v in walk_vints(P))
-    monkeypatch.setattr(charging, "is_convex", lambda xy: False)
+    monkeypatch.setattr(charging, "is_convex", lambda signs, cycle: False)
     seq = audit(P, rules=True).rules.violations
     assert len(seq) == convex > 0
     assert all("convexity mismatch" in v for v in seq)
@@ -525,7 +525,6 @@ def test_flip_tree_face_revisit_raises_invariant_error():
     P = gen_convex_arc_in_triangle(4)
     t = initial_triangulation(P)
     p = next(q for q in P.interior_indices() if t.degree_map()[q] == 3)
-    xy = [(pt.x, pt.y) for pt in t.points]
     tree = build_flip_tree(Vint(p, t))
     node = tree.children[0]
     # The link edge of the root child, oriented with p on its left.
@@ -534,7 +533,7 @@ def test_flip_tree_face_revisit_raises_invariant_error():
     # The growth routine marks a face by the bit mask of its vertices.
     used = {1 << u | 1 << v | 1 << node.apex}
     with pytest.raises(InvariantError):
-        _grow_node(xy, t.star, p, u, v, node.opp, u, used, [])
+        _grow_node(P.signs, t.star, p, u, v, node.opp, u, used, [])
 
 
 # --- flat flip-tree keys ---
@@ -553,7 +552,7 @@ def keyed_occurrences(name):
         star = star_map(tris)
         for p in P.interior_indices():
             if len(star[p]) == 3:
-                out.append((flip_tree_key(P.xy, star, p), reference_flip_tree(P.xy, star, p)))
+                out.append((flip_tree_key(P.signs, star, p), reference_flip_tree(P.xy, star, p)))
     return out
 
 
@@ -573,8 +572,8 @@ def test_flip_tree_keys_decode_to_reference_trees_and_split_like_them():
 def test_audit_grows_every_key_and_decodes_once_per_miss(monkeypatch):
     grown, decoded = [], []
 
-    def grow(xy, star, p):
-        grown.append(flip_tree_key(xy, star, p))
+    def grow(signs, star, p):
+        grown.append(flip_tree_key(signs, star, p))
         return grown[-1]
 
     def decode(key):
@@ -591,7 +590,7 @@ def test_audit_grows_every_key_and_decodes_once_per_miss(monkeypatch):
 def test_audit_census_agrees_with_charge_from_tree():
     for name, P in KEY_INSTANCES.items():
         ctx = charging._AuditContext(P, rules=False)
-        counter = charging._PolygonCounter(P.xy)
+        counter = PolygonCounter(P.xy, P.signs)
         for key in dict(keyed_occurrences(name)):
             tree = tree_from_key(key)
             total, count_items, _, _ = ctx.tree_charge(key)
@@ -718,12 +717,13 @@ def test_audit_jobs_agree_on_large_coordinates(P):
 )
 def test_audit_invariant_under_unimodular_shear(P, k1, k2, dx, dy):
     # The shear ((1 + k1*k2, k1), (k2, 1)) has determinant 1, so it keeps
-    # every orientation sign; with the labels kept, the audit depends only
-    # on the order type.
+    # every orientation sign (the same order-type table); with the labels
+    # kept, the audit depends only on the order type.
     def image(p):
         return Point((1 + k1 * k2) * p.x + k1 * p.y + dx, k2 * p.x + p.y + dy)
 
     Q = AugmentedPointSet(PointSet([image(p) for p in P.base]), [image(p) for p in P.frame])
+    assert Q.signs == P.signs
     one, two = audit(P, rules=True), audit(Q, rules=True)
     assert two.to_json_dict() == one.to_json_dict()
     assert two.rules == one.rules

@@ -1,19 +1,22 @@
 """Property and reference tests for the geometric kernel.
 
 The predicates, the hull rule, the one edge flip and the simplicity
-check each live in one function over ``(x, y)`` pairs; these tests tie
-every caller to it and keep the predicate modules free of inexact
-arithmetic.
+check each live in one function; these tests tie every caller to it,
+check each container's order-type table against coordinates, keep the
+predicate modules free of inexact arithmetic and keep the flip layers
+off coordinate predicates.
 """
 
 import ast
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import check_simple_by_edge_pairs
+from oracles import check_simple_by_edge_pairs, point_on_open_segment
+from oracles import crosses as crosses_by_coordinates
 from test_enumeration import big_sets
 from trichor.enumeration import flip_graph_states
 from trichor.errors import NotSimpleError
@@ -24,12 +27,12 @@ from trichor.geometry import (
     crosses,
     gen_convex_arc_in_triangle,
     gen_random,
+    order_type,
     orient,
     point_in_triangle,
-    point_on_open_segment,
     signed_area_2x,
 )
-from trichor.polygons import SimplePolygon
+from trichor.polygons import SimplePolygon, _between
 from trichor.rng import SplitMix64
 from trichor.triangulation import Triangulation
 
@@ -55,6 +58,30 @@ coord = st.integers(-4, 4) | st.integers(-(2**40), 2**40)
 pair = st.tuples(coord, coord)
 
 
+def _assert_table_matches_orient(P):
+    xy, n = P.xy, len(P.xy)
+    assert len(P.signs) == n
+    for a, b, c in product(range(n), repeat=3):
+        assert P.signs[a][b][c] == orient(xy[a], xy[b], xy[c]), (a, b, c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(big_sets())
+def test_order_type_matches_orient_on_large_coordinates(P):
+    _assert_table_matches_orient(P)
+    _assert_table_matches_orient(PointSet(P.points))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_order_type_matches_orient_and_crosses_matches_coordinates(n):
+    P = augment(gen_random(n, 148))
+    _assert_table_matches_orient(P)
+    tuples = list(product(range(len(P.xy)), repeat=4))
+    assert len(tuples) == {7: 10**4, 8: 11**4}[n]
+    for t in tuples:
+        assert crosses(P.signs, *t) == crosses_by_coordinates(P.xy, *t), t
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(pair, min_size=4, max_size=4))
 def test_predicates_agree_on_points_and_pairs(xy):
@@ -62,9 +89,11 @@ def test_predicates_agree_on_points_and_pairs(xy):
     a, b, c, d = xy
     pa, pb, pc, pd = pts
     assert orient(a, b, c) == orient(pa, pb, pc)
-    assert crosses(xy, 0, 1, 2, 3) == crosses(pts, 0, 1, 2, 3)
+    assert crosses(order_type(xy), 0, 1, 2, 3) == crosses_by_coordinates(xy, 0, 1, 2, 3)
+    assert order_type(xy) == order_type(pts)
     assert point_in_triangle(d, a, b, c) == point_in_triangle(pd, pa, pb, pc)
-    assert point_on_open_segment(c, a, b) == point_on_open_segment(pc, pa, pb)
+    on_segment = not order_type(xy)[0][1][2] and _between(xy, 2, 0, 1)
+    assert on_segment == point_on_open_segment(c, a, b) == point_on_open_segment(pc, pa, pb)
     assert signed_area_2x(xy) == signed_area_2x(pts)
     assert signed_area_2x(tuple(xy)) == signed_area_2x(tuple(pts))
 
@@ -146,3 +175,40 @@ def test_exact_arithmetic_guard_catches_each_kind():
     assert kinds == sorted(
         ["numpy import", "numpy import", "float constant", "float", "true division", "true division"]
     )
+
+
+# The flip layers decide every orientation from the container's order
+# type; only geometry (to build the table) and polygons (the kernel-witness
+# check of a SimplePolygon) call the coordinate predicates.
+ORDER_TYPE_MODULES = ["triangulation.py", "enumeration.py", "charging.py"]
+COORDINATE_PREDICATES = {"orient", "point_in_triangle"}
+
+
+def _coordinate_predicate_refs(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in COORDINATE_PREDICATES:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute) and node.attr in COORDINATE_PREDICATES:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in COORDINATE_PREDICATES:
+                    yield node.lineno, alias.name
+
+
+@pytest.mark.parametrize("name", ORDER_TYPE_MODULES)
+def test_flip_layers_read_the_order_type(name):
+    found = [
+        f"{name}:{line}: {what}"
+        for line, what in _coordinate_predicate_refs(ast.parse((SRC / name).read_text()))
+    ]
+    assert not found, found
+
+
+def test_order_type_guard_catches_each_reference():
+    source = "from .geometry import orient as o\nx = orient(a, b, c)\ny = geometry.point_in_triangle(p, a, b, c)\n"
+    assert sorted(_coordinate_predicate_refs(ast.parse(source))) == [
+        (1, "orient"),
+        (2, "orient"),
+        (3, "point_in_triangle"),
+    ]

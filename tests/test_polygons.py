@@ -13,10 +13,11 @@ from trichor.errors import (
     OutOfRangeError,
 )
 from trichor.charging import Vint, hole_of
-from trichor.enumeration import flip_graph_states
-from trichor.geometry import Point, augment, gen_convex, gen_random
+from trichor.enumeration import enumerate_all, flip_graph_states
+from trichor.geometry import AugmentedPointSet, Point, PointSet, augment, gen_convex, gen_random
 from trichor.polygons import (
     Chord,
+    PolygonCounter,
     SimplePolygon,
     catalan,
     catalan_generalized,
@@ -27,7 +28,7 @@ from trichor.polygons import (
     write_polygon,
 )
 from trichor.rng import SplitMix64
-from trichor.triangulation import Triangulation
+from trichor.triangulation import Triangulation, star_link, star_map
 
 
 def convex_gon(k):
@@ -264,3 +265,66 @@ def test_convex_point_set_counts_are_catalan():
         hull = xy_of(S[i] for i in S.convex_hull_indices())
         inside = xy_of(S[i] for i in S.interior_indices())
         assert count_triangulations(hull, inside) == catalan(n - 2)
+
+
+SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
+
+
+@pytest.mark.parametrize(
+    "boundary,inside,expected",
+    [
+        (SQUARE, [], 2),
+        (SQUARE[::-1], [], 2),
+        (SQUARE[::-1], [(3, 2)], 3),
+        (SQUARE, [(9, 9)], ValueError),
+        (SQUARE, [(2, 0)], ValueError),
+        (SQUARE, [(0, 0)], ValueError),
+        (SQUARE, [(1, 1), (1, 1)], ValueError),
+        (SQUARE, [(2, 2), (6, 2)], ValueError),
+        ([(0, 0), (2, 2), (2, 0), (0, 2)], [], NotSimpleError),
+    ],
+    ids=["ccw", "cw", "cw-inside", "outside", "on-edge", "on-vertex", "repeat", "one-outside", "bowtie"],
+)
+def test_count_triangulations_validates_the_pair_form(boundary, inside, expected):
+    # The pair form goes through SimplePolygon (a CW boundary is
+    # reversed, a non-simple one raises), and every inside point must lie
+    # strictly inside and repeat no point.
+    if isinstance(expected, int):
+        assert count_triangulations(boundary, inside) == expected
+    else:
+        with pytest.raises(expected):
+            count_triangulations(boundary, inside)
+
+
+def _rotations(cycle):
+    return [cycle[r:] + cycle[:r] for r in range(len(cycle))]
+
+
+def test_shared_counter_is_invariant_under_rotation_and_keeps_inside_sets_apart():
+    # One PolygonCounter over the n=7 instance keys its memo by the cycle
+    # rotated to its smallest index and by the inside set.  Each rotation
+    # of the frame with each v3 inside set, and of each distinct hole,
+    # must count what a fresh count, the interval DP (holes) or a flip
+    # walk (frame sets) counts.
+    P = augment(gen_random(7, 148))
+    counter = PolygonCounter(P.xy, P.signs)
+    frame = list(P.frame_indices())
+    for q in P.interior_indices():
+        others = [i for i in P.interior_indices() if i != q]
+        inside = [P.xy[i] for i in others]
+        fresh = count_triangulations([P.xy[i] for i in frame], inside)
+        walk = enumerate_all(AugmentedPointSet(PointSet([P.points[i] for i in others]), P.frame)).count
+        assert fresh == walk
+        for rot in _rotations(frame):
+            assert counter.count(rot, others) == walk, (q, rot)
+    holes = set()
+    for tris in flip_graph_states(P):
+        star = star_map(tris)
+        for p in P.interior_indices():
+            holes.add(tuple(star_link(star, p)))
+    assert len(holes) > 100
+    for hole in holes:
+        for rot in _rotations(list(hole)):
+            poly = SimplePolygon([P.xy[i] for i in rot])
+            want = count_by_interval_dp(poly)
+            assert counter.count(rot) == count_triangulations(poly) == want, rot
