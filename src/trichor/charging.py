@@ -15,10 +15,10 @@ all-rigid subtree at the root) captures exactly the support-1 chargers.
 ``audit`` runs the whole scheme over every triangulation of an instance
 and checks charge conservation, the per-degree charger-count bound, and
 the maximum charge received by any 3-vint.  Each triangulation is read
-through one star map and each 3-vint through its flat flip-tree key; a
-run of triangulations yields one AuditReport, and ``AuditReport.merge``
-adds the report of the run that follows, so chunks audited in pool
-workers combine into the sequential report.
+through the walk's star map and each 3-vint through its flat flip-tree
+key; a run of triangulations yields one AuditReport, and ``merge`` adds
+the report of the run that follows, so subtrees audited in pool workers
+combine, in walk order, into the sequential report.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from math import comb, lcm
 from typing import NamedTuple
 
-from .enumeration import flip_graph_states
+from .enumeration import FlipWalk
 from .errors import CapExceededError, HasDeepEdgesError, InvariantError, NotA3VintError
 from .geometry import AugmentedPointSet, crosses
 from .polygons import PolygonCounter, SimplePolygon, catalan, count_triangulations, is_convex
@@ -40,11 +39,15 @@ from .triangulation import (
     edge,
     fingerprint_bytes,
     star_link,
-    star_map,
+    star_triangles,
 )
 
 # Most root-containing subtrees one flip-tree or rigid core may have.
 SUBTREE_CAP = 10**6
+
+# A parallel audit's parent tallies the states fewer than this many
+# flips below the Delaunay root and deals out the subtrees at this depth.
+SPLIT_DEPTH = 2
 
 # Conjectured ceiling on any single 3-vint charge; exceeding it is
 # flagged as noteworthy, only >= 30 is a hard violation.
@@ -152,11 +155,7 @@ class FlipTree(NamedTuple):
     def shape(self) -> tuple:
         """The tree with its labels dropped: each node is the tuple of
         its children's shapes."""
-
-        def of(nodes):
-            return tuple(of(n.children) for n in nodes)
-
-        return of(self.children)
+        return _shape(self.children)
 
     def subtree_count(self) -> int:
         return sum(subtree_size_counts(self.shape()))
@@ -180,6 +179,10 @@ class FlipTree(NamedTuple):
             emit("root", ch)
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _shape(nodes) -> tuple:
+    return tuple(_shape(n.children) for n in nodes)
 
 
 def subtree_size_counts(shape: tuple) -> list[int]:
@@ -239,18 +242,20 @@ def tree_from_key(key: tuple[int, ...]) -> FlipTree:
     """Decode a ``flip_tree_key``; a slot's place fixes dual, opp and level."""
     p, a, b, c = key[:4]
     preorder = iter(key[4:])
-
-    def node(u, v, opp, first, level):
-        q = next(preorder)
-        if q < 0:
-            return None
-        rigid = next(preorder) == 1
-        slots = ((u, q, v), (q, v, u)) if first == u else ((q, v, u), (u, q, v))
-        kids = [node(x, y, o, q, level + 1) for x, y, o in slots]
-        return FlipTreeNode(edge(u, v), q, opp, rigid, level, tuple(k for k in kids if k is not None))
-
-    kids = [node(u, v, w, u, 1) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))]
+    kids = [_decode(preorder, u, v, w, u, 1) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))]
     return FlipTree(p, (a, b, c), tuple(k for k in kids if k is not None))
+
+
+def _decode(preorder, u, v, opp, first, level) -> FlipTreeNode | None:
+    """The node in the slot through edge (u, v), read from ``preorder``, or
+    None.  Module functions, unlike closures, leave no reference cycle."""
+    q = next(preorder)
+    if q < 0:
+        return None
+    rigid = next(preorder) == 1
+    slots = ((u, q, v), (q, v, u)) if first == u else ((q, v, u), (u, q, v))
+    kids = [_decode(preorder, x, y, o, q, level + 1) for x, y, o in slots]
+    return FlipTreeNode(edge(u, v), q, opp, rigid, level, tuple(k for k in kids if k is not None))
 
 
 def build_flip_tree(v: Vint) -> FlipTree:
@@ -379,37 +384,33 @@ def _subtree_walk(tree: FlipTree):
     total = tree.subtree_count()
     if total > SUBTREE_CAP:
         raise CapExceededError(f"flip-tree has {total} subtrees, cap {SUBTREE_CAP}")
-    boundary: list[int] = list(tree.link)
-    pending: list[FlipTreeNode] = list(tree.children)
-    chosen: list[FlipTreeNode] = []
+    return _subtrees(list(tree.children), [], list(tree.link))
 
-    def insert(node: FlipTreeNode) -> int:
-        u, v = node.dual
-        k = len(boundary)
-        for i in range(k):
-            a, b = boundary[i], boundary[(i + 1) % k]
-            if (a, b) == (u, v) or (a, b) == (v, u):
-                boundary.insert(i + 1, node.apex)
-                return i + 1
+
+def _subtrees(pending: list[FlipTreeNode], chosen: list[FlipTreeNode], boundary: list[int]):
+    """``_subtree_walk`` from the ``pending`` nodes: without the last of
+    them, then with it and its children pending."""
+    if not pending:
+        yield chosen, boundary
+        return
+    node = pending.pop()
+    yield from _subtrees(pending, chosen, boundary)
+    u, v = node.dual
+    k = len(boundary)
+    for i in range(k):
+        if (boundary[i], boundary[(i + 1) % k]) in ((u, v), (v, u)):
+            break
+    else:
         raise InvariantError(f"dual edge {node.dual} not on boundary")
-
-    def rec():
-        if not pending:
-            yield chosen, boundary
-            return
-        node = pending.pop()
-        yield from rec()
-        pos = insert(node)
-        chosen.append(node)
-        pending.extend(node.children)
-        yield from rec()
-        for _ in node.children:
-            pending.pop()
-        chosen.pop()
-        boundary.pop(pos)
-        pending.append(node)
-
-    return rec()
+    boundary.insert(i + 1, node.apex)
+    chosen.append(node)
+    pending.extend(node.children)
+    yield from _subtrees(pending, chosen, boundary)
+    for _ in node.children:
+        pending.pop()
+    chosen.pop()
+    boundary.pop(i + 1)
+    pending.append(node)
 
 
 def iter_subtrees(tree: FlipTree) -> list[SubtreeInfo]:
@@ -589,13 +590,13 @@ class AuditReport:
 
 
 class _AuditContext:
-    """Per-process audit state: the point roles of S+, the polygon
-    counter over its order type, the charge cache keyed by ``flip_tree_key`` and
-    whether the structural rules run too.  Per process (each pool worker
-    has its own), a 3-vint's tree is decoded and censused once per key,
-    and everything that depends only on the key is cached with it: the
-    charge, the charger counts per degree, their bound violations and
-    the rules.  A larger vint's rules are computed once per ``(point,
+    """Per-process audit state: the point roles of S+, its ``FlipWalk``,
+    the polygon counter over its order type, the charge cache keyed by
+    ``flip_tree_key`` and whether the structural rules run too.  Per
+    process (each pool worker has its own), a 3-vint's tree is decoded
+    and censused once per key, and everything that depends only on the
+    key is cached with it: the charge, the charger counts per degree,
+    their bound violations and the rules.  A larger vint's rules are computed once per ``(point,
     link cycle)`` in ``rules_memo``; the report still counts and repeats
     every occurrence."""
 
@@ -603,6 +604,7 @@ class _AuditContext:
         self.n = P.n
         self.interior = list(P.interior_indices())
         self.frame = list(P.frame_indices())
+        self.walk = FlipWalk(P)
         self.counter = PolygonCounter(P.xy, P.signs)
         self.charge_cache: dict[tuple[int, ...], tuple] = {}
         self.rules_memo: dict[tuple[int, tuple[int, ...]], tuple[int, int, tuple[str, ...]]] = {}
@@ -628,12 +630,11 @@ class _AuditContext:
             hit = self.charge_cache[key] = (total, items, tuple(over), rules)
         return hit
 
-    def tally(self, states) -> AuditReport:
-        """Audit each triangulation of ``states`` into one fresh report."""
+    def tally(self, stars) -> AuditReport:
+        """Audit each triangulation of ``stars``, a run of star maps, into one fresh report."""
         signs, interior, n = self.counter.signs, self.interior, self.n
         r = AuditReport(n, rules=RulesReport() if self.rules else None)
-        for tris in states:
-            star = star_map(tris)
+        for star in stars:
             charged = {p: self.tree_charge(flip_tree_key(signs, star, p)) for p in interior if len(star[p]) == 3}
             r.triangulation_count += 1
             # A vertex's degree is its number of triangles, plus one on the hull.
@@ -652,13 +653,13 @@ class _AuditContext:
             for p, (total, count_items, over, _) in charged.items():
                 r.conservation_rhs += total
                 if r.max_charge_at is None or total >= r.max_charge:
-                    fp = fp or fingerprint_bytes(tris).hex()
+                    fp = fp or fingerprint_bytes(star_triangles(star)).hex()
                     r.offer_max(total, (fp, p))
                 for degree, cnt in count_items:
                     r.offer_chargers(degree, cnt)
                 r.violations.extend(over)
                 if total >= HARD_CHARGE_BOUND:
-                    fp = fp or fingerprint_bytes(tris).hex()
+                    fp = fp or fingerprint_bytes(star_triangles(star)).hex()
                     r.violations.append(
                         f"charge {total} >= {HARD_CHARGE_BOUND} at point {p} in {fp}"
                     )
@@ -694,18 +695,15 @@ def audit(P: AugmentedPointSet, jobs: int = 1, rules: bool = False) -> AuditRepo
     ``rules`` holds the RulesReport (not part of ``to_json_dict``).  Each
     process computes them once per distinct flip-tree or (point, link
     cycle); the counters and violations still count every occurrence.
-    ``jobs > 1`` hands chunks of 512 states to that
-    many processes, each returning one partial report per chunk; the
-    chunks are merged in walk order, so the report is identical to a
-    sequential run.
+    With ``jobs > 1`` the parent tallies the states above ``SPLIT_DEPTH``
+    and deals the subtrees at it to ``jobs`` processes as flip paths,
+    which each replays on its own walk; the partial reports merge in
+    walk order, so the report is identical to a sequential run.
     """
     if not isinstance(P, AugmentedPointSet):
         raise TypeError("audit needs an AugmentedPointSet")
-    states = flip_graph_states(P)
-    if jobs > 1:
-        rep = _audit_parallel(P, states, jobs, rules)
-    else:
-        rep = _AuditContext(P, rules).tally(states)
+    ctx = _AuditContext(P, rules)
+    rep = _audit_parallel(P, ctx, jobs) if jobs > 1 else ctx.tally(ctx.walk.walk())
     if not rep.conservation_ok:
         rep.violations.append(
             f"charge conservation broken: sum(7-deg)={rep.conservation_lhs} "
@@ -726,18 +724,25 @@ def _audit_worker_init(P, rules):
     _worker_ctx = _AuditContext(P, rules)
 
 
-def _audit_worker(chunk) -> AuditReport:
-    return _worker_ctx.tally(chunk)
+def _audit_worker(path) -> AuditReport:
+    return _worker_ctx.tally(_worker_ctx.walk.walk(path))
 
 
-def _audit_parallel(P, states, jobs, rules) -> AuditReport:
+def _audit_parallel(P, ctx: _AuditContext, jobs: int) -> AuditReport:
     import multiprocessing as mp
 
-    rep = AuditReport(P.n, rules=RulesReport() if rules else None)
-    chunks = iter(lambda: list(islice(states, 512)), [])
-    with mp.Pool(jobs, initializer=_audit_worker_init, initargs=(P, rules)) as pool:
-        for part in pool.imap(_audit_worker, chunks):
-            rep.merge(part)
+    walk, parts, paths = ctx.walk, [], []
+    with mp.Pool(jobs, initializer=_audit_worker_init, initargs=(P, ctx.rules)) as pool:
+        for star in walk.walk(limit=SPLIT_DEPTH):
+            if len(walk.trail) < SPLIT_DEPTH:
+                parts.append(ctx.tally([star]))
+            else:
+                parts.append(None)
+                paths.append([(u, v) for u, v, _, _ in walk.trail])
+        subtrees = pool.imap(_audit_worker, paths, chunksize=4)
+        rep = AuditReport(P.n, rules=RulesReport() if ctx.rules else None)
+        for part in parts:
+            rep.merge(next(subtrees) if part is None else part)
     return rep
 
 

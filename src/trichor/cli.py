@@ -11,6 +11,8 @@ identity share that walk, and the polygon recursion counts the right
 side without walking.  The TRICHOR_THREADS environment variable sets
 the number of processes for the charge audit and the rule sweep, at
 most the CPU count; results are identical to a sequential run.
+``fliptree`` reads the seed triangulation unless ``--fingerprint``
+names another, which it finds by walking at most ``--cap`` states.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .geometry import (
     write_points,
 )
 from .polygons import catalan, catalan_generalized
-from .triangulation import Triangulation
+from .triangulation import Triangulation, fingerprint_bytes, initial_triangulation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,19 +122,18 @@ def cmd_audit(args) -> int:
 def cmd_fliptree(args) -> int:
     ps = read_points(args.input)
     P = AugmentedPointSet.from_points(ps)
-    target = None
-    try:
-        for tris in flip_graph_states(P, cap=args.cap):
-            t = Triangulation(P, tris)
-            if args.fingerprint is None or t.fingerprint() == args.fingerprint:
-                target = t
-                break
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPPED
-    if target is None:
-        print(f"no triangulation with fingerprint {args.fingerprint}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.fingerprint is None:
+        target = initial_triangulation(P)
+    else:
+        try:
+            states = flip_graph_states(P, cap=args.cap)
+            target = next((Triangulation(P, t) for t in states if fingerprint_bytes(t).hex() == args.fingerprint), None)
+        except CapExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CAPPED
+        if target is None:
+            print(f"no triangulation with fingerprint {args.fingerprint}", file=sys.stderr)
+            return EXIT_USAGE
     v = Vint(args.point, target)
     tree = build_flip_tree(v)
     _emit(tree.to_dot(), args.out)

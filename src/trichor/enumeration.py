@@ -1,21 +1,20 @@
-"""Exhaustive enumeration of triangulations by flip-graph traversal.
+"""Exhaustive enumeration of triangulations by reverse search.
 
-Every triangulation of a point set can be reached from any other by
-edge flips, so a breadth-first walk over the flip graph, deduplicated on
-each state's exact edge set (an int bitmask over the index pairs),
-visits each one exactly once.  Counts and degree totals are exact
-integers; expected degrees come out as exact rationals.
-
-The traversal works on raw canonical triangle tuples for speed; the
-``Triangulation`` class is only materialized at API boundaries.  The
-degree-3 insertion identity checks the walk's degree-3 total against
-counts from the polygon recursion, which uses no flips.
+The parent of a triangulation is the flip of its lowest-indexed
+Delaunay-illegal edge (``geometry.incircle``), so the flip graph is a
+tree rooted at the Delaunay triangulation (Avis & Fukuda 1996;
+Bespamyatnikh 2002).  ``FlipWalk`` walks it depth first on one star map,
+flipped and unflipped in place: each triangulation once, no visited
+set, memory for one root-to-state path, and any subtree on its own.
+Counts and degree totals are exact integers; expected degrees come out
+as exact rationals.  The degree-3 insertion identity checks the walk's
+degree-3 total against counts from the polygon recursion, which uses no
+flips.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -23,15 +22,9 @@ from math import ceil
 from typing import Iterator
 
 from .errors import CapExceededError, InvariantError
-from .geometry import AugmentedPointSet, crosses
+from .geometry import AugmentedPointSet, crosses, incircle
 from .polygons import PolygonCounter
-from .triangulation import (
-    Tri,
-    edges_of,
-    flipped,
-    initial_triangulation,
-    star_map,
-)
+from .triangulation import Tri, flip_star, initial_triangulation, star_map, star_triangles
 
 
 @dataclass
@@ -62,65 +55,136 @@ class EnumerationResult:
         return Fraction(self.degree_totals.get(i, 0), self.count)
 
 
-def flip_graph_states(
-    container,
-    cap: int | None = None,
-    stats: EnumerationStats | None = None,
-) -> Iterator[tuple[Tri, ...]]:
-    """Yield every triangulation of the container as a canonical triangle
-    tuple, each exactly once, in breadth-first order from the seed.
-    Raises CapExceededError instead of yielding a state beyond the
-    first ``cap``; a walk with at most ``cap`` states ends normally.
+class FlipWalk:
+    """The reverse-search tree of a container's triangulations, built once
+    per container: ``bit[u][v]``, bit k for the k-th index pair in
+    lexicographic order, so an edge mask's lowest set bit is its
+    lowest-indexed edge; a memo of Delaunay tests keyed by packed index
+    quadruples; ``star``, the one star map, at the Delaunay root between
+    walks; and ``trail``, the flips (u, v, x, y) from the root to the
+    state a walk is at."""
 
-    A state's key is its edge set as an int bitmask over the index
-    pairs.  Flipping uv to xy toggles two bits, so a neighbour is looked
-    up in ``seen`` before it is built; only unseen flips pay for the
-    crossing test and canonicalisation.  A state's ``star_map`` gives
-    its flips and, before it is yielded, its Euler counts.
-    """
-    signs = container.signs
-    seed = initial_triangulation(container).triangles
-    n_all = len(signs)
-    hull_size = len(container.convex_hull_indices())
-    expected_tris = 2 * n_all - 2 - hull_size
-    # Of the 3 * expected_tris directed edges, an interior edge has two.
-    expected_inner = 3 * expected_tris - (3 * n_all - 3 - hull_size)
+    def __init__(self, container):
+        self.xy, self.signs, n = container.xy, container.signs, len(container.xy)
+        hull = len(container.convex_hull_indices())
+        # Directed edges of the 2n - 2 - h triangles, and interior edges.
+        self.n, self.entries, self.inner = n, 6 * n - 6 - 3 * hull, 3 * n - 3 - 2 * hull
+        self.bit = [[0] * n for _ in range(n)]
+        for k, (i, j) in enumerate(combinations(range(n), 2)):
+            self.bit[i][j] = self.bit[j][i] = 1 << k
+        self.memo: dict[int, bool] = {}
+        self.trail: list[tuple[int, int, int, int]] = []
+        star = self.star = star_map(initial_triangulation(container).triangles)
+        self.visit(star, -1)  # every edge marked illegal: only the seed's checks
+        # Lawson flips down to the root; an illegal edge's quad is convex.
+        while bad := [(u, v, x, y) for u, succ in star.items() for v, x in succ.items()
+                      if (y := star[v].get(u)) is not None and self.illegal(u, v, x, y)]:
+            flip_star(star, *min(bad))
 
-    bit: dict[tuple[int, int], int] = {}
-    for k, (i, j) in enumerate(combinations(range(n_all), 2)):
-        bit[i, j] = bit[j, i] = 1 << k
-    mask = sum(bit[e] for e in edges_of(seed))
-    seen = {mask}
-    frontier = deque([(seed, mask)])
-    yielded = 0
-    while frontier:
-        if cap is not None and yielded >= cap:
-            raise CapExceededError(f"enumeration cap {cap} reached")
-        state, mask = frontier.popleft()
-        star = star_map(state)
-        if len(state) != expected_tris:
+    def illegal(self, u: int, v: int, x: int, y: int) -> bool:
+        """Whether the edge uv with apexes x = star[u][v] and y = star[v][u]
+        is Delaunay-illegal; both sides of an edge share a memo key."""
+        n = self.n
+        key = ((u * n + v) * n + x) * n + y if u < v else ((v * n + u) * n + y) * n + x
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = incircle(self.xy, u, v, x, y)
+        return hit
+
+    def after(self, star, mask: int, u: int, v: int, x: int, y: int) -> int:
+        """The illegal-edge mask ``mask`` once the edge uv of ``star`` (read
+        before the flip) flips to xy: only xy and the quad's sides change."""
+        bit = self.bit
+        mask &= ~(bit[u][v] | bit[x][u] | bit[u][y] | bit[y][v] | bit[v][x])
+        # A new triangle's edge ab, its apex c, and d across ab.
+        for a, b, c, d in ((x, y, v, u), (x, u, y, star[u].get(x)), (u, y, x, star[y].get(u)),
+                           (y, v, x, star[v].get(y)), (v, x, y, star[x].get(v))):
+            if d is not None and self.illegal(a, b, c, d):
+                mask |= bit[a][b]
+        return mask
+
+    def visit(self, star, mask: int) -> list[tuple[int, int, int, int, int]]:
+        """Check the Euler counts of ``star``, with illegal-edge mask
+        ``mask``, and return its children as flips (u, v, x, y, mask),
+        largest (u, v) first: a legal uv of a convex quad whose flip makes
+        xy the lowest illegal edge.  An illegal edge below xy off the quad
+        rejects a flip untested."""
+        if sum(map(len, star.values())) != self.entries:
             raise InvariantError("Euler count violated during enumeration")
-        if sum(map(len, star.values())) != 3 * expected_tris:
-            raise InvariantError("a directed edge lies in two triangles during enumeration")
+        bit, signs = self.bit, self.signs
         inner = 0
+        kids = []
         for u, succ in star.items():
             for v, x in succ.items():
+                # The triangle (u, v, x) owns the directed edge v -> x.
+                if star[v].get(x) != u:
+                    raise InvariantError("a directed edge lies in two triangles during enumeration")
                 if v < u or (y := star[v].get(u)) is None:
                     continue
                 inner += 1
-                nxt = mask ^ bit[u, v] ^ bit[x, y]
-                # For a non-convex quad, xy is already an edge or crosses an
-                # edge other than uv: that mask is no triangulation, never seen.
-                if nxt in seen or not crosses(signs, x, y, u, v):
+                if mask & bit[u][v] or not crosses(signs, x, y, u, v):
                     continue
-                seen.add(nxt)
-                frontier.append((flipped(signs, state, u, v, x, y), nxt))
-        if inner != expected_inner:
+                xy_bit = bit[x][y]
+                if mask & (xy_bit - 1) & ~(bit[x][u] | bit[u][y] | bit[y][v] | bit[v][x]):
+                    continue
+                child = self.after(star, mask, u, v, x, y)
+                if child & -child == xy_bit:
+                    kids.append((u, v, x, y, child))
+        if inner != self.inner:
             raise InvariantError("Euler count violated during enumeration")
+        return sorted(kids, reverse=True)
+
+    def walk(self, path=(), limit: int | None = None) -> Iterator[dict[int, dict[int, int]]]:
+        """Yield the live ``star``, checked, at each state of the subtree
+        that the flips ``path`` (edges (u, v)) reach from the root, in DFS
+        preorder; states ``limit`` flips below the subtree's root are not
+        expanded.  A finished walk leaves ``star`` at the root."""
+        star, trail = self.star, self.trail
+        stack: list[list] = []  # per state on the trail: children left
+        mask = 0
+        for u, v in path:
+            x, y = star[u][v], star[v][u]
+            mask = self.after(star, mask, u, v, x, y)
+            flip_star(star, u, v, x, y)
+            trail.append((u, v, x, y))
+            stack.append([])
+        stack.append(self.visit(star, mask))
+        yield star
+        bottom = None if limit is None else len(stack) + limit
+        while stack:
+            if stack[-1] and (bottom is None or len(stack) < bottom):
+                u, v, x, y, mask = stack[-1].pop()
+                flip_star(star, u, v, x, y)
+                trail.append((u, v, x, y))
+                stack.append(self.visit(star, mask))
+                yield star
+            else:
+                stack.pop()
+                if trail:
+                    u, v, x, y = trail.pop()
+                    flip_star(star, x, y, v, u)
+
+
+def _capped(container, cap: int | None, stats: EnumerationStats | None):
+    """The star maps of a full walk; CapExceededError replaces state
+    ``cap`` + 1, and ``stats`` gets the peak DFS stack depth."""
+    walk = FlipWalk(container)
+    for count, star in enumerate(walk.walk()):
+        if cap is not None and count >= cap:
+            raise CapExceededError(f"enumeration cap {cap} reached")
         if stats is not None:
-            stats.frontier_peak = max(stats.frontier_peak, len(frontier))
-        yield state
-        yielded += 1
+            stats.frontier_peak = max(stats.frontier_peak, len(walk.trail) + 1)
+        yield star
+
+
+def flip_graph_states(container, cap: int | None = None) -> Iterator[tuple[Tri, ...]]:
+    """Yield every triangulation of the container as a canonical triangle
+    tuple, each exactly once, in the walk's DFS preorder from the Delaunay
+    triangulation.  Raises CapExceededError instead of yielding a state
+    beyond the first ``cap``; a walk with at most ``cap`` states ends
+    normally."""
+    for star in _capped(container, cap, None):
+        yield star_triangles(star)
 
 
 def enumerate_all(
@@ -133,7 +197,6 @@ def enumerate_all(
     CapExceededError, flagged non-exhaustive.
     """
     interior = container.interior_indices()
-    n_all = len(container.points)
     stats = EnumerationStats()
     t0 = time.perf_counter()
     count = 0
@@ -149,18 +212,12 @@ def enumerate_all(
             stats=stats,
         )
 
-    gen = flip_graph_states(container, cap=cap, stats=stats)
     try:
-        for state in gen:
+        for star in _capped(container, cap, stats):
             count += 1
             # An interior vertex's degree is its number of triangles.
-            deg = [0] * n_all
-            for a, b, c in state:
-                deg[a] += 1
-                deg[b] += 1
-                deg[c] += 1
             for p in interior:
-                d = deg[p]
+                d = len(star[p])
                 degree_totals[d] = degree_totals.get(d, 0) + 1
     except CapExceededError as exc:
         exc.result = build(False)

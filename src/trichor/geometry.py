@@ -2,8 +2,9 @@
 containers, and generators for the standard test configurations.
 
 Every predicate is an exact integer determinant; no floating point is
-used anywhere.  ``orient`` is the one determinant, over ``(x, y)`` int
-pairs or ``Point``s alike.  ``order_type`` tables its sign for every
+used anywhere.  ``orient`` is the one orientation determinant, over
+``(x, y)`` int pairs or ``Point``s alike; ``incircle``, the Delaunay
+test of the flip-graph walk, is the one lifted one.  ``order_type`` tables its sign for every
 index triple of a point list; the flip layers and the polygon core read
 that table, and ``crosses`` takes it and four indices.  Each container
 carries its points once as the pairs ``xy`` and their order type once
@@ -82,6 +83,22 @@ def crosses(signs, a: int, b: int, c: int, d: int) -> bool:
     overlaps do not count as proper crossings.
     """
     return signs[a][b][c] * signs[a][b][d] < 0 and signs[c][d][a] * signs[c][d][b] < 0
+
+
+def incircle(xy: Sequence, a: int, b: int, c: int, d: int) -> bool:
+    """True iff d lies inside the circle through the CCW triangle abc: the
+    lifted determinant, with rows (x, y, x² + y²) relative to d, is
+    positive.  A tie is broken by simulation of simplicity (Edelsbrunner &
+    Mücke 1990): the lift of min(a, b, c, d) is raised by 1, which adds
+    its cofactor, an orientation, non-zero in general position."""
+    dx, dy = xy[d]
+    rel = [(x - dx, y - dy) for x, y in (xy[a], xy[b], xy[c])]
+    (ax, ay), (bx, by), (cx, cy) = rel
+    # The cofactors of the lifts of a, b and c; d's lift is in every row.
+    cof = (bx * cy - by * cx, ay * cx - ax * cy, ax * by - ay * bx)
+    det = sum(k * (x * x + y * y) for k, (x, y) in zip(cof, rel))
+    low = min(a, b, c, d)
+    return (det or sum(k * ((i == low) - (d == low)) for k, i in zip(cof, (a, b, c)))) > 0
 
 
 def signed_area_2x(pts: Sequence) -> int:

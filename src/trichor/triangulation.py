@@ -7,16 +7,16 @@ flip-trees all read it: the edge uv has apexes ``star[u][v]`` and
 ``star[v][u]`` (one is absent on the hull), and a vertex's link cycle
 is walked in O(degree).  Each triangulation stores its vertex-index
 triples in CCW order, in a canonical sorted form, plus a reference to
-the underlying point container.  Flips return new values; nothing is
-mutated.  ``flipped`` is the one edge flip, shared by
-``Triangulation.flip`` and the flip-graph walk.  Every orientation
-decision reads the container's order type ``signs``; only the area
-audit of ``validate`` reads coordinates.
+the underlying point container.  ``flip_star``, the one edge flip,
+rewrites a star map in place: the walk flips and unflips one map, and
+``Triangulation.flip`` flips a copy.  Every orientation decision reads
+the container's order type ``signs``; only the area audit of
+``validate`` reads coordinates.
 
 The fingerprint is the SHA-256 of the sorted edge list (two bytes per
 index, little endian), truncated to 16 bytes.  It names a triangulation
-in reports and on the command line only: enumeration deduplicates on an
-exact edge bitmask, so no count depends on hash quality.
+in reports and on the command line only: the walk reaches each state
+once and deduplicates nothing, so no count depends on hash quality.
 """
 
 from __future__ import annotations
@@ -89,18 +89,23 @@ def star_link(star, p: int) -> list[int] | None:
     return cycle if len(cycle) == len(succ) else None
 
 
-def _ccw(signs, a: int, b: int, c: int) -> Tri:
-    """The triangle abc in CCW order, by the order type ``signs``."""
-    return (a, b, c) if signs[a][b][c] == CCW else (a, c, b)
+def star_triangles(star) -> tuple[Tri, ...]:
+    """The canonical triangles of a ``star_map``: each CCW triangle once,
+    from its smallest index."""
+    return tuple(sorted((a, b, c) for a, succ in star.items() for b, c in succ.items() if a < b and a < c))
 
 
-def flipped(signs, tris, u: int, v: int, x: int, y: int) -> tuple[Tri, ...]:
-    """The canonical triangles of ``tris`` after flipping the edge uv,
-    whose two triangles have apexes x and y, to xy (order type ``signs``)."""
-    keep = [t for t in tris if not (u in t and v in t)]
-    keep.append(_ccw(signs, x, y, u))
-    keep.append(_ccw(signs, x, y, v))
-    return canonical_triangles(keep)
+def flip_star(star, u: int, v: int, x: int, y: int) -> None:
+    """Flip the edge uv of the ``star_map`` ``star`` to xy in place, where
+    x = star[u][v] and y = star[v][u] are its apexes and the quad u, y,
+    v, x is convex: the CCW triangles (u, v, x) and (v, u, y) become
+    (x, u, y) and (y, v, x).  ``flip_star(star, x, y, v, u)`` undoes it."""
+    su, sv, sx, sy = star[u], star[v], star[x], star[y]
+    del su[v], sv[u]
+    sx[u] = sv[x] = y
+    su[y] = sy[v] = x
+    sy[x] = u
+    sx[y] = v
 
 
 def fingerprint_bytes(tris) -> bytes:
@@ -195,9 +200,10 @@ class Triangulation:
         u, v = edge(*e)
         if not self.is_flippable((u, v)):
             raise NotFlippableError(f"edge {(u, v)} cannot be flipped")
-        x, y = self.star[u][v], self.star[v][u]
+        star = {p: dict(succ) for p, succ in self.star.items()}
+        flip_star(star, u, v, star[u][v], star[v][u])
         t = Triangulation(self.vertices, ())
-        t.triangles = flipped(self.vertices.signs, self.triangles, u, v, x, y)  # already canonical
+        t.triangles, t._star = star_triangles(star), star  # already canonical
         return t
 
     def flippable_edges(self) -> list[EdgeRef]:

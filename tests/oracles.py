@@ -12,9 +12,13 @@ sweep is redone one vint at a time with explicit flips.  Flip-trees are
 rebuilt node by node as ``FlipTree`` values, without the flat key.
 Crossings are decided here by ``crosses`` on coordinates, four
 determinants per test, not by the order-type table the package reads.
+The flip graph is walked by breadth-first search over explicit
+triangle lists, deduplicated on exact edge sets, and the Delaunay test
+is the 4x4 lifted determinant over exact fractional lifts.
 """
 
-from collections import defaultdict
+from collections import defaultdict, deque
+from fractions import Fraction
 from functools import cmp_to_key
 
 from trichor.charging import (
@@ -32,7 +36,58 @@ from trichor.errors import InvariantError, NotA3VintError, NotSimpleError
 from trichor.geometry import COLLINEAR, Point, orient
 from trichor.polygons import SimplePolygon, catalan, is_diagonal
 from trichor.rng import SplitMix64
-from trichor.triangulation import Triangulation, _ccw, edge, star_link
+from trichor.triangulation import Triangulation, edge, initial_triangulation, star_link
+
+
+def ccw_triangle(xy, a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The triangle abc in CCW order, from the coordinates ``xy``."""
+    return (a, b, c) if orient(xy[a], xy[b], xy[c]) > 0 else (a, c, b)
+
+
+def flip_graph_by_bfs(P) -> list[frozenset]:
+    """Reference for ``flip_graph_states``: the edge set of every
+    triangulation of P, in breadth-first order over single flips from
+    the seed.  A state is a triangle list, its edge apexes are collected
+    from the list, a flip rebuilds the list, and the walk deduplicates
+    on exact edge sets."""
+    xy = P.xy
+
+    def edges(tris):
+        return frozenset(edge(a, b) for t in tris for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])))
+
+    seed = initial_triangulation(P).triangles
+    seen = {edges(seed)}
+    frontier = deque([seed])
+    out = []
+    while frontier:
+        tris = frontier.popleft()
+        out.append(edges(tris))
+        apexes = defaultdict(list)
+        for t in tris:
+            for k in range(3):
+                apexes[edge(t[k], t[k - 1])].append(t[k - 2])
+        for (u, v), pair in apexes.items():
+            if len(pair) == 2 and crosses(xy, *pair, u, v):
+                x, y = pair
+                nxt = [t for t in tris if not (u in t and v in t)] + [ccw_triangle(xy, x, y, u), ccw_triangle(xy, x, y, v)]
+                if (key := edges(nxt)) not in seen:
+                    seen.add(key)
+                    frontier.append(nxt)
+    return out
+
+
+def incircle_by_lifts(xy, a: int, b: int, c: int, d: int) -> bool:
+    """Reference for ``geometry.incircle``: the 4x4 determinant with rows
+    (x, y, x² + y² + 2^(-64 (i + 1)), 1) for the points i = a, b, c, d is
+    positive.  The lifts are exact fractions; the determinant is expanded
+    along their column, whose minors are integer 3x3 determinants."""
+    rows = [(i, *xy[i]) for i in (a, b, c, d)]
+    det = Fraction(0)
+    for r, (i, x, y) in enumerate(rows):
+        (_, px, py), (_, qx, qy), (_, sx, sy) = rows[:r] + rows[r + 1 :]
+        minor = px * (qy - sy) - py * (qx - sx) + (qx * sy - qy * sx)
+        det += (-1) ** r * (x * x + y * y + Fraction(1, 2 ** (64 * (i + 1)))) * minor
+    return det > 0
 
 
 def point_on_open_segment(p, a, b) -> bool:
@@ -322,7 +377,7 @@ def enumerate_charging_vints(v: Vint) -> list:
         k = len(sub.boundary)
         for i in range(k):
             new_tris.append(
-                _ccw(t.vertices.signs, p, sub.boundary[i], sub.boundary[(i + 1) % k])
+                ccw_triangle(t.vertices.xy, p, sub.boundary[i], sub.boundary[(i + 1) % k])
             )
         vint = Vint(p, Triangulation(t.vertices, new_tris))
         out.append((sub, vint))

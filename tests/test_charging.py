@@ -28,7 +28,7 @@ from trichor.charging import (
     support,
     tree_from_key,
 )
-from trichor.enumeration import check_v3_recursion, enumerate_all, flip_graph_states
+from trichor.enumeration import FlipWalk, check_v3_recursion, enumerate_all, flip_graph_states
 from trichor.errors import (
     CapExceededError,
     HasDeepEdgesError,
@@ -399,7 +399,7 @@ def test_audit_parallel_matches_sequential():
     ids=["convex7", "n7-s310"],
 )
 def test_audit_max_charge_tie_rule_across_chunks(P, states, ties):
-    # Over 512 states, so jobs=2 merges the tallies of several chunks.
+    # jobs=2 merges the parent's tallies with those of many subtrees.
     charges = []
     for tris in flip_graph_states(P):
         t = Triangulation(P, tris)
@@ -424,7 +424,7 @@ def merge_instance(name):
     """The instance, its states and one tally of all of them."""
     P = MERGE_INSTANCES[name]()
     states = list(flip_graph_states(P))
-    return P, states, charging._AuditContext(P, rules=True).tally(states)
+    return P, states, charging._AuditContext(P, rules=True).tally(map(star_map, states))
 
 
 @pytest.mark.parametrize("name", sorted(MERGE_INSTANCES))
@@ -438,11 +438,41 @@ def test_audit_report_merge_equals_one_tally(name, data):
     ctx = charging._AuditContext(P, rules=True)
     merged = ctx.tally([])
     for lo, hi in zip(bounds, bounds[1:]):
-        merged.merge(ctx.tally(states[lo:hi]))
+        merged.merge(ctx.tally(map(star_map, states[lo:hi])))
     assert merged.to_json_dict() == whole.to_json_dict()
     assert merged.rules == whole.rules
     assert merged.degree_totals == whole.degree_totals
     assert merged.max_charge_at == whole.max_charge_at
+
+
+def test_sharded_violations_equal_sequential(monkeypatch):
+    # With a hard bound of 0 every 3-vint occurrence is a violation that
+    # names its triangulation, so the list fixes the order of the states.
+    P = augment(gen_random(7, 148))
+    walk = FlipWalk(P)
+    roots = sum(len(walk.trail) == charging.SPLIT_DEPTH for _ in walk.walk(limit=charging.SPLIT_DEPTH))
+    assert roots >= 10
+    monkeypatch.setattr(charging, "HARD_CHARGE_BOUND", 0)
+    one, two = audit(P, jobs=1), audit(P, jobs=2)
+    assert len(one.violations) == one.three_vint_count > 0
+    assert two.violations == one.violations
+
+
+def test_census_and_audit_leave_no_reference_cycles():
+    import gc
+
+    P = augment(gen_random(6, 14))
+    t = initial_triangulation(P)
+    p = next(q for q in P.interior_indices() if t.degree_map()[q] == 3)
+    tree, counter = build_flip_tree(Vint(p, t)), PolygonCounter(P.xy, P.signs)
+    gc.collect()
+    gc.disable()
+    try:
+        charge_from_tree(tree, counter)
+        audit(P)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_audit_requires_augmented():
@@ -491,7 +521,7 @@ def test_fused_sweep_equals_separate_sweeps(P, jobs):
 def test_rule_violations_repeat_at_every_occurrence(monkeypatch):
     # Rule results are memoised per flip-tree and per (point, link), so
     # every convex hole reports the forced mismatch at each occurrence.
-    # convex7 has 594 states, so jobs=2 merges several chunks.
+    # convex7 has 594 states, so jobs=2 merges many subtrees.
     P = augment(gen_convex(7))
     convex = sum(hole_of(v).polygon.is_convex() for v in walk_vints(P))
     monkeypatch.setattr(charging, "is_convex", lambda signs, cycle: False)
@@ -718,7 +748,9 @@ def test_audit_jobs_agree_on_large_coordinates(P):
 def test_audit_invariant_under_unimodular_shear(P, k1, k2, dx, dy):
     # The shear ((1 + k1*k2, k1), (k2, 1)) has determinant 1, so it keeps
     # every orientation sign (the same order-type table); with the labels
-    # kept, the audit depends only on the order type.
+    # kept, the report depends only on the order type.  (The walk order
+    # follows the Delaunay test, which a shear changes; with no
+    # violations no field of the report shows it.)
     def image(p):
         return Point((1 + k1 * k2) * p.x + k1 * p.y + dx, k2 * p.x + p.y + dy)
 

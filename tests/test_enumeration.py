@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import full_corpus
+from oracles import flip_graph_by_bfs
 from trichor.enumeration import (
     check_v3_recursion,
     enumerate_all,
@@ -26,7 +28,7 @@ from trichor.geometry import (
     write_points,
 )
 from trichor.polygons import catalan, count_triangulations
-from trichor.triangulation import Triangulation
+from trichor.triangulation import Triangulation, edges_of, star_map
 
 
 @pytest.mark.parametrize("n,expected", [(4, 2), (5, 5), (6, 14)])
@@ -88,17 +90,27 @@ def test_capped_fingerprints_are_prefix_of_full():
     assert capped == full[:5]
 
 
-def _drop_one(tris):
-    return tris[:-1]
+# Corruptions of a star map just flipped from uv to xy, whose new
+# triangles are (x, u, y) and (y, v, x).
 
 
-def _duplicate_one(tris):
-    return tris + tris[:1]
+def _drop_one(star, u, v, x, y):
+    del star[x][u], star[u][y], star[y][x]
 
 
-def _replace_by_duplicate(tris):
-    # The count is right, but two triangles share all three directed edges.
-    return tris[1:2] + tris[1:]
+def _duplicate_one(star, u, v, x, y):
+    # The old triangle (u, v, x) comes back on top of the new ones.
+    star[u][v], star[v][x], star[x][u] = x, u, v
+
+
+def _replace_by_duplicate(star, u, v, x, y):
+    # The count is right, but the directed edge u -> y lies in the new
+    # triangle (x, u, y) and again in the old (v, u, y).
+    star[u][y] = v
+
+
+def _entries(star):
+    return frozenset((a, b, c) for a, succ in star.items() for b, c in succ.items())
 
 
 @pytest.mark.parametrize(
@@ -106,23 +118,26 @@ def _replace_by_duplicate(tris):
     [(_drop_one, "Euler"), (_duplicate_one, "Euler"), (_replace_by_duplicate, "directed edge")],
 )
 def test_walk_rejects_corrupted_flip_before_yielding_it(monkeypatch, corrupt, message):
+    # The first flip after a state was yielded is corrupted in place; the
+    # walk must raise before it yields the corrupted state.
     import trichor.enumeration as enumeration
 
-    real = enumeration.flipped
-    bad = []
+    real = enumeration.flip_star
+    bad, yielded = [], []
 
-    def flipped(*args):
-        bad.append(corrupt(real(*args)))
-        return bad[-1]
+    def flip_star(star, *args):
+        real(star, *args)
+        if yielded and not bad:
+            corrupt(star, *args)
+            bad.append(_entries(star))
 
-    monkeypatch.setattr(enumeration, "flipped", flipped)
+    monkeypatch.setattr(enumeration, "flip_star", flip_star)
     P = augment(gen_random(5, 4))
-    yielded = []
     with pytest.raises(InvariantError, match=message):
-        for state in flip_graph_states(P):
-            yielded.append(state)
+        for tris in flip_graph_states(P):
+            yielded.append(_entries(star_map(tris)))
     assert bad and yielded
-    assert not set(yielded) & set(bad)
+    assert bad[0] not in yielded
 
 
 def test_walk_rejects_overlapping_triangles_by_edge_count(monkeypatch):
@@ -169,6 +184,55 @@ def test_walk_is_exact(make, expected):
         t = Triangulation(P, tris)
         for e in t.flippable_edges():
             assert t.flip(e).triangles in yielded
+
+
+# Cocircular sets: every point of the circle x^2 + y^2 = 25 with integer
+# coordinates, eight of them, and a square, so the Delaunay test ties.
+CIRCLE12 = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3), (-5, 0), (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3)]
+CIRCLE8 = CIRCLE12[::3] + CIRCLE12[1::3]
+SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
+
+
+def framed(pts):
+    return AugmentedPointSet(PointSet(pts), [Point(-31, -20), Point(37, -23), Point(1, 41)])
+
+
+COCIRCULAR_INSTANCES = [
+    pytest.param(lambda: PointSet(CIRCLE8), catalan(6), id="circle-8"),
+    pytest.param(lambda: PointSet(CIRCLE12), catalan(10), id="circle-12"),
+    pytest.param(lambda: framed(CIRCLE8), None, id="framed-circle-8"),
+    pytest.param(lambda: framed(SQUARE), None, id="framed-square"),
+]
+
+
+CORPUS_N6 = [pytest.param(lambda P=P: P, None, id=name) for name, P in full_corpus() if P.n <= 6]
+
+
+@pytest.mark.parametrize("make,expected", WALK_INSTANCES + COCIRCULAR_INSTANCES + CORPUS_N6)
+def test_walk_equals_bfs_oracle(make, expected):
+    P = make()
+    walk = [frozenset(edges_of(tris)) for tris in flip_graph_states(P)]
+    assert len(set(walk)) == len(walk)
+    assert set(walk) == set(flip_graph_by_bfs(P))
+    if expected is not None:
+        assert len(walk) == expected
+
+
+def test_walk_memory_is_one_path():
+    # A BFS keeps every state's key: its peak grew 9x from n = 7 to n = 9.
+    import tracemalloc
+
+    def peak(n):
+        P = augment(gen_random(n, 148))
+        tracemalloc.start()
+        try:
+            for _ in flip_graph_states(P):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(9) <= 2 * peak(7)
 
 
 def test_pointset_and_augmented_give_same_count(tmp_path):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from oracles import check_simple_by_edge_pairs, point_on_open_segment
 from oracles import crosses as crosses_by_coordinates
-from test_enumeration import big_sets
+from oracles import incircle_by_lifts
+from test_enumeration import CIRCLE12, big_sets
 from trichor.enumeration import flip_graph_states
 from trichor.errors import NotSimpleError
 from trichor.geometry import (
@@ -27,6 +28,7 @@ from trichor.geometry import (
     crosses,
     gen_convex_arc_in_triangle,
     gen_random,
+    incircle,
     order_type,
     orient,
     point_in_triangle,
@@ -52,6 +54,25 @@ def test_flip_lands_on_walk_state_and_is_an_involution(P):
             assert f.triangles in walk
             f.validate()
             assert f.flip((x, y)).triangles == tris
+
+
+def _assert_incircle_matches_lifts(xy):
+    for u, v, x, y in product(range(len(xy)), repeat=4):
+        got = incircle(xy, u, v, x, y)
+        assert got == incircle_by_lifts(xy, u, v, x, y), (u, v, x, y)
+        # The edge uv with apexes x and y, read from its other side.
+        assert got == incircle(xy, v, u, y, x), (u, v, x, y)
+
+
+@pytest.mark.parametrize("xy", [CIRCLE12, augment(gen_random(7, 148)).xy], ids=["circle-12", "n7-s148"])
+def test_incircle_matches_lifted_determinant(xy):
+    _assert_incircle_matches_lifts(xy)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(big_sets())
+def test_incircle_matches_lifted_determinant_on_large_coordinates(P):
+    _assert_incircle_matches_lifts(P.xy)
 
 
 coord = st.integers(-4, 4) | st.integers(-(2**40), 2**40)
