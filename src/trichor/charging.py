@@ -23,9 +23,9 @@ combine, in walk order, into the sequential report.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import comb, lcm
 from typing import NamedTuple
 
@@ -73,7 +73,7 @@ class Vint:
 
     @property
     def degree(self) -> int:
-        return self.triangulation.degree_map()[self.point]
+        return len(self.triangulation.star[self.point])
 
     def link(self) -> list[int]:
         return self.triangulation.link_cycle(self.point)
@@ -164,25 +164,25 @@ class FlipTree(NamedTuple):
         lines = ["digraph fliptree {", "  node [shape=circle];"]
         a, b, c = self.link
         lines.append(f'  root [label="t({a},{b},{c})", shape=triangle];')
-        counter = [0]
-
-        def emit(parent_name, node):
-            counter[0] += 1
-            name = f"n{counter[0]}"
-            lines.append(f'  {name} [label="{node.apex}"];')
-            style = "solid" if node.rigid else "dashed"
-            lines.append(f"  {parent_name} -> {name} [style={style}];")
-            for ch in node.children:
-                emit(name, ch)
-
-        for ch in self.children:
-            emit("root", ch)
+        _dot_nodes("root", self.children, (f"n{i}" for i in count(1)), lines)
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
-def _shape(nodes) -> tuple:
-    return tuple(_shape(n.children) for n in nodes)
+def _dot_nodes(parent: str, nodes, names, lines: list[str]) -> None:
+    """Append the DOT lines of ``nodes``, the children of ``parent``, in
+    preorder, each named by the next of ``names``."""
+    for node in nodes:
+        name = next(names)
+        lines.append(f'  {name} [label="{node.apex}"];')
+        style = "solid" if node.rigid else "dashed"
+        lines.append(f"  {parent} -> {name} [style={style}];")
+        _dot_nodes(name, node.children, names, lines)
+
+
+def _shape(nodes, rigid_only: bool = False) -> tuple:
+    """Each node as the tuple of its kept (all, or rigid) children's shapes."""
+    return tuple(_shape(n.children, rigid_only) for n in nodes if n.rigid or not rigid_only)
 
 
 def subtree_size_counts(shape: tuple) -> list[int]:
@@ -319,11 +319,7 @@ class RigidCore:
 def rigid_core(tree: FlipTree) -> RigidCore:
     """The RigidCore of the tree's all-rigid part: a child is kept only
     when its edge is rigid, recursively."""
-
-    def keep(nodes):
-        return tuple(keep(n.children) for n in nodes if n.rigid)
-
-    return RigidCore(keep(tree.children))
+    return RigidCore(_shape(tree.children, rigid_only=True))
 
 
 def contr_plus_closed_form(core: RigidCore) -> int:
@@ -335,19 +331,17 @@ def contr_plus_closed_form(core: RigidCore) -> int:
 
 
 def contr_plus_census(core: RigidCore) -> int:
-    return sum(4 - j for j in core.subtree_edge_counts() if j <= 3)
+    """Positive charge: subtrees with at most three edges."""
+    return sum((4 - j) * c for j, c in enumerate(subtree_size_counts(core.shape)) if j <= 3)
 
 
 def contr_plus(core: RigidCore) -> int:
-    try:
-        return contr_plus_closed_form(core)
-    except HasDeepEdgesError:
-        return contr_plus_census(core)
+    return contr_plus_closed_form(core) if core.max_level < 4 else contr_plus_census(core)
 
 
 def contr_minus(core: RigidCore) -> int:
     """Negative charge: subtrees with five or more edges."""
-    return sum(4 - j for j in core.subtree_edge_counts() if j >= 5)
+    return sum((4 - j) * c for j, c in enumerate(subtree_size_counts(core.shape)) if j >= 5)
 
 
 # ---------------------------------------------------------------------------
@@ -377,47 +371,50 @@ class SubtreeInfo:
         return len(self.dual_edges) + 3
 
 
-def _subtree_walk(tree: FlipTree):
-    """Yield (chosen nodes, CCW boundary of the grown hole) for every
-    root-containing subtree, as live lists: copy what you keep.  Taking a
-    node replaces its dual edge (u, v) on the boundary with (u, apex, v)."""
-    total = tree.subtree_count()
+def _census(tree: FlipTree):
+    """The tree's ``subtree_size_counts`` and, lazily, (CCW boundary from
+    a, chosen nodes) of every root-containing subtree: the product of the
+    options of the root slots a -> b, b -> c and c -> a."""
+    counts = subtree_size_counts(tree.shape())
+    total = sum(counts)
     if total > SUBTREE_CAP:
         raise CapExceededError(f"flip-tree has {total} subtrees, cap {SUBTREE_CAP}")
-    return _subtrees(list(tree.children), [], list(tree.link))
+    a, b, c = tree.link
+    slots = ((a, b), (b, c), (c, a))
+    ab, bc, ca = (_slot_options(u, v, node) for (u, v), node in zip(slots, _slot_nodes(tree.children, slots)))
+    return counts, ((x + y + z, xs + ys + zs) for x, xs in ab for y, ys in bc for z, zs in ca)
 
 
-def _subtrees(pending: list[FlipTreeNode], chosen: list[FlipTreeNode], boundary: list[int]):
-    """``_subtree_walk`` from the ``pending`` nodes: without the last of
-    them, then with it and its children pending."""
-    if not pending:
-        yield chosen, boundary
-        return
-    node = pending.pop()
-    yield from _subtrees(pending, chosen, boundary)
-    u, v = node.dual
-    k = len(boundary)
-    for i in range(k):
-        if (boundary[i], boundary[(i + 1) % k]) in ((u, v), (v, u)):
-            break
-    else:
-        raise InvariantError(f"dual edge {node.dual} not on boundary")
-    boundary.insert(i + 1, node.apex)
-    chosen.append(node)
-    pending.extend(node.children)
-    yield from _subtrees(pending, chosen, boundary)
-    for _ in node.children:
-        pending.pop()
-    chosen.pop()
-    boundary.pop(i + 1)
-    pending.append(node)
+def _slot_options(u: int, v: int, node: FlipTreeNode | None) -> list:
+    """The options, as (chain from u up to v, chosen nodes), of the slot
+    through the boundary edge u -> v that ``node`` (or None) fills: leave
+    it out, or take the node (apex q), an option of (u, q) and one of (q, v)."""
+    options = [((u,), ())]
+    if node is not None:
+        q = node.apex
+        left, right = _slot_nodes(node.children, ((u, q), (q, v)))
+        for x, xs in _slot_options(u, q, left):
+            for y, ys in _slot_options(q, v, right):
+                options.append((x + y, (node, *xs, *ys)))
+    return options
+
+
+def _slot_nodes(children, slots) -> list:
+    """The child in each slot (u, v), the one with dual edge(u, v), or None."""
+    nodes = [None] * len(slots)
+    for child in children:
+        i = next((i for i, (u, v) in enumerate(slots) if child.dual == edge(u, v)), None)
+        if i is None or nodes[i] is not None:
+            raise InvariantError(f"dual edge {child.dual} not on boundary")
+        nodes[i] = child
+    return nodes
 
 
 def iter_subtrees(tree: FlipTree) -> list[SubtreeInfo]:
     """SubtreeInfo for every root-containing subtree, by (j, dual edges)."""
     out = [
-        SubtreeInfo(tuple(sorted(n.dual for n in chosen)), tuple(boundary), all(n.rigid for n in chosen))
-        for chosen, boundary in _subtree_walk(tree)
+        SubtreeInfo(tuple(sorted(n.dual for n in chosen)), boundary, all(n.rigid for n in chosen))
+        for boundary, chosen in _census(tree)[1]
     ]
     out.sort(key=lambda s: (s.j, s.dual_edges))
     return out
@@ -617,10 +614,11 @@ class _AuditContext:
         hit = self.charge_cache.get(key)
         if hit is None:
             tree = tree_from_key(key)
-            subs = [(len(chosen), self.counter.count(boundary)) for chosen, boundary in _subtree_walk(tree)]
+            counts, subtrees = _census(tree)
+            subs = [(len(chosen), self.counter.count(boundary)) for boundary, chosen in subtrees]
             den = lcm(*(supp for _, supp in subs))
             total = Fraction(sum((4 - j) * (den // supp) for j, supp in subs), den)
-            items = tuple(sorted(Counter(j + 3 for j, _ in subs).items()))
+            items = tuple((j + 3, cnt) for j, cnt in enumerate(counts) if cnt)
             over = []
             for degree, cnt in items:
                 bound = 1 if degree == 3 else catalan(degree - 1) - catalan(degree - 2)

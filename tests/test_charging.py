@@ -11,6 +11,8 @@ from test_enumeration import big_sets
 from trichor import charging
 from trichor.charging import (
     BELIEVED_MAX_CHARGE,
+    FlipTree,
+    FlipTreeNode,
     RigidCore,
     Vint,
     audit,
@@ -46,7 +48,7 @@ from trichor.geometry import (
 )
 from trichor.polygons import PolygonCounter, SimplePolygon, catalan
 from trichor.rng import SplitMix64
-from trichor.triangulation import Triangulation, initial_triangulation, star_map
+from trichor.triangulation import Triangulation, edge, initial_triangulation, star_map
 
 H2 = (((), ()), ((), ()))  # a level-1 branch, complete to height 3
 COMPLETE_H3 = (H2, H2, H2)
@@ -469,6 +471,8 @@ def test_census_and_audit_leave_no_reference_cycles():
     gc.disable()
     try:
         charge_from_tree(tree, counter)
+        rigid_core(tree)
+        tree.to_dot()
         audit(P)
         assert gc.collect() == 0
     finally:
@@ -566,6 +570,27 @@ def test_flip_tree_face_revisit_raises_invariant_error():
         _grow_node(P.signs, t.star, p, u, v, node.opp, u, used, [])
 
 
+# The root child's face is apex 4 on the link edge (1, 2), with sides
+# (1, 4) and (4, 2): a child of it on edge (3, 4) or (2, 3) is off that
+# face, and a second root child on edge (1, 4) is off the link (1, 2, 3).
+@pytest.mark.parametrize(
+    "grandchild, second_root_child",
+    [(edge(3, 4), None), (edge(2, 3), None), (None, edge(1, 4))],
+    ids=["off-the-hole", "on-the-hole-off-the-face", "off-the-link"],
+)
+def test_census_rejects_a_child_off_its_parent_face(grandchild, second_root_child):
+    P = gen_convex_arc_in_triangle(4)
+    kids = () if grandchild is None else (FlipTreeNode(grandchild, 5, 2, True, 2),)
+    roots = (FlipTreeNode(edge(1, 2), 4, 3, True, 1, kids),)
+    if second_root_child is not None:
+        roots += (FlipTreeNode(second_root_child, 5, 2, True, 1),)
+    tree = FlipTree(0, (1, 2, 3), roots)
+    with pytest.raises(InvariantError, match="not on boundary"):
+        iter_subtrees(tree)
+    with pytest.raises(InvariantError, match="not on boundary"):
+        charge_from_tree(tree, PolygonCounter(P.xy, P.signs))
+
+
 # --- flat flip-tree keys ---
 
 KEY_INSTANCES = dict(
@@ -627,7 +652,7 @@ def test_audit_census_agrees_with_charge_from_tree():
             rep = charge_from_tree(tree, counter)
             assert total == rep.total
             assert count_items == tuple(sorted(rep.degree_counts().items()))
-            lean = sorted((len(chosen), tuple(boundary)) for chosen, boundary in charging._subtree_walk(tree))
+            lean = sorted((len(chosen), boundary) for boundary, chosen in charging._census(tree)[1])
             assert lean == sorted((s.j, s.boundary) for s in iter_subtrees(tree))
         assert len(ctx.charge_cache) == len(dict(keyed_occurrences(name)))
         assert all(type(x) is int for k in ctx.charge_cache for x in k)

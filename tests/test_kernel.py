@@ -3,8 +3,8 @@
 The predicates, the hull rule, the one edge flip and the simplicity
 check each live in one function; these tests tie every caller to it,
 check each container's order-type table against coordinates, keep the
-predicate modules free of inexact arithmetic and keep the flip layers
-off coordinate predicates.
+predicate modules free of inexact arithmetic, keep the flip layers off
+coordinate predicates and keep every recursion out of closures.
 """
 
 import ast
@@ -233,3 +233,44 @@ def test_order_type_guard_catches_each_reference():
         (2, "orient"),
         (3, "point_in_triangle"),
     ]
+
+
+# A nested function that refers to its own name holds itself through its
+# closure cell: every call leaves a reference cycle for the collector.
+# Recursions are module functions instead.
+def _self_referencing_closures(tree):
+    found = set()
+    for outer in ast.walk(tree):
+        if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(outer):
+                if (
+                    inner is not outer
+                    and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner))
+                ):
+                    found.add((inner.lineno, inner.name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_closure_refers_to_itself(name):
+    found = [
+        f"{name}:{line}: {fn}" for line, fn in _self_referencing_closures(ast.parse((SRC / name).read_text()))
+    ]
+    assert not found, found
+
+
+def test_closure_guard_catches_self_reference_and_passes_plain_helpers():
+    source = (
+        "def outer(n):\n"
+        "    def helper(x):\n"
+        "        return x + 1\n"
+        "    def rec(k):\n"
+        "        def inner():\n"
+        "            return inner\n"
+        "        return rec(k - 1) if k else helper(k)\n"
+        "    return rec(n)\n"
+        "def rec(k):\n"
+        "    return rec(k - 1) if k else 0\n"
+    )
+    assert _self_referencing_closures(ast.parse(source)) == [(4, "rec"), (5, "inner")]
