@@ -277,9 +277,10 @@ class RigidCore:
 
     Level statistics: lambda1..lambda3 count edges per level, nu2 counts
     level-1 nodes with two child edges.  The child counts (at most three
-    at the root, two below) and the restrictions lambda2 <= 2 lambda1,
-    lambda3 <= 2 lambda2 and nu2 <= lambda2 / 2 are validated on
-    construction.
+    at the root, two below) are validated on construction; they imply
+    the restrictions lambda2 <= 2 lambda1, lambda3 <= 2 lambda2 and
+    nu2 <= lambda2 / 2, since lambda2 counts the children of the level-1
+    nodes and lambda3 those of the level-2 nodes.
     """
 
     __slots__ = ("shape", "m", "lambda1", "lambda2", "lambda3", "nu2", "max_level")
@@ -299,12 +300,6 @@ class RigidCore:
         self.max_level = len(widths)
         self.lambda1, self.lambda2, self.lambda3 = (widths + [0, 0, 0])[:3]
         self.nu2 = sum(len(node) == 2 for node in shape)
-        if not (
-            self.lambda2 <= 2 * self.lambda1
-            and self.lambda3 <= 2 * self.lambda2
-            and 2 * self.nu2 <= self.lambda2
-        ):
-            raise ValueError("rigid-core level statistics violate the restrictions")
 
     def subtree_edge_counts(self) -> list[int]:
         """Edge count j of every root-containing subtree, in ascending
@@ -482,7 +477,7 @@ def charge_from_tree(tree: FlipTree, counter: PolygonCounter, fingerprint: str =
 def charge(v: Vint) -> ChargeReport:
     """Exact total charge received by the 3-vint v."""
     P = v.triangulation.vertices
-    return charge_from_tree(build_flip_tree(v), PolygonCounter(P.xy, P.signs), v.triangulation.fingerprint())
+    return charge_from_tree(build_flip_tree(v), PolygonCounter(P.signs), v.triangulation.fingerprint())
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +597,7 @@ class _AuditContext:
         self.interior = list(P.interior_indices())
         self.frame = list(P.frame_indices())
         self.walk = FlipWalk(P)
-        self.counter = PolygonCounter(P.xy, P.signs)
+        self.counter = PolygonCounter(P.signs)
         self.charge_cache: dict[tuple[int, ...], tuple] = {}
         self.rules_memo: dict[tuple[int, tuple[int, ...]], tuple[int, int, tuple[str, ...]]] = {}
         self.rules = rules

@@ -11,8 +11,10 @@ identity share that walk, and the polygon recursion counts the right
 side without walking.  The TRICHOR_THREADS environment variable sets
 the number of processes for the charge audit and the rule sweep, at
 most the CPU count; results are identical to a sequential run.
-``fliptree`` reads the seed triangulation unless ``--fingerprint``
-names another, which it finds by walking at most ``--cap`` states.
+``audit`` and ``fliptree`` read a point file as one S+ (``augment``
+wraps a set whose hull is not a triangle); ``fliptree`` reads the seed
+triangulation unless ``--fingerprint`` names another, which it finds by
+walking at most ``--cap`` states.
 """
 
 from __future__ import annotations
@@ -96,12 +98,14 @@ def cmd_enumerate(args) -> int:
     return code
 
 
+def _s_plus(path) -> AugmentedPointSet:
+    """S+ of a point file: its points if their hull is a triangle, else ``augment`` of them."""
+    ps = read_points(path)
+    return AugmentedPointSet.from_points(ps) if len(ps.convex_hull_indices()) == 3 else augment(ps)
+
+
 def cmd_audit(args) -> int:
-    ps = read_points(args.input)
-    if len(ps.convex_hull_indices()) == 3:
-        P = AugmentedPointSet.from_points(ps)
-    else:
-        P = augment(ps)
+    P = _s_plus(args.input)
     jobs = _threads()
     rep = audit(P, jobs=jobs, rules=True)
     rules = rep.rules
@@ -120,8 +124,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_fliptree(args) -> int:
-    ps = read_points(args.input)
-    P = AugmentedPointSet.from_points(ps)
+    P = _s_plus(args.input)
     if args.fingerprint is None:
         target = initial_triangulation(P)
     else:
@@ -183,7 +186,7 @@ def _threads() -> int:
     try:
         jobs = int(raw)
     except ValueError:
-        raise SystemExit(f"TRICHOR_THREADS must be an integer, got {raw!r}")
+        raise ValueError(f"TRICHOR_THREADS must be an integer, got {raw!r}") from None
     return max(1, min(jobs, os.cpu_count() or 1))
 
 

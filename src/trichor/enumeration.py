@@ -258,7 +258,7 @@ def check_v3_recursion(P: AugmentedPointSet, lhs: int) -> V3RecursionReport:
     """
     if not isinstance(P, AugmentedPointSet):
         raise TypeError("check_v3_recursion needs an AugmentedPointSet")
-    counter = PolygonCounter(P.xy, P.signs)
+    counter = PolygonCounter(P.signs)
     interior = P.interior_indices()
     per_point = {q: counter.count(P.frame_indices(), set(interior) - {q}) for q in interior}
     return V3RecursionReport(lhs=lhs, rhs=sum(per_point.values()), per_point=per_point)

@@ -6,16 +6,16 @@ points inside it, counts constrained to contain given chords, and the
 Catalan family C_m, C'_n, C''_n, C^(r)_n for convex polygons with
 minimally-blocking reflex vertices.
 
-All counts are exact Python integers.  The core works on a CCW index
-cycle over one point list and its order type ``signs``: one diagonal
-test (``is_diagonal``), one convexity test (``is_convex``) and one
-memoised counter (``PolygonCounter``), which also counts a point set as
-its hull plus the points inside.  ``SimplePolygon`` validates a bare
-boundary and builds its ``signs``.  Two vertices see each other iff the
-open segment between them stays strictly inside the polygon: no third
-vertex on the segment (grazing a vertex counts as blocked), no proper
-crossing with a non-incident edge, and the in-cone test at one
-endpoint.
+All counts are exact Python integers.  The core reads no coordinates:
+it works on a CCW index cycle over the order type ``signs`` of one
+point list, with one diagonal test (``is_diagonal``), one convexity
+test (``is_convex``) and one memoised counter (``PolygonCounter``),
+which also counts a point set as its hull plus the points inside.
+``SimplePolygon`` validates a bare boundary and builds its ``signs``.
+Two vertices see each other iff the open segment between them stays
+strictly inside the polygon: no third vertex on the segment (grazing a
+vertex counts as blocked), no proper crossing with a non-incident edge,
+and the in-cone test at one endpoint.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import CrossingChordsError, InvalidChordError, NotSimpleError, OutOfRangeError
-from .geometry import CCW, CW, Point, crosses, order_type, orient, points_text, read_pairs, signed_area_2x
+from .geometry import CCW, CW, Point, crosses, order_type, points_text, read_pairs, signed_area_2x
 
 
 def catalan(m: int) -> int:
@@ -51,12 +51,13 @@ def catalan_generalized(n: int, r: int) -> int:
 class SimplePolygon:
     """A simple polygon given by its boundary in CCW order.
 
-    A clockwise boundary is reversed on construction.  ``xy`` holds the
-    boundary as ``(x, y)`` pairs and ``signs`` their ``order_type``, so
-    the polygon core works on the index cycle ``0..k-1``.  An optional
-    kernel witness asserts star-shapedness: construction checks that
-    every boundary edge has the witness strictly on its left, i.e. the
-    witness lies in the polygon's kernel.
+    A clockwise boundary is reversed on construction; a repeated vertex
+    or zero area raises NotSimpleError.  ``xy`` holds the boundary as
+    ``(x, y)`` pairs and ``signs`` their ``order_type``, so the polygon
+    core works on the index cycle ``0..k-1``.  An optional kernel witness
+    asserts star-shapedness: construction checks, in the order type of
+    the boundary plus the witness, that every boundary edge has the
+    witness strictly on its left, i.e. the witness lies in the kernel.
     """
 
     __slots__ = ("boundary", "xy", "signs", "kernel_witness")
@@ -69,21 +70,25 @@ class SimplePolygon:
         pts = tuple(p if isinstance(p, Point) else Point(*p) for p in boundary)
         if len(pts) < 3:
             raise NotSimpleError(f"polygon needs >= 3 vertices, got {len(pts)}")
-        xy = tuple((p.x, p.y) for p in pts)
-        if signed_area_2x(xy) < 0:
+        xy, k = tuple((p.x, p.y) for p in pts), len(pts)
+        area = signed_area_2x(xy)
+        if area < 0:
             pts, xy = pts[::-1], xy[::-1]
+        for w, p in enumerate(xy):
+            if p in xy[:w]:
+                raise NotSimpleError(f"repeated boundary vertex at {w}")
+        if not area:
+            raise NotSimpleError("boundary has zero area")
         self.signs = order_type(xy)
-        _check_simple(xy, self.signs)
+        _check_simple(self.signs, k)
         self.boundary = pts
         self.xy = xy
         self.kernel_witness = kernel_witness
         if kernel_witness is not None:
-            k = len(xy)
+            signs = order_type(xy + (kernel_witness,))
             for i in range(k):
-                if orient(xy[i], xy[(i + 1) % k], kernel_witness) != CCW:
-                    raise NotSimpleError(
-                        f"kernel witness is not strictly left of edge {i}"
-                    )
+                if signs[i][(i + 1) % k][k] != CCW:
+                    raise NotSimpleError(f"kernel witness is not strictly left of edge {i}")
 
     def __len__(self) -> int:
         return len(self.boundary)
@@ -105,22 +110,19 @@ class SimplePolygon:
         j %= k
         if i == j or (i + 1) % k == j or (j + 1) % k == i:
             return False
-        return is_diagonal(self.xy, self.signs, range(k), i, j)
+        return is_diagonal(self.signs, range(k), i, j)
 
 
-def _check_simple(xy: Sequence[tuple[int, int]], signs) -> None:
-    """Raise NotSimpleError unless the closed chain ``xy``, with order
-    type ``signs``, is simple: no vertex repeats or lies on the open
-    segment of another edge, and no two edges properly cross (edges that
-    share a vertex never do)."""
-    k = len(xy)
-    for w, p in enumerate(xy):
-        if p in xy[:w]:
-            raise NotSimpleError(f"repeated boundary vertex at {w}")
-    for i in range(k):
+def _check_simple(signs, k: int) -> None:
+    """Raise NotSimpleError unless the closed chain ``0..k-1`` of distinct
+    points with order type ``signs`` and nonzero area is simple: no
+    vertex lies on the open segment of another edge, and no two edges
+    properly cross (edges that share a vertex never do)."""
+    cycle = range(k)
+    for i in cycle:
         i1 = (i + 1) % k
-        for w in range(k):
-            if w != i and w != i1 and not signs[i][i1][w] and _between(xy, w, i, i1):
+        for w in cycle:
+            if w != i and w != i1 and not signs[i][i1][w] and _between(signs, cycle, w, i, i1):
                 raise NotSimpleError(f"vertex {w} touches edge {i}")
         for j in range(i + 1, k):
             if crosses(signs, i, i1, j, (j + 1) % k):
@@ -130,13 +132,15 @@ def _check_simple(xy: Sequence[tuple[int, int]], signs) -> None:
 # --- the polygon core: a CCW index cycle over one point list and its signs ---
 
 
-def _between(xy, w: int, a: int, b: int) -> bool:
-    """True iff the point w, collinear with a and b, lies strictly between
-    them.  Only a bare polygon, not a point set in general position, has
-    such a point.  This and ``_inside``'s y comparisons are the only
-    coordinate reads of the polygon core."""
-    (wx, wy), (ax, ay), (bx, by) = xy[w], xy[a], xy[b]
-    return min(ax, bx) < wx < max(ax, bx) if ax != bx else min(ay, by) < wy < max(ay, by)
+def _between(signs, cycle: Sequence[int], w: int, a: int, b: int) -> bool:
+    """True iff the point w, collinear with the distinct points a and b,
+    lies strictly between them.  Only a bare polygon, not a point set in
+    general position, has such a point.  Any vertex c of ``cycle`` off
+    the line ab, which a polygon of nonzero area has, sees w between a
+    and b, turning the same way from a to w as from w to b."""
+    sab = signs[a][b]
+    c = next(c for c in cycle if sab[c])
+    return signs[c][a][w] == signs[c][w][b] != 0
 
 
 def is_convex(signs, cycle: Sequence[int]) -> bool:
@@ -144,11 +148,10 @@ def is_convex(signs, cycle: Sequence[int]) -> bool:
     return all(signs[cycle[i - 2]][cycle[i - 1]][cycle[i]] == CCW for i in range(len(cycle)))
 
 
-def is_diagonal(xy, signs, cycle: Sequence[int], i: int, j: int) -> bool:
+def is_diagonal(signs, cycle: Sequence[int], i: int, j: int) -> bool:
     """True iff the non-adjacent places i and j of the CCW index cycle
-    ``cycle`` over the points ``xy`` (order type ``signs``) see each
-    other: the open segment between them runs strictly inside the
-    polygon.
+    ``cycle`` over the order type ``signs`` see each other: the open
+    segment between them runs strictly inside the polygon.
 
     No other vertex may lie on the open segment (grazing a vertex
     blocks), no edge away from i and j may properly cross it, and it
@@ -162,7 +165,7 @@ def is_diagonal(xy, signs, cycle: Sequence[int], i: int, j: int) -> bool:
         if w == i or w == j:
             continue
         c = cycle[w]
-        if not sab[c] and _between(xy, c, a, b):
+        if not sab[c] and _between(signs, cycle, c, a, b):
             return False
         v = (w + 1) % k
         if v != i and v != j and crosses(signs, a, b, c, cycle[v]):
@@ -177,8 +180,8 @@ def is_diagonal(xy, signs, cycle: Sequence[int], i: int, j: int) -> bool:
 
 
 class PolygonCounter:
-    """Memoised triangulation counts of polygons over one point list
-    ``xy`` with order type ``signs``.  A polygon is a CCW index cycle,
+    """Memoised triangulation counts of polygons over the order type
+    ``signs`` of one point list.  A polygon is a CCW index cycle,
     possibly with the indices of points strictly inside it; the memo is
     keyed by the cycle rotated to its smallest index and the inside set,
     so every count over the list shares its sub-problems.
@@ -194,10 +197,9 @@ class PolygonCounter:
       boundary edge; c then joins the boundary between k-1 and 0.
     """
 
-    __slots__ = ("xy", "signs", "memo")
+    __slots__ = ("signs", "memo")
 
-    def __init__(self, xy, signs):
-        self.xy = xy
+    def __init__(self, signs):
         self.signs = signs
         self.memo: dict[tuple, int] = {}
 
@@ -215,18 +217,16 @@ class PolygonCounter:
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        xy, signs = self.xy, self.signs
+        signs = self.signs
         total = 0
         a, b = cycle[k - 1], cycle[0]
         for m in range(1, k - 1):
-            if (m == 1 or is_diagonal(xy, signs, cycle, 0, m)) and (
-                m == k - 2 or is_diagonal(xy, signs, cycle, m, k - 1)
-            ):
+            if (m == 1 or is_diagonal(signs, cycle, 0, m)) and (m == k - 2 or is_diagonal(signs, cycle, m, k - 1)):
                 left, right = cycle[: m + 1], cycle[m:]
                 if not inside:
                     total += self.count(left) * self.count(right)
                 elif not any(_in_triangle(signs, a, b, cycle[m], q) for q in inside):
-                    part = frozenset(q for q in inside if _inside(xy, signs, left, q))
+                    part = frozenset(q for q in inside if _inside(signs, left, q))
                     total += self.count(left, part) * self.count(right, inside - part)
         for c in inside:
             if signs[a][b][c] != CCW or any(
@@ -263,10 +263,10 @@ def count_triangulations(
         raise ValueError("an inside point repeats a point")
     signs = order_type(xy) if len(xy) > k else poly.signs
     for q in range(k, len(xy)):
-        on_edge = any(not signs[cycle[w - 1]][w][q] and _between(xy, q, cycle[w - 1], w) for w in cycle)
-        if on_edge or not _inside(xy, signs, cycle, q):
+        on_edge = any(not signs[a][b][q] and _between(signs, cycle, q, a, b) for a, b in zip((k - 1, *cycle), cycle))
+        if on_edge or not _inside(signs, cycle, q):
             raise ValueError(f"inside point {xy[q]} is not strictly inside the polygon")
-    return PolygonCounter(xy, signs).count(cycle, range(k, len(xy)))
+    return PolygonCounter(signs).count(cycle, range(k, len(xy)))
 
 
 def _in_triangle(signs, a: int, b: int, c: int, q: int) -> bool:
@@ -274,23 +274,24 @@ def _in_triangle(signs, a: int, b: int, c: int, q: int) -> bool:
     return signs[a][b][q] != CW and signs[b][c][q] != CW and signs[c][a][q] != CW
 
 
-def _inside(xy, signs, cycle: Sequence[int], q: int) -> bool:
+def _inside(signs, cycle: Sequence[int], q: int) -> bool:
     """Ray parity: True iff the point q, off the boundary, is inside the
     CCW index cycle ``cycle``.
 
-    The ray runs from q towards +x.  An edge counts when its endpoints
-    lie on opposite sides of the half-open split y > q.y: a vertex at
-    q's height counts as below it, so a ray through a vertex crosses the
-    boundary once where it passes and zero or two times where it only
-    touches.  The edge meets the ray right of q iff q is left of the
-    upward edge or right of the downward one.
+    The ray runs from q through ``cycle[0]``.  An edge counts when its
+    endpoints lie on opposite sides of the half-open split of the plane
+    by that line: a vertex on the line counts as left of it, so a ray
+    through a vertex crosses the boundary once where it passes and zero
+    or two times where it only touches.  The edge from a to b meets the
+    ray, not the line behind q, iff q is right of it when a is left of
+    the line and left of it when a is right.
     """
-    qy = xy[q][1]
+    line = signs[q][cycle[0]]
     odd = False
     a = cycle[-1]
     for b in cycle:
-        ay, by = xy[a][1], xy[b][1]
-        if (ay > qy) != (by > qy) and (signs[a][b][q] == CCW) == (by > ay):
+        a_left = line[a] >= 0
+        if a_left != (line[b] >= 0) and (signs[a][b][q] < 0) == a_left:
             odd = not odd
         a = b
     return odd
@@ -351,7 +352,7 @@ def tr_with_chords(poly: SimplePolygon, required: Sequence[Chord]) -> int:
         else:
             raise CrossingChordsError(f"{ch} does not fit the prior splits")
 
-    counter = PolygonCounter(poly.xy, poly.signs)
+    counter = PolygonCounter(poly.signs)
     total = 1
     for piece in pieces:
         total *= counter.count(piece)

@@ -255,15 +255,14 @@ def count_by_interval_dp(poly: SimplePolygon) -> int:
     chord (i, j), built by choosing the apex of the triangle resting on
     that chord; it is 0 when (i, j) is neither an edge nor a diagonal.
     """
-    xy, signs = poly.xy, poly.signs
-    k = len(xy)
+    k = len(poly)
     ways = [[0] * k for _ in range(k)]
     for i in range(k - 1):
         ways[i][i + 1] = 1
     for span in range(2, k):
         for i in range(k - span):
             j = i + span
-            if span == k - 1 or is_diagonal(xy, signs, range(k), i, j):
+            if span == k - 1 or is_diagonal(poly.signs, range(k), i, j):
                 wi = ways[i]
                 wi[j] = sum(wi[m] * ways[m][j] for m in range(i + 1, j))
     return ways[0][k - 1]

@@ -466,7 +466,7 @@ def test_census_and_audit_leave_no_reference_cycles():
     P = augment(gen_random(6, 14))
     t = initial_triangulation(P)
     p = next(q for q in P.interior_indices() if t.degree_map()[q] == 3)
-    tree, counter = build_flip_tree(Vint(p, t)), PolygonCounter(P.xy, P.signs)
+    tree, counter = build_flip_tree(Vint(p, t)), PolygonCounter(P.signs)
     gc.collect()
     gc.disable()
     try:
@@ -588,7 +588,7 @@ def test_census_rejects_a_child_off_its_parent_face(grandchild, second_root_chil
     with pytest.raises(InvariantError, match="not on boundary"):
         iter_subtrees(tree)
     with pytest.raises(InvariantError, match="not on boundary"):
-        charge_from_tree(tree, PolygonCounter(P.xy, P.signs))
+        charge_from_tree(tree, PolygonCounter(P.signs))
 
 
 # --- flat flip-tree keys ---
@@ -645,7 +645,7 @@ def test_audit_grows_every_key_and_decodes_once_per_miss(monkeypatch):
 def test_audit_census_agrees_with_charge_from_tree():
     for name, P in KEY_INSTANCES.items():
         ctx = charging._AuditContext(P, rules=False)
-        counter = PolygonCounter(P.xy, P.signs)
+        counter = PolygonCounter(P.signs)
         for key in dict(keyed_occurrences(name)):
             tree = tree_from_key(key)
             total, count_items, _, _ = ctx.tree_charge(key)

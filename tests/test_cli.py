@@ -130,6 +130,23 @@ def test_fliptree_by_fingerprint(tmp_path, capsys):
     assert "digraph" in out
 
 
+def test_fliptree_replays_the_audit_max_charge_of_a_raw_set(tmp_path, capsys):
+    # gen_random(5, 3) has a 5-point hull: audit and fliptree both read
+    # the file as its augment, so the reported location replays.
+    f = tmp_path / "raw.txt"
+    write_points(gen_random(5, 3), f)
+    code, out = run(capsys, "audit", str(f))
+    assert code == 0
+    report = json.loads(out)
+    at = report["max_charge_at"]
+    argv = ["--fingerprint", at["fingerprint"], "--point", str(at["point"]), "--charge"]
+    code, out = run(capsys, "fliptree", str(f), *argv)
+    assert code == 0
+    charge = json.loads(out.partition("}\n")[2])
+    assert (charge["fingerprint"], charge["point"]) == (at["fingerprint"], at["point"])
+    assert charge["total"] == {k: report["max_charge"][k] for k in ("num", "den")} == {"num": "64", "den": "3"}
+
+
 def test_fliptree_cap_exits_two(tmp_path, capsys):
     f = tmp_path / "r.txt"
     main(["generate", "random", "--n", "4", "--seed", "1", "--augment", "--out", str(f)])
@@ -281,6 +298,14 @@ def test_threads_env(tmp_path, capsys, monkeypatch):
     code, par = run(capsys, "audit", str(f))
     assert code == 0
     assert seq == par
+
+
+def test_threads_not_an_integer_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "r.txt"
+    main(["generate", "random", "--n", "4", "--seed", "2", "--out", str(f)])
+    monkeypatch.setenv("TRICHOR_THREADS", "two")
+    assert main(["audit", str(f)]) == 1
+    assert capsys.readouterr().err.startswith("error: TRICHOR_THREADS must be an integer")
 
 
 def test_threads_clamped_to_cpu_count(monkeypatch):

@@ -3,11 +3,13 @@
 The predicates, the hull rule, the one edge flip and the simplicity
 check each live in one function; these tests tie every caller to it,
 check each container's order-type table against coordinates, keep the
-predicate modules free of inexact arithmetic, keep the flip layers off
-coordinate predicates and keep every recursion out of closures.
+predicate modules free of inexact arithmetic, keep every module but
+geometry off coordinate predicates, keep the polygon core off
+coordinates and keep every recursion out of closures.
 """
 
 import ast
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import check_simple_by_edge_pairs, point_on_open_segment
+from oracles import _strictly_inside, check_simple_by_edge_pairs, point_on_open_segment, random_star_polygon
 from oracles import crosses as crosses_by_coordinates
 from oracles import incircle_by_lifts
 from test_enumeration import CIRCLE12, big_sets
@@ -34,7 +36,7 @@ from trichor.geometry import (
     point_in_triangle,
     signed_area_2x,
 )
-from trichor.polygons import SimplePolygon, _between
+from trichor.polygons import SimplePolygon, _between, _inside
 from trichor.rng import SplitMix64
 from trichor.triangulation import Triangulation
 
@@ -113,8 +115,12 @@ def test_predicates_agree_on_points_and_pairs(xy):
     assert crosses(order_type(xy), 0, 1, 2, 3) == crosses_by_coordinates(xy, 0, 1, 2, 3)
     assert order_type(xy) == order_type(pts)
     assert point_in_triangle(d, a, b, c) == point_in_triangle(pd, pa, pb, pc)
-    on_segment = not order_type(xy)[0][1][2] and _between(xy, 2, 0, 1)
-    assert on_segment == point_on_open_segment(c, a, b) == point_on_open_segment(pc, pa, pb)
+    if a != b:
+        # a + (a_y - b_y, b_x - a_x) lies off the line ab: the vertex that
+        # ``_between`` looks from.
+        signs = order_type(xy + [(a[0] + a[1] - b[1], a[1] + b[0] - a[0])])
+        on_segment = not signs[0][1][2] and _between(signs, (0, 1, 4), 2, 0, 1)
+        assert on_segment == point_on_open_segment(c, a, b) == point_on_open_segment(pc, pa, pb)
     assert signed_area_2x(xy) == signed_area_2x(pts)
     assert signed_area_2x(tuple(xy)) == signed_area_2x(tuple(pts))
 
@@ -162,6 +168,56 @@ def test_simple_polygon_accepts_what_the_edge_pair_sweep_accepts():
     assert 0 < rejected < 4000
 
 
+def _bare_polygons(rng, count):
+    """Random simple polygons on grids of side 3 to 41, alternately star
+    polygons around the grid centre and point lists that happen to be
+    simple; both have many collinear points."""
+    polys = []
+    while len(polys) < count:
+        side = 3 + rng.below(39)
+        if len(polys) % 2:
+            polys.append(random_star_polygon(3 + rng.below(6), rng, span=side // 2))
+            continue
+        try:
+            polys.append(SimplePolygon([(rng.below(side), rng.below(side)) for _ in range(3 + rng.below(4))]))
+        except NotSimpleError:
+            pass
+    return polys
+
+
+def test_inside_and_between_match_coordinates_on_bare_polygons():
+    # The orientation-only ray parity (from q through cycle[0], under every
+    # rotation of the cycle) and betweenness against the coordinate
+    # oracles, for grid points off the boundary and every collinear triple.
+    rng = SplitMix64(16)
+    seen = Counter()
+    for poly in _bare_polygons(rng, 400):
+        xy, k, cycle = poly.xy, len(poly), range(len(poly))
+        side = 2 + max(max(p) for p in xy)
+        for w, a, b in product(cycle, repeat=3):
+            if len({w, a, b}) == 3 and not poly.signs[a][b][w]:
+                got = _between(poly.signs, cycle, w, a, b)
+                assert got == point_on_open_segment(xy[w], xy[a], xy[b]), (xy, w, a, b)
+                seen["between", got] += 1
+        queries = {(rng.below(side + 1) - 1, rng.below(side + 1) - 1) for _ in range(40)} - set(xy)
+        for q in queries:
+            if any(point_on_open_segment(q, xy[i - 1], xy[i]) for i in cycle):
+                continue
+            signs = order_type(xy + (q,))
+            want = _strictly_inside(Point(*q), poly.boundary)
+            for r in cycle:
+                rot = tuple(cycle[r:]) + tuple(cycle[:r])
+                assert _inside(signs, rot, k) == want, (xy, q, r)
+                seen["ray through a vertex"] += sum(not signs[k][rot[0]][v] for v in rot[1:])
+            for a, b in product(cycle, repeat=2):
+                if a != b and not signs[a][b][k]:
+                    got = _between(signs, cycle, k, a, b)
+                    assert got == point_on_open_segment(q, xy[a], xy[b]), (xy, q, a, b)
+                    seen["between", got] += 1
+            seen["inside", want] += 1
+    assert min(seen.values()) > 100 and len(seen) == 5, seen
+
+
 PREDICATE_MODULES = ["geometry.py", "polygons.py", "triangulation.py"]
 
 
@@ -198,10 +254,11 @@ def test_exact_arithmetic_guard_catches_each_kind():
     )
 
 
-# The flip layers decide every orientation from the container's order
-# type; only geometry (to build the table) and polygons (the kernel-witness
-# check of a SimplePolygon) call the coordinate predicates.
-ORDER_TYPE_MODULES = ["triangulation.py", "enumeration.py", "charging.py"]
+# Every module decides orientations from an order type; only geometry,
+# which builds the table, calls the coordinate predicates.  The package
+# __init__ re-exports ``orient`` as public API and runs no code, so it is
+# not scanned.
+ORDER_TYPE_MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name not in ("geometry.py", "__init__.py"))
 COORDINATE_PREDICATES = {"orient", "point_in_triangle"}
 
 
@@ -232,6 +289,43 @@ def test_order_type_guard_catches_each_reference():
         (1, "orient"),
         (2, "orient"),
         (3, "point_in_triangle"),
+    ]
+
+
+# The polygon core is a function of the order type alone: no parameter,
+# name, attribute or string ``xy`` inside its definitions.
+POLYGON_CORE = {"is_convex", "is_diagonal", "_between", "_inside", "_in_triangle", "PolygonCounter"}
+
+
+def _core_xy_refs(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in POLYGON_CORE:
+            for sub in ast.walk(node):
+                if "xy" in (getattr(sub, "arg", None), getattr(sub, "id", None), getattr(sub, "attr", None)) or (
+                    isinstance(sub, ast.Constant) and sub.value == "xy"
+                ):
+                    yield sub.lineno, node.name
+
+
+def test_polygon_core_reads_no_coordinates():
+    tree = ast.parse((SRC / "polygons.py").read_text())
+    assert POLYGON_CORE <= {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    found = [f"polygons.py:{line}: {name}" for line, name in _core_xy_refs(tree)]
+    assert not found, found
+
+
+def test_polygon_core_guard_catches_each_reference():
+    source = (
+        "def _inside(signs, xy, q):\n    pass\n"
+        "class PolygonCounter:\n    __slots__ = ('xy',)\n    def count(self):\n        return self.xy\n"
+        "def is_convex(signs):\n    return xy\n"
+        "def outside_the_core(xy):\n    return xy.xy\n"
+    )
+    assert sorted(_core_xy_refs(ast.parse(source))) == [
+        (1, "_inside"),
+        (4, "PolygonCounter"),
+        (6, "PolygonCounter"),
+        (8, "is_convex"),
     ]
 
 

@@ -307,7 +307,7 @@ def test_shared_counter_is_invariant_under_rotation_and_keeps_inside_sets_apart(
     # must count what a fresh count, the interval DP (holes) or a flip
     # walk (frame sets) counts.
     P = augment(gen_random(7, 148))
-    counter = PolygonCounter(P.xy, P.signs)
+    counter = PolygonCounter(P.signs)
     frame = list(P.frame_indices())
     for q in P.interior_indices():
         others = [i for i in P.interior_indices() if i != q]
