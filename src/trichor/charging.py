@@ -619,58 +619,59 @@ class _AuditContext:
                 bound = 1 if degree == 3 else catalan(degree - 1) - catalan(degree - 2)
                 if cnt > bound:
                     over.append(f"{cnt} chargers of degree {degree} at point {tree.point} exceed bound {bound}")
-            rules = _rules_vint(self.counter.signs, tree.point, tree.link, self.counter, tree) if self.rules else None
+            rules = _rules_vint(tree.point, tree.link, self.counter, tree) if self.rules else None
             hit = self.charge_cache[key] = (total, items, tuple(over), rules)
         return hit
 
     def tally(self, stars) -> AuditReport:
-        """Audit each triangulation of ``stars``, a run of star maps, into one fresh report."""
-        signs, interior, n = self.counter.signs, self.interior, self.n
+        """Audit each triangulation of ``stars``, a run of star maps, into
+        one fresh report, in one pass over each state's interior points."""
+        signs, n = self.counter.signs, self.n
         r = AuditReport(n, rules=RulesReport() if self.rules else None)
+        rr = r.rules
         for star in stars:
-            charged = {p: self.tree_charge(flip_tree_key(signs, star, p)) for p in interior if len(star[p]) == 3}
             r.triangulation_count += 1
-            # A vertex's degree is its number of triangles, plus one on the hull.
             interior_sum = 0
-            for p in interior:
+            # The state's charge violations follow its degree-identity ones.
+            over: list[str] = []
+            # The fingerprint only labels a maximum or a violation.
+            fp = None
+            for p in self.interior:
+                # A vertex's degree is its number of triangles, plus one on the hull.
                 d = len(star[p])
                 interior_sum += d
                 r.degree_totals[d] = r.degree_totals.get(d, 0) + 1
+                if d == 3:
+                    total, count_items, bound_over, hit = self.tree_charge(flip_tree_key(signs, star, p))
+                    r.conservation_rhs += total
+                    if r.max_charge_at is None or total >= r.max_charge:
+                        fp = fp or fingerprint_bytes(star_triangles(star)).hex()
+                        r.offer_max(total, (fp, p))
+                    for degree, cnt in count_items:
+                        r.offer_chargers(degree, cnt)
+                    over.extend(bound_over)
+                    if total >= HARD_CHARGE_BOUND:
+                        fp = fp or fingerprint_bytes(star_triangles(star)).hex()
+                        over.append(f"charge {total} >= {HARD_CHARGE_BOUND} at point {p} in {fp}")
+                elif rr is None:
+                    continue
+                elif (cyc := star_link(star, p)) is None:
+                    # A broken link is reported at every occurrence, never memoised.
+                    rr.violations.append(f"point {p} link is not a single cycle")
+                    continue
+                elif (hit := self.rules_memo.get(key := (p, tuple(cyc)))) is None:
+                    hit = self.rules_memo[key] = _rules_vint(p, cyc, self.counter, None)
+                if rr is not None:
+                    rr.support_checked += 1
+                    rr.rule1_checked += hit[0]
+                    rr.monotone_checked += hit[1]
+                    rr.violations.extend(hit[2])
             eq1 = sum(len(star[f]) + 1 for f in self.frame) + interior_sum
             if eq1 != 6 * n + 6:
                 r.violations.append(f"degree identity violated: {eq1} != {6 * n + 6}")
             if n >= 1 and interior_sum > 6 * n - 3:
                 r.violations.append("interior degree sum exceeds 6n - 3")
-            # The fingerprint only labels a maximum or a violation.
-            fp = None
-            for p, (total, count_items, over, _) in charged.items():
-                r.conservation_rhs += total
-                if r.max_charge_at is None or total >= r.max_charge:
-                    fp = fp or fingerprint_bytes(star_triangles(star)).hex()
-                    r.offer_max(total, (fp, p))
-                for degree, cnt in count_items:
-                    r.offer_chargers(degree, cnt)
-                r.violations.extend(over)
-                if total >= HARD_CHARGE_BOUND:
-                    fp = fp or fingerprint_bytes(star_triangles(star)).hex()
-                    r.violations.append(
-                        f"charge {total} >= {HARD_CHARGE_BOUND} at point {p} in {fp}"
-                    )
-            if r.rules is not None:
-                rr = r.rules
-                for p in interior:
-                    if p in charged:
-                        hit = charged[p][3]
-                    elif (cyc := star_link(star, p)) is None:
-                        # A broken link is reported at every occurrence, never memoised.
-                        rr.violations.append(f"point {p} link is not a single cycle")
-                        continue
-                    elif (hit := self.rules_memo.get(key := (p, tuple(cyc)))) is None:
-                        hit = self.rules_memo[key] = _rules_vint(signs, p, cyc, self.counter, None)
-                    rr.support_checked += 1
-                    rr.rule1_checked += hit[0]
-                    rr.monotone_checked += hit[1]
-                    rr.violations.extend(hit[2])
+            r.violations.extend(over)
         return r
 
 
@@ -779,12 +780,13 @@ class RulesReport:
         }
 
 
-def _rules_vint(signs, p, cyc, counter, tree) -> tuple[int, int, tuple[str, ...]]:
+def _rules_vint(p, cyc, counter, tree) -> tuple[int, int, tuple[str, ...]]:
     """The structural rules at the interior point p with link cycle
-    ``cyc`` over the order type ``signs``; ``tree`` is p's flip-tree when
-    p has degree 3.  Returns the
-    rule-1 and monotone check counts and the violations (``()`` when
-    there are none); the vint's one support check is the caller's."""
+    ``cyc`` over the order type of ``counter``; ``tree`` is p's flip-tree
+    when p has degree 3.  Returns the rule-1 and monotone check counts and
+    the violations (``()`` when there are none); the vint's one support
+    check is the caller's."""
+    signs = counter.signs
     violations = []
     d = len(cyc)
     supp = counter.count(cyc)

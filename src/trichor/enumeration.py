@@ -165,32 +165,19 @@ class FlipWalk:
                     flip_star(star, x, y, v, u)
 
 
-def _capped(container, cap: int | None, stats: EnumerationStats | None):
-    """The star maps of a full walk; CapExceededError replaces state
-    ``cap`` + 1, and ``stats`` gets the peak DFS stack depth."""
-    walk = FlipWalk(container)
-    for count, star in enumerate(walk.walk()):
-        if cap is not None and count >= cap:
-            raise CapExceededError(f"enumeration cap {cap} reached")
-        if stats is not None:
-            stats.frontier_peak = max(stats.frontier_peak, len(walk.trail) + 1)
-        yield star
-
-
 def flip_graph_states(container, cap: int | None = None) -> Iterator[tuple[Tri, ...]]:
     """Yield every triangulation of the container as a canonical triangle
     tuple, each exactly once, in the walk's DFS preorder from the Delaunay
     triangulation.  Raises CapExceededError instead of yielding a state
     beyond the first ``cap``; a walk with at most ``cap`` states ends
     normally."""
-    for star in _capped(container, cap, None):
+    for count, star in enumerate(FlipWalk(container).walk()):
+        if cap is not None and count >= cap:
+            raise CapExceededError(f"enumeration cap {cap} reached")
         yield star_triangles(star)
 
 
-def enumerate_all(
-    container,
-    cap: int | None = None,
-) -> EnumerationResult:
+def enumerate_all(container, cap: int | None = None) -> EnumerationResult:
     """Count all triangulations and accumulate interior degree totals.
 
     On hitting ``cap`` the partial result is attached to the raised
@@ -199,30 +186,25 @@ def enumerate_all(
     interior = container.interior_indices()
     stats = EnumerationStats()
     t0 = time.perf_counter()
+    walk = FlipWalk(container)
     count = 0
     degree_totals: dict[int, int] = {}
-
-    def build(exhaustive: bool) -> EnumerationResult:
-        stats.wall_time = time.perf_counter() - t0
-        return EnumerationResult(
-            count=count,
-            interior_count=len(interior),
-            degree_totals=dict(sorted(degree_totals.items())),
-            exhaustive=exhaustive,
-            stats=stats,
-        )
-
-    try:
-        for star in _capped(container, cap, stats):
-            count += 1
-            # An interior vertex's degree is its number of triangles.
-            for p in interior:
-                d = len(star[p])
-                degree_totals[d] = degree_totals.get(d, 0) + 1
-    except CapExceededError as exc:
-        exc.result = build(False)
-        raise
-    return build(True)
+    exhaustive = True
+    for star in walk.walk():
+        if cap is not None and count >= cap:
+            exhaustive = False
+            break
+        count += 1
+        stats.frontier_peak = max(stats.frontier_peak, len(walk.trail) + 1)
+        # An interior vertex's degree is its number of triangles.
+        for p in interior:
+            d = len(star[p])
+            degree_totals[d] = degree_totals.get(d, 0) + 1
+    stats.wall_time = time.perf_counter() - t0
+    result = EnumerationResult(count, len(interior), dict(sorted(degree_totals.items())), exhaustive, stats)
+    if not exhaustive:
+        raise CapExceededError(f"enumeration cap {cap} reached", result)
+    return result
 
 
 def vhat(container, i: int) -> Fraction:

@@ -124,9 +124,6 @@ class DegreeVector:
     v: dict[int, int]
     frame_degrees: tuple[int, int, int]
 
-    def interior_total(self) -> int:
-        return sum(self.v.values())
-
     def weighted_sum(self) -> int:
         return sum(i * c for i, c in self.v.items())
 

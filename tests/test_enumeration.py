@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import full_corpus
 from oracles import flip_graph_by_bfs
 from trichor.enumeration import (
+    FlipWalk,
     check_v3_recursion,
     enumerate_all,
     flip_graph_states,
@@ -88,6 +89,29 @@ def test_capped_fingerprints_are_prefix_of_full():
         for state in flip_graph_states(gen_convex(6), cap=5):
             capped.append(state)
     assert capped == full[:5]
+
+
+def test_every_cap_gives_the_walk_prefix():
+    # 52 states: every cap below, at and above the count.
+    P = augment(gen_random(5, 4))
+    full = list(flip_graph_states(P))
+    assert len(full) == 52
+    assert list(flip_graph_states(P, cap=52)) == full
+    with pytest.raises(CapExceededError):
+        next(flip_graph_states(P, cap=-1))
+    degrees = [[len(star_map(tris)[p]) for p in P.interior_indices()] for tris in full]
+    for cap in range(54):
+        try:
+            r = enumerate_all(P, cap=cap)
+        except CapExceededError as exc:
+            r = exc.result
+        assert r.count == min(cap, 52)
+        assert r.exhaustive == (cap >= 52)
+        prefix = {}
+        for state in degrees[:cap]:
+            for d in state:
+                prefix[d] = prefix.get(d, 0) + 1
+        assert r.degree_totals == prefix
 
 
 # Corruptions of a star map just flipped from uv to xy, whose new
@@ -281,6 +305,12 @@ def test_stats_are_populated():
     r = enumerate_all(gen_convex(7))
     assert r.stats.wall_time > 0
     assert r.stats.frontier_peak >= 1
+    # Exactly one more than the deepest trail of a full walk.
+    P = augment(gen_random(5, 4))
+    walk = FlipWalk(P)
+    deepest = max(len(walk.trail) for _ in walk.walk())
+    assert deepest == 6
+    assert enumerate_all(P).stats.frontier_peak == deepest + 1
 
 
 def test_square_with_interior_point_counts_three():
