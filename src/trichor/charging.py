@@ -16,16 +16,19 @@ all-rigid subtree at the root) captures exactly the support-1 chargers.
 and checks charge conservation, the per-degree charger-count bound, and
 the maximum charge received by any 3-vint.  Each triangulation is read
 through the walk's star map and each 3-vint through its flat flip-tree
-key; a run of triangulations yields one AuditReport, and ``merge`` adds
-the report of the run that follows, so subtrees audited in pool workers
-combine, in walk order, into the sequential report.
+key, whose subtrees the one slot census reads straight from the key; a
+tree is decoded only for the structural rules.  A run of triangulations
+yields one AuditReport, and ``merge`` adds the report of the run that
+follows, so subtrees audited in pool workers combine, in walk order,
+into the sequential report.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import comb, lcm
 from typing import NamedTuple
 
@@ -90,9 +93,7 @@ class StarHole:
 def hole_of(u: Vint) -> StarHole:
     cycle = u.link()
     pts = u.triangulation.points
-    poly = SimplePolygon(
-        [pts[i] for i in cycle], kernel_witness=pts[u.point]
-    )
+    poly = SimplePolygon([pts[i] for i in cycle], kernel_witness=pts[u.point])
     return StarHole(polygon=poly, indices=tuple(cycle))
 
 
@@ -144,10 +145,7 @@ class FlipTree(NamedTuple):
     children: tuple[FlipTreeNode, ...]
 
     def nodes(self) -> list[FlipTreeNode]:
-        out = []
-        for c in self.children:
-            out.extend(c.iter_nodes())
-        return out
+        return [node for c in self.children for node in c.iter_nodes()]
 
     def edge_count(self) -> int:
         return len(self.nodes())
@@ -200,11 +198,11 @@ def subtree_size_counts(shape: tuple) -> list[int]:
     return counts
 
 
-def _grow_node(signs, star, p, u, v, opp, first, used, out):
+def _grow_node(signs, star, p, u, v, opp, used, out):
     """Append to ``out`` the preorder of the child slot through edge
     (u, v), whose near triangle lies on its left: -1 if it is empty, else
     the apex q, 1 if (u, v) is rigid (cannot flip to (opp, q)) or 0, and
-    its two child slots, the one at endpoint ``first`` first.  ``used``
+    its two child slots (u, q) and (q, v), in boundary order.  ``used``
     holds the vertex bit masks of the faces grown so far."""
     q = star[v].get(u)
     if q is None or not crosses(signs, p, q, u, v):
@@ -215,10 +213,9 @@ def _grow_node(signs, star, p, u, v, opp, first, used, out):
         raise InvariantError("flip-tree expansion revisited a face")
     used.add(face)
     out += (q, 0 if crosses(signs, opp, q, u, v) else 1)
-    # The far face (u, q, v) lies left of its edges u -> q and q -> v;
-    # below it, the child slot at q comes first.
-    for a, b, o in ((u, q, v), (q, v, u)) if first == u else ((q, v, u), (u, q, v)):
-        _grow_node(signs, star, p, a, b, o, q, used, out)
+    # The far face (u, q, v) lies left of its edges u -> q and q -> v.
+    for a, b, o in ((u, q, v), (q, v, u)):
+        _grow_node(signs, star, p, a, b, o, used, out)
 
 
 def flip_tree_key(signs, star, p: int) -> tuple[int, ...]:
@@ -234,7 +231,7 @@ def flip_tree_key(signs, star, p: int) -> tuple[int, ...]:
     out = [p, a, b, c]
     used = set()
     for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-        _grow_node(signs, star, p, u, v, w, u, used, out)
+        _grow_node(signs, star, p, u, v, w, used, out)
     return tuple(out)
 
 
@@ -248,13 +245,15 @@ def tree_from_key(key: tuple[int, ...]) -> FlipTree:
 
 def _decode(preorder, u, v, opp, first, level) -> FlipTreeNode | None:
     """The node in the slot through edge (u, v), read from ``preorder``, or
-    None.  Module functions, unlike closures, leave no reference cycle."""
+    None; of its children, the one at endpoint ``first`` comes first.
+    Module functions, unlike closures, leave no reference cycle."""
     q = next(preorder)
     if q < 0:
         return None
     rigid = next(preorder) == 1
-    slots = ((u, q, v), (q, v, u)) if first == u else ((q, v, u), (u, q, v))
-    kids = [_decode(preorder, x, y, o, q, level + 1) for x, y, o in slots]
+    kids = [_decode(preorder, x, y, o, q, level + 1) for x, y, o in ((u, q, v), (q, v, u))]
+    if first != u:
+        kids.reverse()
     return FlipTreeNode(edge(u, v), q, opp, rigid, level, tuple(k for k in kids if k is not None))
 
 
@@ -302,8 +301,7 @@ class RigidCore:
         self.nu2 = sum(len(node) == 2 for node in shape)
 
     def subtree_edge_counts(self) -> list[int]:
-        """Edge count j of every root-containing subtree, in ascending
-        order."""
+        """Edge count j of every root-containing subtree, ascending."""
         counts = subtree_size_counts(self.shape)
         total = sum(counts)
         if total > SUBTREE_CAP:
@@ -363,35 +361,48 @@ class SubtreeInfo:
 
     @property
     def degree(self) -> int:
-        return len(self.dual_edges) + 3
+        return self.j + 3
 
 
-def _census(tree: FlipTree):
-    """The tree's ``subtree_size_counts`` and, lazily, (CCW boundary from
-    a, chosen nodes) of every root-containing subtree: the product of the
-    options of the root slots a -> b, b -> c and c -> a."""
-    counts = subtree_size_counts(tree.shape())
-    total = sum(counts)
+def _census(key):
+    """(CCW boundary from a, key positions of the chosen nodes) of every
+    root-containing subtree of the flip-tree ``key``, lazily: the product
+    of the options of the root slots a -> b, b -> c and c -> a.  The cap
+    is checked before anything is yielded."""
+    a, b, c = key[1:4]
+    preorder = islice(enumerate(key), 4, None)
+    ab, bc, ca = (_slot_options(preorder, u, v) for u, v in ((a, b), (b, c), (c, a)))
+    total = len(ab) * len(bc) * len(ca)
     if total > SUBTREE_CAP:
         raise CapExceededError(f"flip-tree has {total} subtrees, cap {SUBTREE_CAP}")
-    a, b, c = tree.link
-    slots = ((a, b), (b, c), (c, a))
-    ab, bc, ca = (_slot_options(u, v, node) for (u, v), node in zip(slots, _slot_nodes(tree.children, slots)))
-    return counts, ((x + y + z, xs + ys + zs) for x, xs in ab for y, ys in bc for z, zs in ca)
+    return ((x + y + z, xs + ys + zs) for x, xs in ab for y, ys in bc for z, zs in ca)
 
 
-def _slot_options(u: int, v: int, node: FlipTreeNode | None) -> list:
-    """The options, as (chain from u up to v, chosen nodes), of the slot
-    through the boundary edge u -> v that ``node`` (or None) fills: leave
-    it out, or take the node (apex q), an option of (u, q) and one of (q, v)."""
-    options = [((u,), ())]
-    if node is not None:
-        q = node.apex
-        left, right = _slot_nodes(node.children, ((u, q), (q, v)))
-        for x, xs in _slot_options(u, q, left):
-            for y, ys in _slot_options(q, v, right):
-                options.append((x + y, (node, *xs, *ys)))
-    return options
+def _slot_options(preorder, u, v) -> list:
+    """The options, as (chain from u up to v, chosen key positions), of the
+    slot through the boundary edge u -> v, read from ``preorder``, the
+    enumerated key: leave it out, or take its node (apex q at position i),
+    an option of (u, q) and one of (q, v)."""
+    i, q = next(preorder)
+    if q < 0:
+        return [((u,), ())]
+    next(preorder)
+    left = _slot_options(preorder, u, q)
+    right = _slot_options(preorder, q, v)
+    return [((u,), ())] + [(x + y, (i, *xs, *ys)) for x, xs in left for y, ys in right]
+
+
+def _encode(children, slots, key, at) -> None:
+    """Append to ``key`` the preorder of the slots (u, v) that ``children``
+    fill, as ``flip_tree_key`` grows it, and put each node in ``at`` under
+    its key position."""
+    for (u, v), node in zip(slots, _slot_nodes(children, slots)):
+        if node is None:
+            key.append(-1)
+            continue
+        q, at[len(key)] = node.apex, node
+        key += (q, 1 if node.rigid else 0)
+        _encode(node.children, ((u, q), (q, v)), key, at)
 
 
 def _slot_nodes(children, slots) -> list:
@@ -406,10 +417,15 @@ def _slot_nodes(children, slots) -> list:
 
 
 def iter_subtrees(tree: FlipTree) -> list[SubtreeInfo]:
-    """SubtreeInfo for every root-containing subtree, by (j, dual edges)."""
+    """SubtreeInfo for every root-containing subtree, by (j, dual edges),
+    from the census of the tree's key.  A child off its parent's face
+    raises InvariantError."""
+    a, b, c = tree.link
+    key, at = [tree.point, a, b, c], {}
+    _encode(tree.children, ((a, b), (b, c), (c, a)), key, at)
     out = [
-        SubtreeInfo(tuple(sorted(n.dual for n in chosen)), boundary, all(n.rigid for n in chosen))
-        for boundary, chosen in _census(tree)[1]
+        SubtreeInfo(tuple(sorted(at[i].dual for i in chosen)), boundary, all(at[i].rigid for i in chosen))
+        for boundary, chosen in _census(key)
     ]
     out.sort(key=lambda s: (s.j, s.dual_edges))
     return out
@@ -439,10 +455,7 @@ class ChargeReport:
     total: Fraction
 
     def degree_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for c in self.contributions:
-            counts[c.degree] = counts.get(c.degree, 0) + 1
-        return counts
+        return dict(Counter(c.degree for c in self.contributions))
 
     def to_json_dict(self) -> dict:
         return {
@@ -463,15 +476,10 @@ class ChargeReport:
 
 def charge_from_tree(tree: FlipTree, counter: PolygonCounter, fingerprint: str = "") -> ChargeReport:
     contribs = []
-    total = Fraction(0)
     for sub in iter_subtrees(tree):
         supp = counter.count(sub.boundary)
-        amount = Fraction(4 - sub.j, supp)
-        total += amount
-        contribs.append(
-            ChargeContribution(sub.j, sub.degree, supp, amount, sub.dual_edges)
-        )
-    return ChargeReport(tree.point, fingerprint, contribs, total)
+        contribs.append(ChargeContribution(sub.j, sub.degree, supp, Fraction(4 - sub.j, supp), sub.dual_edges))
+    return ChargeReport(tree.point, fingerprint, contribs, sum((c.amount for c in contribs), Fraction(0)))
 
 
 def charge(v: Vint) -> ChargeReport:
@@ -515,9 +523,7 @@ class AuditReport:
 
     @property
     def vhat3(self) -> Fraction | None:
-        if not self.triangulation_count:
-            return None
-        return Fraction(self.three_vint_count, self.triangulation_count)
+        return Fraction(self.three_vint_count, self.triangulation_count) if self.triangulation_count else None
 
     @property
     def exceeds_believed_max(self) -> bool:
@@ -533,10 +539,8 @@ class AuditReport:
 
     def offer_max(self, total: Fraction, at: tuple[str, int]) -> None:
         """Keep the largest charge, then the smallest (fingerprint, point)."""
-        if (
-            self.max_charge_at is None
-            or total > self.max_charge
-            or (total == self.max_charge and at < self.max_charge_at)
+        if self.max_charge_at is None or total > self.max_charge or (
+            total == self.max_charge and at < self.max_charge_at
         ):
             self.max_charge = total
             self.max_charge_at = at
@@ -584,13 +588,13 @@ class AuditReport:
 class _AuditContext:
     """Per-process audit state: the point roles of S+, its ``FlipWalk``,
     the polygon counter over its order type, the charge cache keyed by
-    ``flip_tree_key`` and whether the structural rules run too.  Per
-    process (each pool worker has its own), a 3-vint's tree is decoded
-    and censused once per key, and everything that depends only on the
-    key is cached with it: the charge, the charger counts per degree,
-    their bound violations and the rules.  A larger vint's rules are computed once per ``(point,
-    link cycle)`` in ``rules_memo``; the report still counts and repeats
-    every occurrence."""
+    ``flip_tree_key`` and whether the structural rules run too.  Each
+    process (a pool worker has its own) prices a 3-vint's key once, from
+    the census of the key itself, and caches with it the charge, the
+    charger counts per degree, their bound violations and, with rules,
+    the vint's rules: only rule 1 decodes a tree.  A larger vint's rules
+    are computed once per ``(point, link cycle)`` in ``rules_memo``; the
+    report still counts and repeats every occurrence."""
 
     def __init__(self, P: AugmentedPointSet, rules: bool):
         self.n = P.n
@@ -608,18 +612,17 @@ class _AuditContext:
         rules run, its 3-vint's ``_rules_vint``."""
         hit = self.charge_cache.get(key)
         if hit is None:
-            tree = tree_from_key(key)
-            counts, subtrees = _census(tree)
-            subs = [(len(chosen), self.counter.count(boundary)) for boundary, chosen in subtrees]
+            p = key[0]
+            subs = [(len(chosen), self.counter.count(boundary)) for boundary, chosen in _census(key)]
             den = lcm(*(supp for _, supp in subs))
             total = Fraction(sum((4 - j) * (den // supp) for j, supp in subs), den)
-            items = tuple((j + 3, cnt) for j, cnt in enumerate(counts) if cnt)
+            items = tuple(sorted(Counter(j + 3 for j, _ in subs).items()))
             over = []
             for degree, cnt in items:
-                bound = 1 if degree == 3 else catalan(degree - 1) - catalan(degree - 2)
+                bound = catalan(degree - 1) - catalan(degree - 2)
                 if cnt > bound:
-                    over.append(f"{cnt} chargers of degree {degree} at point {tree.point} exceed bound {bound}")
-            rules = _rules_vint(tree.point, tree.link, self.counter, tree) if self.rules else None
+                    over.append(f"{cnt} chargers of degree {degree} at point {p} exceed bound {bound}")
+            rules = _rules_vint(p, key[1:4], self.counter, tree_from_key(key)) if self.rules else None
             hit = self.charge_cache[key] = (total, items, tuple(over), rules)
         return hit
 
@@ -629,11 +632,13 @@ class _AuditContext:
         signs, n = self.counter.signs, self.n
         r = AuditReport(n, rules=RulesReport() if self.rules else None)
         rr = r.rules
+        # The received charges as int numerators per denominator.
+        sums = {}
         for star in stars:
             r.triangulation_count += 1
             interior_sum = 0
             # The state's charge violations follow its degree-identity ones.
-            over: list[str] = []
+            over = []
             # The fingerprint only labels a maximum or a violation.
             fp = None
             for p in self.interior:
@@ -643,7 +648,7 @@ class _AuditContext:
                 r.degree_totals[d] = r.degree_totals.get(d, 0) + 1
                 if d == 3:
                     total, count_items, bound_over, hit = self.tree_charge(flip_tree_key(signs, star, p))
-                    r.conservation_rhs += total
+                    sums[total.denominator] = sums.get(total.denominator, 0) + total.numerator
                     if r.max_charge_at is None or total >= r.max_charge:
                         fp = fp or fingerprint_bytes(star_triangles(star)).hex()
                         r.offer_max(total, (fp, p))
@@ -672,6 +677,8 @@ class _AuditContext:
             if n >= 1 and interior_sum > 6 * n - 3:
                 r.violations.append("interior degree sum exceeds 6n - 3")
             r.violations.extend(over)
+        den = lcm(*sums)
+        r.conservation_rhs = Fraction(sum(num * (den // d) for d, num in sums.items()), den)
         return r
 
 
@@ -791,13 +798,10 @@ def _rules_vint(p, cyc, counter, tree) -> tuple[int, int, tuple[str, ...]]:
     d = len(cyc)
     supp = counter.count(cyc)
     bound = catalan(d - 2)
-    convex = is_convex(signs, cyc)
     if not 1 <= supp <= bound:
         violations.append(f"support {supp} outside [1, {bound}]")
-    if (supp == bound) != convex:
-        violations.append(
-            f"support {supp} vs bound {bound}: convexity mismatch at point {p}"
-        )
+    if (supp == bound) != is_convex(signs, cyc):
+        violations.append(f"support {supp} vs bound {bound}: convexity mismatch at point {p}")
     # Monotonicity along each single down-flip at p.
     monotone = 0
     for idx, x in enumerate(cyc):
@@ -812,9 +816,7 @@ def _rules_vint(p, cyc, counter, tree) -> tuple[int, int, tuple[str, ...]]:
         supp_after = counter.count(cyc[:idx] + cyc[idx + 1 :])
         monotone += 1
         if supp < supp_after:
-            violations.append(
-                f"support grew {supp} -> {supp_after} along down-flip at {p}"
-            )
+            violations.append(f"support grew {supp} -> {supp_after} along down-flip at {p}")
     rule1 = 0
     if d == 3:
         for node in tree.nodes():
@@ -824,10 +826,6 @@ def _rules_vint(p, cyc, counter, tree) -> tuple[int, int, tuple[str, ...]]:
             if e1.rigid or e2.rigid:
                 continue
             rule1 += 1
-            frees1 = crosses(signs, node.opp, e1.apex, *node.dual)
-            frees2 = crosses(signs, node.opp, e2.apex, *node.dual)
-            if frees1 and frees2:
-                violations.append(
-                    f"both children of a rigid edge can free it at point {p}"
-                )
+            if crosses(signs, node.opp, e1.apex, *node.dual) and crosses(signs, node.opp, e2.apex, *node.dual):
+                violations.append(f"both children of a rigid edge can free it at point {p}")
     return rule1, monotone, tuple(violations)

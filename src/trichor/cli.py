@@ -181,13 +181,14 @@ def cmd_bounds(args) -> int:
 
 
 def _threads() -> int:
-    """Worker processes from TRICHOR_THREADS, clamped to 1..cpu_count."""
+    """Worker processes from TRICHOR_THREADS, clamped to 1..the CPUs this process may use."""
     raw = os.environ.get("TRICHOR_THREADS", "1")
     try:
         jobs = int(raw)
     except ValueError:
         raise ValueError(f"TRICHOR_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(jobs, os.cpu_count() or 1))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(jobs, cpus or 1))
 
 
 def _cap(text: str) -> int:

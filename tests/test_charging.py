@@ -27,6 +27,7 @@ from trichor.charging import (
     hole_of,
     iter_subtrees,
     rigid_core,
+    subtree_size_counts,
     support,
     tree_from_key,
 )
@@ -567,7 +568,7 @@ def test_flip_tree_face_revisit_raises_invariant_error():
     # The growth routine marks a face by the bit mask of its vertices.
     used = {1 << u | 1 << v | 1 << node.apex}
     with pytest.raises(InvariantError):
-        _grow_node(P.signs, t.star, p, u, v, node.opp, u, used, [])
+        _grow_node(P.signs, t.star, p, u, v, node.opp, used, [])
 
 
 # The root child's face is apex 4 on the link edge (1, 2), with sides
@@ -652,10 +653,42 @@ def test_audit_census_agrees_with_charge_from_tree():
             rep = charge_from_tree(tree, counter)
             assert total == rep.total
             assert count_items == tuple(sorted(rep.degree_counts().items()))
-            lean = sorted((len(chosen), boundary) for boundary, chosen in charging._census(tree)[1])
+            census = list(charging._census(key))
+            lean = sorted((len(chosen), boundary) for boundary, chosen in census)
             assert lean == sorted((s.j, s.boundary) for s in iter_subtrees(tree))
+            # Enumerating agrees with counting, and a chosen position holds an apex.
+            js = [len(chosen) for _, chosen in census]
+            assert [js.count(j) for j in range(max(js) + 1)] == subtree_size_counts(tree.shape())
+            assert all(key[i] >= 0 and key[i + 1] in (0, 1) for _, chosen in census for i in chosen)
         assert len(ctx.charge_cache) == len(dict(keyed_occurrences(name)))
         assert all(type(x) is int for k in ctx.charge_cache for x in k)
+
+
+def test_audit_without_rules_decodes_no_tree(monkeypatch):
+    P = KEY_INSTANCES["random-n7-s148"]
+    with_rules = audit(P, rules=True)
+
+    def decode(key):
+        raise AssertionError("tree decoded without rules")
+
+    monkeypatch.setattr(charging, "tree_from_key", decode)
+    plain = audit(P)
+    assert plain.rules is None
+    assert plain.to_json_dict() == with_rules.to_json_dict()
+    assert plain.degree_totals == with_rules.degree_totals
+    assert plain.conservation_rhs == with_rules.conservation_rhs
+
+
+def test_census_checks_the_cap_before_yielding(monkeypatch):
+    key = max(dict(keyed_occurrences("random-n7-s148")), key=lambda k: len(list(charging._census(k))))
+    total = len(list(charging._census(key)))
+    assert total > 2
+    monkeypatch.setattr(charging, "SUBTREE_CAP", total - 1)
+    # The call raises; no iteration is needed to see the cap.
+    with pytest.raises(CapExceededError, match=f"flip-tree has {total} subtrees"):
+        charging._census(key)
+    monkeypatch.setattr(charging, "SUBTREE_CAP", total)
+    assert len(list(charging._census(key))) == total
 
 
 def test_invariant_error_pickles():

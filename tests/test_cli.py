@@ -293,7 +293,9 @@ def test_threads_env(tmp_path, capsys, monkeypatch):
     main(["generate", "random", "--n", "6", "--seed", "14", "--augment", "--out", str(f)])
     code, seq = run(capsys, "audit", str(f))
     assert code == 0
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # keep 2 on a 1-core host
+    # Keep 2 on a 1-core host.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setenv("TRICHOR_THREADS", "2")
     code, par = run(capsys, "audit", str(f))
     assert code == 0
@@ -312,15 +314,20 @@ def test_threads_clamped_to_cpu_count(monkeypatch):
     # Only _threads() runs: no pool is started with the large value.
     import trichor.cli as cli
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    # A process pinned to 3 of 64 CPUs gets at most 3 workers.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 4, 7}, raising=False)
     monkeypatch.setenv("TRICHOR_THREADS", "100000")
     assert cli._threads() == 3
     monkeypatch.setenv("TRICHOR_THREADS", "2")
     assert cli._threads() == 2
     monkeypatch.setenv("TRICHOR_THREADS", "0")
     assert cli._threads() == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    # Without an affinity call, cpu_count bounds it.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setenv("TRICHOR_THREADS", "100000")
+    assert cli._threads() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cli._threads() == 1
 
 

@@ -5,7 +5,9 @@ check each live in one function; these tests tie every caller to it,
 check each container's order-type table against coordinates, keep the
 predicate modules free of inexact arithmetic, keep every module but
 geometry off coordinate predicates, keep the polygon core off
-coordinates and keep every recursion out of closures.
+coordinates, keep every recursion out of closures, keep ``Fraction``
+out of the audit's per-state loop and keep the subtree census on the
+flat key, off tree nodes.
 """
 
 import ast
@@ -368,3 +370,90 @@ def test_closure_guard_catches_self_reference_and_passes_plain_helpers():
         "    return rec(k - 1) if k else 0\n"
     )
     assert _self_referencing_closures(ast.parse(source)) == [(4, "rec"), (5, "inner")]
+
+
+# The audit's per-state loop adds ints; the one Fraction per run is built
+# after it, from the numerators summed per denominator.  Neither the name
+# Fraction nor the Fraction sum ``conservation_rhs`` appears in the loop.
+FRACTION_WORK = {"Fraction", "conservation_rhs"}
+
+
+def _fractions_in_state_loop(tree):
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "_AuditContext":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "tally":
+                    loop = next(n for n in fn.body if isinstance(n, ast.For))
+                    return sorted(
+                        (n.lineno, getattr(n, "id", None) or n.attr)
+                        for n in ast.walk(loop)
+                        if {getattr(n, "id", None), getattr(n, "attr", None)} & FRACTION_WORK
+                    )
+    raise AssertionError("no _AuditContext.tally")
+
+
+def test_audit_state_loop_names_no_fraction():
+    found = _fractions_in_state_loop(ast.parse((SRC / "charging.py").read_text()))
+    assert not found, [f"charging.py:{line}: {what}" for line, what in found]
+
+
+def test_fraction_guard_catches_the_state_loop_only():
+    source = (
+        "class _AuditContext:\n"
+        "    def tally(self, stars):\n"
+        "        total = Fraction(0)\n"
+        "        for star in stars:\n"
+        "            for p in star:\n"
+        "                total += fractions.Fraction(p, 2)\n"
+        "            last = Fraction(1)\n"
+        "            self.report.conservation_rhs += last\n"
+        "        return Fraction(total)\n"
+    )
+    assert _fractions_in_state_loop(ast.parse(source)) == [
+        (6, "Fraction"),
+        (7, "Fraction"),
+        (8, "conservation_rhs"),
+    ]
+
+
+# The subtree census reads the preorder ints of a flat flip-tree key: no
+# tree node attribute, no decoded tree, no slot matching, no shape.
+KEY_CENSUS = {"_census", "_slot_options"}
+NODE_READS = {"apex", "children", "dual", "rigid", "shape", "tree_from_key", "_slot_nodes"}
+
+
+def _node_reads(tree):
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in KEY_CENSUS:
+            for sub in ast.walk(fn):
+                what = getattr(sub, "attr", None) or getattr(sub, "id", None)
+                if what in NODE_READS:
+                    yield sub.lineno, fn.name, what
+
+
+def test_key_census_reads_no_tree_nodes():
+    tree = ast.parse((SRC / "charging.py").read_text())
+    assert KEY_CENSUS <= {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    found = [f"charging.py:{line}: {fn} reads {what}" for line, fn, what in _node_reads(tree)]
+    assert not found, found
+
+
+def test_node_read_guard_catches_each_read():
+    source = (
+        "def _census(key):\n"
+        "    return key.children, tree_from_key(key)\n"
+        "def _slot_options(preorder, u, v):\n"
+        "    node = next(preorder)\n"
+        "    return node.apex, node.dual, node.rigid, _slot_nodes(node, ()), node.shape()\n"
+        "def _encode(children, slots, key, at):\n"
+        "    return children[0].apex\n"
+    )
+    assert sorted(_node_reads(ast.parse(source))) == [
+        (2, "_census", "children"),
+        (2, "_census", "tree_from_key"),
+        (5, "_slot_options", "_slot_nodes"),
+        (5, "_slot_options", "apex"),
+        (5, "_slot_options", "dual"),
+        (5, "_slot_options", "rigid"),
+        (5, "_slot_options", "shape"),
+    ]
