@@ -11,13 +11,16 @@ they correspond bijectively to the root-containing subtrees of the
 flip-tree of v.  Each subtree's polygon is the hole of its vint, and
 its edge count j gives the degree j + 3.  The rigid core (the maximal
 all-rigid subtree at the root) captures exactly the support-1 chargers.
+Every subtree census reads the flat flip-tree key that ``flip_tree_key``
+grows for a 3-vint (``iter_subtrees``, ``charge`` and ``audit`` alike);
+a ``FlipTree`` is the decoded view of a key, for DOT, rigid cores and
+rule 1, and is never encoded back.
 
 ``audit`` runs the whole scheme over every triangulation of an instance
 and checks charge conservation, the per-degree charger-count bound, and
 the maximum charge received by any 3-vint.  Each triangulation is read
-through the walk's star map and each 3-vint through its flat flip-tree
-key, whose subtrees the one slot census reads straight from the key; a
-tree is decoded only for the structural rules.  A run of triangulations
+through the walk's star map and each 3-vint through its key; a tree is
+decoded only for the structural rules.  A run of triangulations
 yields one AuditReport, and ``merge`` adds the report of the run that
 follows, so subtrees audited in pool workers combine, in walk order,
 into the sequential report.
@@ -365,10 +368,11 @@ class SubtreeInfo:
 
 
 def _census(key):
-    """(CCW boundary from a, key positions of the chosen nodes) of every
-    root-containing subtree of the flip-tree ``key``, lazily: the product
-    of the options of the root slots a -> b, b -> c and c -> a.  The cap
-    is checked before anything is yielded."""
+    """(CCW boundary from a, chosen nodes) of every root-containing subtree
+    of the flip-tree ``key``, lazily: the product of the options of the
+    root slots a -> b, b -> c and c -> a.  A chosen node is the triple
+    (key position of its apex, slot edge u, v).  The cap is checked
+    before anything is yielded."""
     a, b, c = key[1:4]
     preorder = islice(enumerate(key), 4, None)
     ab, bc, ca = (_slot_options(preorder, u, v) for u, v in ((a, b), (b, c), (c, a)))
@@ -379,56 +383,37 @@ def _census(key):
 
 
 def _slot_options(preorder, u, v) -> list:
-    """The options, as (chain from u up to v, chosen key positions), of the
-    slot through the boundary edge u -> v, read from ``preorder``, the
-    enumerated key: leave it out, or take its node (apex q at position i),
-    an option of (u, q) and one of (q, v)."""
+    """The options, as (chain from u up to v, chosen nodes), of the slot
+    through the boundary edge u -> v, read from ``preorder``, the
+    enumerated key: leave it out, or take its node (apex q at position
+    i), an option of (u, q) and one of (q, v)."""
     i, q = next(preorder)
     if q < 0:
         return [((u,), ())]
     next(preorder)
+    node = (i, u, v)
     left = _slot_options(preorder, u, q)
     right = _slot_options(preorder, q, v)
-    return [((u,), ())] + [(x + y, (i, *xs, *ys)) for x, xs in left for y, ys in right]
+    return [((u,), ())] + [(x + y, (node, *xs, *ys)) for x, xs in left for y, ys in right]
 
 
-def _encode(children, slots, key, at) -> None:
-    """Append to ``key`` the preorder of the slots (u, v) that ``children``
-    fill, as ``flip_tree_key`` grows it, and put each node in ``at`` under
-    its key position."""
-    for (u, v), node in zip(slots, _slot_nodes(children, slots)):
-        if node is None:
-            key.append(-1)
-            continue
-        q, at[len(key)] = node.apex, node
-        key += (q, 1 if node.rigid else 0)
-        _encode(node.children, ((u, q), (q, v)), key, at)
-
-
-def _slot_nodes(children, slots) -> list:
-    """The child in each slot (u, v), the one with dual edge(u, v), or None."""
-    nodes = [None] * len(slots)
-    for child in children:
-        i = next((i for i, (u, v) in enumerate(slots) if child.dual == edge(u, v)), None)
-        if i is None or nodes[i] is not None:
-            raise InvariantError(f"dual edge {child.dual} not on boundary")
-        nodes[i] = child
-    return nodes
-
-
-def iter_subtrees(tree: FlipTree) -> list[SubtreeInfo]:
-    """SubtreeInfo for every root-containing subtree, by (j, dual edges),
-    from the census of the tree's key.  A child off its parent's face
-    raises InvariantError."""
-    a, b, c = tree.link
-    key, at = [tree.point, a, b, c], {}
-    _encode(tree.children, ((a, b), (b, c), (c, a)), key, at)
+def _subtrees(key) -> list[SubtreeInfo]:
+    """SubtreeInfo for every root-containing subtree of the flip-tree
+    ``key``, by (j, dual edges): a chosen node's dual edge is its slot
+    edge, and the int after its apex is 1 iff that edge is rigid."""
     out = [
-        SubtreeInfo(tuple(sorted(at[i].dual for i in chosen)), boundary, all(at[i].rigid for i in chosen))
+        SubtreeInfo(tuple(sorted(edge(u, v) for _, u, v in chosen)), boundary, all(key[i + 1] for i, _, _ in chosen))
         for boundary, chosen in _census(key)
     ]
     out.sort(key=lambda s: (s.j, s.dual_edges))
     return out
+
+
+def iter_subtrees(v: Vint) -> list[SubtreeInfo]:
+    """SubtreeInfo for every root-containing subtree of the 3-vint v's
+    flip-tree, by (j, dual edges)."""
+    t = v.triangulation
+    return _subtrees(flip_tree_key(t.vertices.signs, t.star, v.point))
 
 
 def frac_json(f: Fraction) -> dict:
@@ -474,18 +459,20 @@ class ChargeReport:
         }
 
 
-def charge_from_tree(tree: FlipTree, counter: PolygonCounter, fingerprint: str = "") -> ChargeReport:
+def _charge_report(key, counter: PolygonCounter, fingerprint: str = "") -> ChargeReport:
+    """The itemised charge received by the 3-vint of the flip-tree ``key``."""
     contribs = []
-    for sub in iter_subtrees(tree):
+    for sub in _subtrees(key):
         supp = counter.count(sub.boundary)
         contribs.append(ChargeContribution(sub.j, sub.degree, supp, Fraction(4 - sub.j, supp), sub.dual_edges))
-    return ChargeReport(tree.point, fingerprint, contribs, sum((c.amount for c in contribs), Fraction(0)))
+    return ChargeReport(key[0], fingerprint, contribs, sum((c.amount for c in contribs), Fraction(0)))
 
 
 def charge(v: Vint) -> ChargeReport:
     """Exact total charge received by the 3-vint v."""
-    P = v.triangulation.vertices
-    return charge_from_tree(build_flip_tree(v), PolygonCounter(P.signs), v.triangulation.fingerprint())
+    t = v.triangulation
+    key = flip_tree_key(t.vertices.signs, t.star, v.point)
+    return _charge_report(key, PolygonCounter(t.vertices.signs), t.fingerprint())
 
 
 # ---------------------------------------------------------------------------

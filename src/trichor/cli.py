@@ -163,7 +163,7 @@ def cmd_catalan(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    entries = derived_bounds(Fraction(args.tr_base), symbolic_sc=args.symbolic)
+    entries = derived_bounds(args.tr_base, symbolic_sc=args.symbolic)
     if args.format == "csv":
         _emit(bounds_csv(entries), args.out)
     else:
@@ -196,6 +196,14 @@ def _cap(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _fraction(text: str) -> Fraction:
+    """A ``--tr-base`` value: an exact fraction such as ``30`` or ``59/2``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"must be a fraction p or p/q with q != 0, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_catalan)
 
     b = sub.add_parser("bounds", help="derived bases for related counts")
-    b.add_argument("--tr-base", default="30")
+    b.add_argument("--tr-base", type=_fraction, default="30")
     b.add_argument("--symbolic", action="store_true")
     b.add_argument("--format", choices=["csv", "json"], default="csv")
     b.add_argument("--out", default=None)

@@ -9,7 +9,8 @@ exact ray cast from the segment's midpoint, and boundary simplicity by
 an edge-pair sweep.  The charging vints of a 3-vint are rebuilt as
 explicit triangulations from its flip-tree, and the structural-rule
 sweep is redone one vint at a time with explicit flips.  Flip-trees are
-rebuilt node by node as ``FlipTree`` values, without the flat key.
+rebuilt node by node as ``FlipTree`` values, without the flat key, and
+their root-containing subtrees are found by trying every node subset.
 Crossings are decided here by ``crosses`` on coordinates, four
 determinants per test, not by the order-type table the package reads.
 The flip graph is walked by breadth-first search over explicit
@@ -353,11 +354,10 @@ def enumerate_charging_vints(v: Vint) -> list:
     Each root-containing subtree of the flip-tree maps to the vint whose
     triangulation re-fans the subtree's polygon from v's point.
     """
-    tree = build_flip_tree(v)
     t = v.triangulation
     p = v.point
     out = []
-    for sub in iter_subtrees(tree):
+    for sub in iter_subtrees(v):
         # The region's faces are the three fan faces at p plus the chosen
         # node faces, and every face containing a dual edge is in the
         # region; drop them all, then re-fan the boundary from p.
@@ -381,6 +381,26 @@ def enumerate_charging_vints(v: Vint) -> list:
         vint = Vint(p, Triangulation(t.vertices, new_tris))
         out.append((sub, vint))
     return out
+
+
+def subtrees_by_brute_force(tree: FlipTree) -> list:
+    """Reference for ``iter_subtrees``: (j, sorted dual edges, all rigid)
+    of every node subset of ``tree`` that holds the parent of each of its
+    nodes, in sorted order, found by trying every subset."""
+    nodes, parent = [], []
+    stack = [(node, -1) for node in tree.children]
+    while stack:
+        node, up = stack.pop()
+        nodes.append(node)
+        parent.append(up)
+        stack += [(child, len(nodes) - 1) for child in node.children]
+    out = []
+    for mask in range(1 << len(nodes)):
+        chosen = [i for i in range(len(nodes)) if mask >> i & 1]
+        if all(parent[i] < 0 or mask >> parent[i] & 1 for i in chosen):
+            duals = tuple(sorted(nodes[i].dual for i in chosen))
+            out.append((len(chosen), duals, all(nodes[i].rigid for i in chosen)))
+    return sorted(out)
 
 
 def walk_vints(P):

@@ -6,19 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import full_corpus
-from oracles import DownFlipOracle, enumerate_charging_vints, reference_flip_tree, rules_by_walk, walk_vints
+from oracles import (
+    DownFlipOracle,
+    enumerate_charging_vints,
+    reference_flip_tree,
+    rules_by_walk,
+    subtrees_by_brute_force,
+    walk_vints,
+)
 from test_enumeration import big_sets
 from trichor import charging
 from trichor.charging import (
     BELIEVED_MAX_CHARGE,
-    FlipTree,
-    FlipTreeNode,
     RigidCore,
     Vint,
     audit,
     build_flip_tree,
     charge,
-    charge_from_tree,
     contr_minus,
     contr_plus,
     contr_plus_census,
@@ -49,7 +53,7 @@ from trichor.geometry import (
 )
 from trichor.polygons import PolygonCounter, SimplePolygon, catalan
 from trichor.rng import SplitMix64
-from trichor.triangulation import Triangulation, edge, initial_triangulation, star_map
+from trichor.triangulation import Triangulation, initial_triangulation, star_map
 
 H2 = (((), ()), ((), ()))  # a level-1 branch, complete to height 3
 COMPLETE_H3 = (H2, H2, H2)
@@ -311,9 +315,8 @@ def test_subtree_cap_enforced(monkeypatch):
     with pytest.raises(CapExceededError):
         core.subtree_edge_counts()
     aug, t = single_point_instance()
-    tree = build_flip_tree(Vint(0, t))
     monkeypatch.setattr(charging, "SUBTREE_CAP", 10)
-    assert len(iter_subtrees(tree)) == 1
+    assert len(iter_subtrees(Vint(0, t))) == 1
 
 
 # --- charges ---
@@ -467,11 +470,13 @@ def test_census_and_audit_leave_no_reference_cycles():
     P = augment(gen_random(6, 14))
     t = initial_triangulation(P)
     p = next(q for q in P.interior_indices() if t.degree_map()[q] == 3)
-    tree, counter = build_flip_tree(Vint(p, t)), PolygonCounter(P.signs)
+    v = Vint(p, t)
+    tree = build_flip_tree(v)
     gc.collect()
     gc.disable()
     try:
-        charge_from_tree(tree, counter)
+        iter_subtrees(v)
+        charge(v)
         rigid_core(tree)
         tree.to_dot()
         audit(P)
@@ -571,27 +576,6 @@ def test_flip_tree_face_revisit_raises_invariant_error():
         _grow_node(P.signs, t.star, p, u, v, node.opp, used, [])
 
 
-# The root child's face is apex 4 on the link edge (1, 2), with sides
-# (1, 4) and (4, 2): a child of it on edge (3, 4) or (2, 3) is off that
-# face, and a second root child on edge (1, 4) is off the link (1, 2, 3).
-@pytest.mark.parametrize(
-    "grandchild, second_root_child",
-    [(edge(3, 4), None), (edge(2, 3), None), (None, edge(1, 4))],
-    ids=["off-the-hole", "on-the-hole-off-the-face", "off-the-link"],
-)
-def test_census_rejects_a_child_off_its_parent_face(grandchild, second_root_child):
-    P = gen_convex_arc_in_triangle(4)
-    kids = () if grandchild is None else (FlipTreeNode(grandchild, 5, 2, True, 2),)
-    roots = (FlipTreeNode(edge(1, 2), 4, 3, True, 1, kids),)
-    if second_root_child is not None:
-        roots += (FlipTreeNode(second_root_child, 5, 2, True, 1),)
-    tree = FlipTree(0, (1, 2, 3), roots)
-    with pytest.raises(InvariantError, match="not on boundary"):
-        iter_subtrees(tree)
-    with pytest.raises(InvariantError, match="not on boundary"):
-        charge_from_tree(tree, PolygonCounter(P.signs))
-
-
 # --- flat flip-tree keys ---
 
 KEY_INSTANCES = dict(
@@ -644,23 +628,32 @@ def test_audit_grows_every_key_and_decodes_once_per_miss(monkeypatch):
 
 
 def test_audit_census_agrees_with_charge_from_tree():
+    # The audit's lean pricing agrees with the itemised report, and
+    # iter_subtrees with a brute force over the reference tree's node sets.
     for name, P in KEY_INSTANCES.items():
         ctx = charging._AuditContext(P, rules=False)
         counter = PolygonCounter(P.signs)
-        for key in dict(keyed_occurrences(name)):
-            tree = tree_from_key(key)
-            total, count_items, _, _ = ctx.tree_charge(key)
-            rep = charge_from_tree(tree, counter)
-            assert total == rep.total
-            assert count_items == tuple(sorted(rep.degree_counts().items()))
-            census = list(charging._census(key))
-            lean = sorted((len(chosen), boundary) for boundary, chosen in census)
-            assert lean == sorted((s.j, s.boundary) for s in iter_subtrees(tree))
-            # Enumerating agrees with counting, and a chosen position holds an apex.
-            js = [len(chosen) for _, chosen in census]
-            assert [js.count(j) for j in range(max(js) + 1)] == subtree_size_counts(tree.shape())
-            assert all(key[i] >= 0 and key[i + 1] in (0, 1) for _, chosen in census for i in chosen)
-        assert len(ctx.charge_cache) == len(dict(keyed_occurrences(name)))
+        seen = set()
+        for tris in flip_graph_states(P):
+            T = Triangulation(P, tris)
+            for p in P.interior_indices():
+                if T.degree_map()[p] != 3 or (key := flip_tree_key(P.signs, T.star, p)) in seen:
+                    continue
+                seen.add(key)
+                total, count_items, _, _ = ctx.tree_charge(key)
+                rep = charging._charge_report(key, counter)
+                assert total == rep.total
+                assert count_items == tuple(sorted(rep.degree_counts().items()))
+                subs = iter_subtrees(Vint(p, T))
+                assert [(c.j, c.dual_edges) for c in rep.contributions] == [(s.j, s.dual_edges) for s in subs]
+                ref = reference_flip_tree(P.xy, T.star, p)
+                assert sorted((s.j, s.dual_edges, s.all_rigid) for s in subs) == subtrees_by_brute_force(ref)
+                # Enumerating agrees with counting, and a chosen position holds an apex.
+                census = list(charging._census(key))
+                js = [len(chosen) for _, chosen in census]
+                assert [js.count(j) for j in range(max(js) + 1)] == subtree_size_counts(ref.shape())
+                assert all(key[i] >= 0 and key[i + 1] in (0, 1) for _, chosen in census for i, _, _ in chosen)
+        assert len(ctx.charge_cache) == len(seen) == len(dict(keyed_occurrences(name)))
         assert all(type(x) is int for k in ctx.charge_cache for x in k)
 
 

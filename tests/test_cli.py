@@ -264,6 +264,7 @@ def test_missing_file_exit_one(capsys):
         (["enumerate", "f", "--cap", "-1"], 1),
         (["fliptree", "f", "--point", "0", "--cap", "-1"], 1),
         (["catalan", "zz", "3"], 1),
+        (["bounds", "--tr-base", "1/0"], 1),
         (["--help"], 0),
         (["enumerate", "--help"], 0),
     ],
@@ -274,6 +275,7 @@ def test_missing_file_exit_one(capsys):
         "cap-negative",
         "fliptree-cap-negative",
         "catalan-kind",
+        "tr-base-zero-denominator",
         "help",
         "enumerate-help",
     ],

@@ -416,9 +416,10 @@ def test_fraction_guard_catches_the_state_loop_only():
     ]
 
 
-# The subtree census reads the preorder ints of a flat flip-tree key: no
-# tree node attribute, no decoded tree, no slot matching, no shape.
-KEY_CENSUS = {"_census", "_slot_options"}
+# The subtree census, and every reader of it, reads the preorder ints of
+# a flat flip-tree key: no tree node attribute, no decoded tree, no slot
+# matching, no shape.
+KEY_CENSUS = {"_census", "_slot_options", "_subtrees", "iter_subtrees", "_charge_report"}
 NODE_READS = {"apex", "children", "dual", "rigid", "shape", "tree_from_key", "_slot_nodes"}
 
 
