@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import count, islice
 from math import comb, lcm
 from typing import NamedTuple
@@ -201,40 +202,47 @@ def subtree_size_counts(shape: tuple) -> list[int]:
     return counts
 
 
-def _grow_node(signs, star, p, u, v, opp, used, out):
-    """Append to ``out`` the preorder of the child slot through edge
-    (u, v), whose near triangle lies on its left: -1 if it is empty, else
-    the apex q, 1 if (u, v) is rigid (cannot flip to (opp, q)) or 0, and
-    its two child slots (u, q) and (q, v), in boundary order.  ``used``
-    holds the vertex bit masks of the faces grown so far."""
-    q = star[v].get(u)
-    if q is None or not crosses(signs, p, q, u, v):
-        out.append(-1)
-        return
-    face = 1 << u | 1 << v | 1 << q
-    if face in used:
-        raise InvariantError("flip-tree expansion revisited a face")
-    used.add(face)
-    out += (q, 0 if crosses(signs, opp, q, u, v) else 1)
-    # The far face (u, q, v) lies left of its edges u -> q and q -> v.
-    for a, b, o in ((u, q, v), (q, v, u)):
-        _grow_node(signs, star, p, a, b, o, used, out)
-
-
 def flip_tree_key(signs, star, p: int) -> tuple[int, ...]:
     """The flip-tree of the 3-vint p as the flat key ``(p, a, b, c,
-    *preorder)`` over p's link (a, b, c), the ``star_map`` ``star`` (only
-    read) and the order type ``signs``; equal keys mean equal trees."""
-    link = star_link(star, p)
-    if link is None:
-        raise NotA3VintError(f"point {p} is not interior")
-    if len(link) != 3:
+    *preorder)`` over p's link (a, b, c), smallest index first, the
+    ``star_map`` ``star`` (only read) and the order type ``signs``; equal
+    keys mean equal trees.
+
+    The preorder lists each child slot through an edge u -> v, whose near
+    triangle lies on its left: -1 if it is empty, else the apex q, 1 if
+    (u, v) is rigid (cannot flip to (opp, q), opp the near triangle's
+    third vertex) or 0, and its two child slots (u, q) and (q, v), in
+    boundary order.  The grown hole is star-shaped from p, so p and opp
+    lie left of u -> v and q right of it: pq crosses uv iff u and v lie on
+    opposite sides of pq, one sign comparison."""
+    succ = star.get(p) or {}
+    a = min(succ, default=-1)
+    b = succ.get(a)
+    c = succ.get(b)
+    if len(succ) != 3 or c == a or succ.get(c) != a:
+        link = star_link(star, p)
+        if link is None:
+            raise NotA3VintError(f"point {p} is not interior")
         raise NotA3VintError(f"point {p} has degree {len(link)}")
-    a, b, c = link
     out = [p, a, b, c]
+    sp = signs[p]
+    # A grown face is marked by the bit mask of its vertices.
     used = set()
-    for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-        _grow_node(signs, star, p, u, v, w, used, out)
+    stack = [(c, a, b), (b, c, a), (a, b, c)]
+    while stack:
+        u, v, opp = stack.pop()
+        q = star[v].get(u)
+        if q is None or sp[q][u] == sp[q][v]:
+            out.append(-1)
+            continue
+        face = 1 << u | 1 << v | 1 << q
+        if face in used:
+            raise InvariantError("flip-tree expansion revisited a face")
+        used.add(face)
+        so = signs[opp][q]
+        out += (q, 1 if so[u] == so[v] else 0)
+        # The far face (u, q, v) lies left of its edges u -> q and q -> v.
+        stack += ((q, v, u), (u, q, v))
     return tuple(out)
 
 
@@ -572,16 +580,38 @@ class AuditReport:
         }
 
 
+@cache
+def charger_bound(degree: int) -> int:
+    """Most chargers of one degree that a 3-vint may have, C_(i-1) - C_(i-2)."""
+    return catalan(degree - 1) - catalan(degree - 2)
+
+
+class _Priced:
+    """A flip-tree key's entry in the charge cache: its 3-vint's charge,
+    charger counts indexed by degree minus 3, their bound violations,
+    whether the charge reaches ``HARD_CHARGE_BOUND`` and, with rules, the
+    vint's rules.  The stamps of ``tally`` runs tie it to a run: ``run``
+    is the last run that met the key, ``count`` its occurrences there, and
+    ``below`` the last run whose maximum charge it fell below."""
+
+    __slots__ = ("total", "chargers", "over", "hard", "rules", "run", "count", "below")
+
+    def __init__(self, total, chargers, over, rules):
+        self.total, self.chargers, self.over, self.rules = total, chargers, over, rules
+        self.hard = total >= HARD_CHARGE_BOUND
+        self.run = self.below = -1
+        self.count = 0
+
+
 class _AuditContext:
     """Per-process audit state: the point roles of S+, its ``FlipWalk``,
     the polygon counter over its order type, the charge cache keyed by
     ``flip_tree_key`` and whether the structural rules run too.  Each
     process (a pool worker has its own) prices a 3-vint's key once, from
-    the census of the key itself, and caches with it the charge, the
-    charger counts per degree, their bound violations and, with rules,
-    the vint's rules: only rule 1 decodes a tree.  A larger vint's rules
-    are computed once per ``(point, link cycle)`` in ``rules_memo``; the
-    report still counts and repeats every occurrence."""
+    the census of the key itself, into a ``_Priced`` entry: only rule 1
+    decodes a tree.  A larger vint's rules are computed once per
+    ``(point, link cycle)`` in ``rules_memo``; the report still counts and
+    repeats every occurrence."""
 
     def __init__(self, P: AugmentedPointSet, rules: bool):
         self.n = P.n
@@ -589,38 +619,43 @@ class _AuditContext:
         self.frame = list(P.frame_indices())
         self.walk = FlipWalk(P)
         self.counter = PolygonCounter(P.signs)
-        self.charge_cache: dict[tuple[int, ...], tuple] = {}
+        self.charge_cache: dict[tuple[int, ...], _Priced] = {}
         self.rules_memo: dict[tuple[int, tuple[int, ...]], tuple[int, int, tuple[str, ...]]] = {}
         self.rules = rules
+        self.runs = count()
 
-    def tree_charge(self, key: tuple[int, ...]) -> tuple:
-        """Total charge of a flip-tree key, its (degree, charger count)
-        items by degree, the charger-count-bound violations and, when the
-        rules run, its 3-vint's ``_rules_vint``."""
+    def tree_charge(self, key: tuple[int, ...]) -> _Priced:
+        """The cache entry of a flip-tree key, priced from its census on a
+        miss; a subtree with j edges has a boundary of j + 3 vertices."""
         hit = self.charge_cache.get(key)
         if hit is None:
-            p = key[0]
-            subs = [(len(chosen), self.counter.count(boundary)) for boundary, chosen in _census(key)]
+            p, supp_of = key[0], self.counter.count
+            subs = [(len(boundary) - 3, supp_of(boundary)) for boundary, _ in _census(key)]
             den = lcm(*(supp for _, supp in subs))
             total = Fraction(sum((4 - j) * (den // supp) for j, supp in subs), den)
-            items = tuple(sorted(Counter(j + 3 for j, _ in subs).items()))
+            # A key of m nodes holds 4 + 2m + (m + 3) ints; j runs up to m.
+            chargers = [0] * ((len(key) - 7) // 3 + 1)
+            for j, _ in subs:
+                chargers[j] += 1
             over = []
-            for degree, cnt in items:
-                bound = catalan(degree - 1) - catalan(degree - 2)
-                if cnt > bound:
+            for degree, cnt in enumerate(chargers, 3):
+                if cnt > (bound := charger_bound(degree)):
                     over.append(f"{cnt} chargers of degree {degree} at point {p} exceed bound {bound}")
             rules = _rules_vint(p, key[1:4], self.counter, tree_from_key(key)) if self.rules else None
-            hit = self.charge_cache[key] = (total, items, tuple(over), rules)
+            hit = self.charge_cache[key] = _Priced(total, tuple(chargers), tuple(over), rules)
         return hit
 
     def tally(self, stars) -> AuditReport:
         """Audit each triangulation of ``stars``, a run of star maps, into
-        one fresh report, in one pass over each state's interior points."""
-        signs, n = self.counter.signs, self.n
+        one fresh report, in one pass over each state's interior points.
+        Work that depends only on a 3-vint's key (the conservation sum and
+        the charger maxima) is done once per distinct key after the pass."""
+        signs, n, interior, run = self.counter.signs, self.n, self.interior, next(self.runs)
+        f0, f1, f2 = self.frame
         r = AuditReport(n, rules=RulesReport() if self.rules else None)
-        rr = r.rules
-        # The received charges as int numerators per denominator.
-        sums = {}
+        rr, degree_totals = r.rules, r.degree_totals
+        # The entries met in this run, each once.
+        met = []
         for star in stars:
             r.triangulation_count += 1
             interior_sum = 0
@@ -628,23 +663,30 @@ class _AuditContext:
             over = []
             # The fingerprint only labels a maximum or a violation.
             fp = None
-            for p in self.interior:
+            for p in interior:
                 # A vertex's degree is its number of triangles, plus one on the hull.
                 d = len(star[p])
                 interior_sum += d
-                r.degree_totals[d] = r.degree_totals.get(d, 0) + 1
+                degree_totals[d] = degree_totals.get(d, 0) + 1
                 if d == 3:
-                    total, count_items, bound_over, hit = self.tree_charge(flip_tree_key(signs, star, p))
-                    sums[total.denominator] = sums.get(total.denominator, 0) + total.numerator
-                    if r.max_charge_at is None or total >= r.max_charge:
+                    e = self.tree_charge(flip_tree_key(signs, star, p))
+                    if e.run == run:
+                        e.count += 1
+                    else:
+                        e.run, e.count = run, 1
+                        met.append(e)
+                    # The run's maximum only grows, so a key below it stays below.
+                    if e.below != run:
+                        if r.max_charge_at is None or e.total >= r.max_charge:
+                            fp = fp or fingerprint_bytes(star_triangles(star)).hex()
+                            r.offer_max(e.total, (fp, p))
+                        else:
+                            e.below = run
+                    over += e.over
+                    if e.hard:
                         fp = fp or fingerprint_bytes(star_triangles(star)).hex()
-                        r.offer_max(total, (fp, p))
-                    for degree, cnt in count_items:
-                        r.offer_chargers(degree, cnt)
-                    over.extend(bound_over)
-                    if total >= HARD_CHARGE_BOUND:
-                        fp = fp or fingerprint_bytes(star_triangles(star)).hex()
-                        over.append(f"charge {total} >= {HARD_CHARGE_BOUND} at point {p} in {fp}")
+                        over.append(f"charge {e.total} >= {HARD_CHARGE_BOUND} at point {p} in {fp}")
+                    hit = e.rules
                 elif rr is None:
                     continue
                 elif (cyc := star_link(star, p)) is None:
@@ -658,12 +700,19 @@ class _AuditContext:
                     rr.rule1_checked += hit[0]
                     rr.monotone_checked += hit[1]
                     rr.violations.extend(hit[2])
-            eq1 = sum(len(star[f]) + 1 for f in self.frame) + interior_sum
+            eq1 = len(star[f0]) + len(star[f1]) + len(star[f2]) + 3 + interior_sum
             if eq1 != 6 * n + 6:
                 r.violations.append(f"degree identity violated: {eq1} != {6 * n + 6}")
             if n >= 1 and interior_sum > 6 * n - 3:
                 r.violations.append("interior degree sum exceeds 6n - 3")
             r.violations.extend(over)
+        # The received charges as int numerators per denominator.
+        sums = {}
+        for e in met:
+            num, d = e.total.numerator, e.total.denominator
+            sums[d] = sums.get(d, 0) + num * e.count
+            for degree, cnt in enumerate(e.chargers, 3):
+                r.offer_chargers(degree, cnt)
         den = lcm(*sums)
         r.conservation_rhs = Fraction(sum(num * (den // d) for d, num in sums.items()), den)
         return r

@@ -22,7 +22,7 @@ from math import ceil
 from typing import Iterator
 
 from .errors import CapExceededError, InvariantError
-from .geometry import AugmentedPointSet, crosses, incircle
+from .geometry import AugmentedPointSet, incircle
 from .polygons import PolygonCounter
 from .triangulation import Tri, flip_star, initial_triangulation, star_map, star_triangles
 
@@ -108,24 +108,28 @@ class FlipWalk:
         ``mask``, and return its children as flips (u, v, x, y, mask),
         largest (u, v) first: a legal uv of a convex quad whose flip makes
         xy the lowest illegal edge.  An illegal edge below xy off the quad
-        rejects a flip untested."""
+        rejects a flip untested.  The apex x lies left of u -> v and y
+        right of it, so the quad is convex iff u and v lie on opposite
+        sides of xy."""
         if sum(map(len, star.values())) != self.entries:
             raise InvariantError("Euler count violated during enumeration")
         bit, signs = self.bit, self.signs
         inner = 0
         kids = []
         for u, succ in star.items():
+            bu = bit[u]
             for v, x in succ.items():
+                sv = star[v]
                 # The triangle (u, v, x) owns the directed edge v -> x.
-                if star[v].get(x) != u:
+                if sv.get(x) != u:
                     raise InvariantError("a directed edge lies in two triangles during enumeration")
-                if v < u or (y := star[v].get(u)) is None:
+                if v < u or (y := sv.get(u)) is None:
                     continue
                 inner += 1
-                if mask & bit[u][v] or not crosses(signs, x, y, u, v):
+                if mask & bu[v] or (sxy := signs[x][y])[u] == sxy[v]:
                     continue
                 xy_bit = bit[x][y]
-                if mask & (xy_bit - 1) & ~(bit[x][u] | bit[u][y] | bit[y][v] | bit[v][x]):
+                if mask & (xy_bit - 1) & ~(bu[x] | bu[y] | bit[y][v] | bit[v][x]):
                     continue
                 child = self.after(star, mask, u, v, x, y)
                 if child & -child == xy_bit:

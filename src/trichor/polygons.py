@@ -184,7 +184,10 @@ class PolygonCounter:
     ``signs`` of one point list.  A polygon is a CCW index cycle,
     possibly with the indices of points strictly inside it; the memo is
     keyed by the cycle rotated to its smallest index and the inside set,
-    so every count over the list shares its sub-problems.
+    so every count over the list shares its sub-problems.  A bare cycle
+    is probed as given before it is rotated, and its count is also stored
+    under that raw tuple as an alias, so a cycle asked for again in the
+    same rotation costs one probe.
 
     Ear recursion on the fixed edge (k-1, 0): every triangulation has
     one triangle on it, so the count sums over its apex.
@@ -204,18 +207,22 @@ class PolygonCounter:
         self.memo: dict[tuple, int] = {}
 
     def count(self, cycle: Sequence[int], inside: Iterable[int] = frozenset()) -> int:
-        cycle, inside = tuple(cycle), frozenset(inside)
-        k = len(cycle)
+        raw, inside = tuple(cycle), frozenset(inside)
+        k = len(raw)
         if k <= 3 and not inside:
             # A chain of two vertices closes into the chord itself.
             return 1
-        r = cycle.index(min(cycle))
-        cycle = cycle[r:] + cycle[:r]
+        if not inside and (hit := self.memo.get(raw)) is not None:
+            return hit
+        r = raw.index(min(raw))
+        cycle = raw[r:] + raw[:r]
         # A hole (no inside points) is keyed by its bare cycle, which
         # saves a pair per entry and never equals a (cycle, inside) key.
         key = (cycle, inside) if inside else cycle
         hit = self.memo.get(key)
         if hit is not None:
+            if not inside:
+                self.memo[raw] = hit
             return hit
         signs = self.signs
         total = 0
@@ -238,6 +245,8 @@ class PolygonCounter:
             ):
                 total += self.count(cycle + (c,), inside - {c})
         self.memo[key] = total
+        if not inside:
+            self.memo[raw] = total
         return total
 
 

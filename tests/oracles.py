@@ -8,7 +8,8 @@ non-crossing diagonal subsets.  Vertex visibility is recomputed by an
 exact ray cast from the segment's midpoint, and boundary simplicity by
 an edge-pair sweep.  The charging vints of a 3-vint are rebuilt as
 explicit triangulations from its flip-tree, and the structural-rule
-sweep is redone one vint at a time with explicit flips.  Flip-trees are
+sweep is redone one vint at a time with explicit flips.  The charge
+audit is redone one 3-vint occurrence at a time with ``charge``.  Flip-trees are
 rebuilt node by node as ``FlipTree`` values, without the flat key, and
 their root-containing subtrees are found by trying every node subset.
 Crossings are decided here by ``crosses`` on coordinates, four
@@ -23,11 +24,13 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from trichor.charging import (
+    AuditReport,
     FlipTree,
     FlipTreeNode,
     RulesReport,
     Vint,
     build_flip_tree,
+    charge,
     hole_of,
     iter_subtrees,
     support,
@@ -441,6 +444,42 @@ def rules_by_walk(P) -> RulesReport:
                 rep.rule1_checked += 1
                 if all(crosses(P.xy, node.opp, k.apex, *node.dual) for k in kids):
                     rep.violations.append(f"both children of a rigid edge can free it at point {p}")
+    return rep
+
+
+def audit_by_occurrence(P, hard_bound=30, charger_bound=lambda d: catalan(d - 1) - catalan(d - 2)) -> AuditReport:
+    """Reference for the charge side of ``audit(P)``, one 3-vint
+    occurrence at a time: ``charge`` of every 3-vint of every state of
+    ``flip_graph_states``, each with its own polygon counter.  The
+    received charges are summed as ``Fraction``s, the charger maxima are
+    taken over each occurrence's ``degree_counts()``, and the maximum is
+    the largest charge at the smallest (fingerprint, point).  The
+    violations are the per-occurrence ones in walk order: the chargers of
+    each degree above ``charger_bound``, then a charge of at least
+    ``hard_bound``."""
+    rep = AuditReport(P.n)
+    received = []
+    for tris in flip_graph_states(P):
+        T = Triangulation(P, tris)
+        rep.triangulation_count += 1
+        for p in P.interior_indices():
+            d = T.degree_map()[p]
+            rep.degree_totals[d] = rep.degree_totals.get(d, 0) + 1
+            if d != 3:
+                continue
+            c = charge(Vint(p, T))
+            rep.conservation_rhs += c.total
+            received.append((c.total, c.fingerprint, p))
+            for degree, k in sorted(c.degree_counts().items()):
+                rep.charger_count_max[degree] = max(k, rep.charger_count_max.get(degree, 0))
+                if k > (bound := charger_bound(degree)):
+                    rep.violations.append(f"{k} chargers of degree {degree} at point {p} exceed bound {bound}")
+            if c.total >= hard_bound:
+                rep.violations.append(f"charge {c.total} >= {hard_bound} at point {p} in {c.fingerprint}")
+    if received:
+        rep.max_charge = max(total for total, _, _ in received)
+        rep.max_charge_at = min((fp, p) for total, fp, p in received if total == rep.max_charge)
+    rep.degree_totals = dict(sorted(rep.degree_totals.items()))
     return rep
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import full_corpus
 from oracles import (
     DownFlipOracle,
+    audit_by_occurrence,
     enumerate_charging_vints,
     reference_flip_tree,
     rules_by_walk,
@@ -53,7 +54,7 @@ from trichor.geometry import (
 )
 from trichor.polygons import PolygonCounter, SimplePolygon, catalan
 from trichor.rng import SplitMix64
-from trichor.triangulation import Triangulation, initial_triangulation, star_map
+from trichor.triangulation import Triangulation, initial_triangulation, star_link, star_map
 
 H2 = (((), ()), ((), ()))  # a level-1 branch, complete to height 3
 COMPLETE_H3 = (H2, H2, H2)
@@ -560,20 +561,18 @@ def test_rule1_exercised_somewhere():
 
 
 def test_flip_tree_face_revisit_raises_invariant_error():
-    from trichor.charging import _grow_node
-
+    # Growth marks each face it enters and raises on entering one twice.
+    # Under a table whose sign at (x, y, z) is z itself, u and v always lie
+    # on opposite sides of pq, so every slot with a far face grows into it
+    # and the walk across the triangulation comes back to a face.
     P = gen_convex_arc_in_triangle(4)
     t = initial_triangulation(P)
     p = next(q for q in P.interior_indices() if t.degree_map()[q] == 3)
-    tree = build_flip_tree(Vint(p, t))
-    node = tree.children[0]
-    # The link edge of the root child, oriented with p on its left.
-    a, b, c = tree.link
-    u, v = next(e for e in ((a, b), (b, c), (c, a)) if set(e) == set(node.dual))
-    # The growth routine marks a face by the bit mask of its vertices.
-    used = {1 << u | 1 << v | 1 << node.apex}
-    with pytest.raises(InvariantError):
-        _grow_node(P.signs, t.star, p, u, v, node.opp, used, [])
+    flip_tree_key(P.signs, t.star, p)
+    N = len(P.xy)
+    every_slot_grows = [[list(range(N))] * N] * N
+    with pytest.raises(InvariantError, match="revisited a face"):
+        flip_tree_key(every_slot_grows, t.star, p)
 
 
 # --- flat flip-tree keys ---
@@ -640,10 +639,11 @@ def test_audit_census_agrees_with_charge_from_tree():
                 if T.degree_map()[p] != 3 or (key := flip_tree_key(P.signs, T.star, p)) in seen:
                     continue
                 seen.add(key)
-                total, count_items, _, _ = ctx.tree_charge(key)
+                priced = ctx.tree_charge(key)
                 rep = charging._charge_report(key, counter)
-                assert total == rep.total
-                assert count_items == tuple(sorted(rep.degree_counts().items()))
+                assert priced.total == rep.total
+                degrees = rep.degree_counts()
+                assert priced.chargers == tuple(degrees.get(d, 0) for d in range(3, max(degrees) + 1))
                 subs = iter_subtrees(Vint(p, T))
                 assert [(c.j, c.dual_edges) for c in rep.contributions] == [(s.j, s.dual_edges) for s in subs]
                 ref = reference_flip_tree(P.xy, T.star, p)
@@ -655,6 +655,74 @@ def test_audit_census_agrees_with_charge_from_tree():
                 assert all(key[i] >= 0 and key[i + 1] in (0, 1) for _, chosen in census for i, _, _ in chosen)
         assert len(ctx.charge_cache) == len(seen) == len(dict(keyed_occurrences(name)))
         assert all(type(x) is int for k in ctx.charge_cache for x in k)
+
+
+@cache
+def occurrence_audit(name):
+    return audit_by_occurrence(KEY_INSTANCES[name])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_audit_equals_charge_per_occurrence(jobs):
+    # The audit does per-key work once per distinct key in a run; the
+    # oracle prices and compares every occurrence on its own.
+    for name, P in KEY_INSTANCES.items():
+        ref, rep = occurrence_audit(name), audit(P, jobs=jobs)
+        assert rep.to_json_dict() == ref.to_json_dict(), name
+        assert rep.degree_totals == ref.degree_totals
+        assert rep.conservation_rhs == ref.conservation_rhs
+        assert rep.charger_count_max == ref.charger_count_max
+
+
+def test_per_occurrence_violations_follow_the_walk(monkeypatch):
+    # Both kinds fire on some occurrences of a key and the strings name
+    # each occurrence, so the list fixes the walk order of the 3-vints.
+    P = KEY_INSTANCES["random-n7-s148"]
+    monkeypatch.setattr(charging, "HARD_CHARGE_BOUND", 10)
+    monkeypatch.setattr(charging, "charger_bound", lambda degree: 3)
+    ref = audit_by_occurrence(P, hard_bound=10, charger_bound=lambda degree: 3)
+    hard = sum(v.startswith("charge ") for v in ref.violations)
+    assert 0 < hard < occurrence_audit("random-n7-s148").three_vint_count
+    assert 0 < len(ref.violations) - hard
+    for jobs in (1, 2):
+        assert audit(P, jobs=jobs).violations == ref.violations
+
+
+def _not_a_3vint(case):
+    """(star map, point) of a ``flip_tree_key`` call that must raise."""
+    P = KEY_INSTANCES["random-n7-s148"]
+    for tris in flip_graph_states(P):
+        star = star_map(tris)
+        degrees = {p: len(star[p]) for p in P.interior_indices()}
+        if {3, 4} <= set(degrees.values()):
+            break
+    if case == "frame vertex":
+        return star, P.frame_indices()[0]
+    if case == "degree 4":
+        return star, min(p for p, d in degrees.items() if d == 4)
+    if case == "absent index":
+        return star, len(P.xy)
+    # Three neighbours that do not close into a cycle: c leads back to b.
+    p = min(p for p, d in degrees.items() if d == 3)
+    a, b, c = star_link(star, p)
+    star = {x: dict(succ) for x, succ in star.items()}
+    star[p][c] = b
+    return star, p
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [("frame vertex", "is not interior"), ("degree 4", "has degree 4"),
+     ("absent index", "is not interior"), ("broken 3-link", "is not interior")],
+)
+def test_flip_tree_key_errors_match_the_reference(case, message):
+    P = KEY_INSTANCES["random-n7-s148"]
+    star, p = _not_a_3vint(case)
+    with pytest.raises(NotA3VintError) as ref:
+        reference_flip_tree(P.xy, star, p)
+    with pytest.raises(NotA3VintError) as got:
+        flip_tree_key(P.signs, star, p)
+    assert str(got.value) == str(ref.value) == f"point {p} {message}"
 
 
 def test_audit_without_rules_decodes_no_tree(monkeypatch):

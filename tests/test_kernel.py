@@ -6,8 +6,8 @@ check each container's order-type table against coordinates, keep the
 predicate modules free of inexact arithmetic, keep every module but
 geometry off coordinate predicates, keep the polygon core off
 coordinates, keep every recursion out of closures, keep ``Fraction``
-out of the audit's per-state loop and keep the subtree census on the
-flat key, off tree nodes.
+and the per-key charger maxima out of the audit's per-state loop and
+keep the subtree census on the flat key, off tree nodes.
 """
 
 import ast
@@ -376,9 +376,12 @@ def test_closure_guard_catches_self_reference_and_passes_plain_helpers():
 # after it, from the numerators summed per denominator.  Neither the name
 # Fraction nor the Fraction sum ``conservation_rhs`` appears in the loop.
 FRACTION_WORK = {"Fraction", "conservation_rhs"}
+# Work that depends only on a 3-vint's key runs once per distinct key in a
+# run, after the loop: the charger maxima are not offered in it.
+PER_KEY_WORK = {"offer_chargers"}
 
 
-def _fractions_in_state_loop(tree):
+def _names_in_state_loop(tree, names):
     for cls in tree.body:
         if isinstance(cls, ast.ClassDef) and cls.name == "_AuditContext":
             for fn in cls.body:
@@ -387,13 +390,18 @@ def _fractions_in_state_loop(tree):
                     return sorted(
                         (n.lineno, getattr(n, "id", None) or n.attr)
                         for n in ast.walk(loop)
-                        if {getattr(n, "id", None), getattr(n, "attr", None)} & FRACTION_WORK
+                        if {getattr(n, "id", None), getattr(n, "attr", None)} & names
                     )
     raise AssertionError("no _AuditContext.tally")
 
 
 def test_audit_state_loop_names_no_fraction():
-    found = _fractions_in_state_loop(ast.parse((SRC / "charging.py").read_text()))
+    found = _names_in_state_loop(ast.parse((SRC / "charging.py").read_text()), FRACTION_WORK)
+    assert not found, [f"charging.py:{line}: {what}" for line, what in found]
+
+
+def test_audit_state_loop_offers_no_chargers():
+    found = _names_in_state_loop(ast.parse((SRC / "charging.py").read_text()), PER_KEY_WORK)
     assert not found, [f"charging.py:{line}: {what}" for line, what in found]
 
 
@@ -405,15 +413,20 @@ def test_fraction_guard_catches_the_state_loop_only():
         "        for star in stars:\n"
         "            for p in star:\n"
         "                total += fractions.Fraction(p, 2)\n"
+        "                r.offer_chargers(p, 1)\n"
         "            last = Fraction(1)\n"
         "            self.report.conservation_rhs += last\n"
+        "        for e in met:\n"
+        "            r.offer_chargers(e, 1)\n"
         "        return Fraction(total)\n"
     )
-    assert _fractions_in_state_loop(ast.parse(source)) == [
+    tree = ast.parse(source)
+    assert _names_in_state_loop(tree, FRACTION_WORK) == [
         (6, "Fraction"),
-        (7, "Fraction"),
-        (8, "conservation_rhs"),
+        (8, "Fraction"),
+        (9, "conservation_rhs"),
     ]
+    assert _names_in_state_loop(tree, PER_KEY_WORK) == [(7, "offer_chargers")]
 
 
 # The subtree census, and every reader of it, reads the preorder ints of
