@@ -13,14 +13,14 @@ its edge count j gives the degree j + 3.  The rigid core (the maximal
 all-rigid subtree at the root) captures exactly the support-1 chargers.
 Every subtree census reads the flat flip-tree key that ``flip_tree_key``
 grows for a 3-vint (``iter_subtrees``, ``charge`` and ``audit`` alike);
-a ``FlipTree`` is the decoded view of a key, for DOT, rigid cores and
-rule 1, and is never encoded back.
+a ``FlipTree`` is the decoded view of a key, for DOT and rigid cores,
+and is never encoded back.
 
 ``audit`` runs the whole scheme over every triangulation of an instance
 and checks charge conservation, the per-degree charger-count bound, and
 the maximum charge received by any 3-vint.  Each triangulation is read
-through the walk's star map and each 3-vint through its key; a tree is
-decoded only for the structural rules.  A run of triangulations
+through the walk's star map and each 3-vint through its key, rule 1
+included, so the audit decodes no tree.  A run of triangulations
 yields one AuditReport, and ``merge`` adds the report of the run that
 follows, so subtrees audited in pool workers combine, in walk order,
 into the sequential report.
@@ -231,18 +231,18 @@ def flip_tree_key(signs, star, p: int) -> tuple[int, ...]:
     stack = [(c, a, b), (b, c, a), (a, b, c)]
     while stack:
         u, v, opp = stack.pop()
-        q = star[v].get(u)
-        if q is None or sp[q][u] == sp[q][v]:
-            out.append(-1)
-            continue
-        face = 1 << u | 1 << v | 1 << q
-        if face in used:
-            raise InvariantError("flip-tree expansion revisited a face")
-        used.add(face)
-        so = signs[opp][q]
-        out += (q, 1 if so[u] == so[v] else 0)
-        # The far face (u, q, v) lies left of its edges u -> q and q -> v.
-        stack += ((q, v, u), (u, q, v))
+        # Grow the left child slot (u, q) in place; the right one waits.
+        while (q := star[v].get(u)) is not None and sp[q][u] != sp[q][v]:
+            face = 1 << u | 1 << v | 1 << q
+            if face in used:
+                raise InvariantError("flip-tree expansion revisited a face")
+            used.add(face)
+            so = signs[opp][q]
+            out += (q, 1 if so[u] == so[v] else 0)
+            # The far face (u, q, v) lies left of its edges u -> q and q -> v.
+            stack.append((q, v, u))
+            v, opp = q, v
+        out.append(-1)
     return tuple(out)
 
 
@@ -375,34 +375,51 @@ class SubtreeInfo:
         return self.j + 3
 
 
-def _census(key):
+def _census(key, nodes=True):
     """(CCW boundary from a, chosen nodes) of every root-containing subtree
-    of the flip-tree ``key``, lazily: the product of the options of the
-    root slots a -> b, b -> c and c -> a.  A chosen node is the triple
-    (key position of its apex, slot edge u, v).  The cap is checked
-    before anything is yielded."""
+    of the flip-tree ``key``, or the boundary alone without ``nodes``,
+    lazily: the product of the options of the root slots a -> b, b -> c
+    and c -> a.  A chosen node is the triple (key position of its apex,
+    slot edge u, v).  The cap is checked before anything is yielded."""
     a, b, c = key[1:4]
     preorder = islice(enumerate(key), 4, None)
-    ab, bc, ca = (_slot_options(preorder, u, v) for u, v in ((a, b), (b, c), (c, a)))
+    ab, bc, ca = (_slot_options(preorder, u, v, nodes) for u, v in ((a, b), (b, c), (c, a)))
     total = len(ab) * len(bc) * len(ca)
     if total > SUBTREE_CAP:
         raise CapExceededError(f"flip-tree has {total} subtrees, cap {SUBTREE_CAP}")
+    if not nodes:
+        return (x + y + z for x in ab for y in bc for z in ca)
     return ((x + y + z, xs + ys + zs) for x, xs in ab for y, ys in bc for z, zs in ca)
 
 
-def _slot_options(preorder, u, v) -> list:
-    """The options, as (chain from u up to v, chosen nodes), of the slot
-    through the boundary edge u -> v, read from ``preorder``, the
-    enumerated key: leave it out, or take its node (apex q at position
-    i), an option of (u, q) and one of (q, v)."""
+def _slot_options(preorder, u, v, nodes) -> list:
+    """The options, as (chain from u up to v, chosen nodes) or the chain
+    alone, of the slot through the boundary edge u -> v, read from
+    ``preorder``, the enumerated key: leave it out, or take its node
+    (apex q at position i), an option of (u, q) and one of (q, v)."""
     i, q = next(preorder)
     if q < 0:
-        return [((u,), ())]
+        return [((u,), ())] if nodes else [(u,)]
     next(preorder)
-    node = (i, u, v)
-    left = _slot_options(preorder, u, q)
-    right = _slot_options(preorder, q, v)
-    return [((u,), ())] + [(x + y, (node, *xs, *ys)) for x, xs in left for y, ys in right]
+    left = _slot_options(preorder, u, q, nodes)
+    right = _slot_options(preorder, q, v, nodes)
+    if nodes:
+        return [((u,), ())] + [(x + y, ((i, u, v), *xs, *ys)) for x, xs in left for y, ys in right]
+    return [(u,)] + [x + y for x in left for y in right]
+
+
+def _rule1(key, signs, i, u, v, opp, level, found) -> int:
+    """Append to ``found``, for each rigid level-1/2 node with two non-rigid
+    children (see ``RulesReport``) in the slot through u -> v at position i
+    of ``key``, whether both children free it; return the slot's end."""
+    q = key[i]
+    if q < 0:
+        return i + 1
+    j = _rule1(key, signs, i + 2, u, q, v, level + 1, found)
+    end = _rule1(key, signs, j, q, v, u, level + 1, found)
+    if level <= 2 and key[i + 1] == 1 and key[i + 2] >= 0 <= key[j] and key[i + 3] == 0 == key[j + 1]:
+        found.append(crosses(signs, opp, key[i + 2], u, v) and crosses(signs, opp, key[j], u, v))
+    return end
 
 
 def _subtrees(key) -> list[SubtreeInfo]:
@@ -589,15 +606,16 @@ def charger_bound(degree: int) -> int:
 class _Priced:
     """A flip-tree key's entry in the charge cache: its 3-vint's charge,
     charger counts indexed by degree minus 3, their bound violations,
-    whether the charge reaches ``HARD_CHARGE_BOUND`` and, with rules, the
-    vint's rules.  The stamps of ``tally`` runs tie it to a run: ``run``
-    is the last run that met the key, ``count`` its occurrences there, and
+    whether the charge reaches ``HARD_CHARGE_BOUND`` and, with rules, its
+    rule-1 count and rule violations.  ``tally`` run stamps: ``run`` is
+    the last run that met the key, ``count`` its occurrences there, and
     ``below`` the last run whose maximum charge it fell below."""
 
-    __slots__ = ("total", "chargers", "over", "hard", "rules", "run", "count", "below")
+    __slots__ = ("total", "chargers", "over", "hard", "rule1", "rules", "run", "count", "below")
 
     def __init__(self, total, chargers, over, rules):
-        self.total, self.chargers, self.over, self.rules = total, chargers, over, rules
+        self.total, self.chargers, self.over = total, chargers, over
+        self.rule1, _, self.rules = rules or (0, 0, ())
         self.hard = total >= HARD_CHARGE_BOUND
         self.run = self.below = -1
         self.count = 0
@@ -608,10 +626,10 @@ class _AuditContext:
     the polygon counter over its order type, the charge cache keyed by
     ``flip_tree_key`` and whether the structural rules run too.  Each
     process (a pool worker has its own) prices a 3-vint's key once, from
-    the census of the key itself, into a ``_Priced`` entry: only rule 1
-    decodes a tree.  A larger vint's rules are computed once per
-    ``(point, link cycle)`` in ``rules_memo``; the report still counts and
-    repeats every occurrence."""
+    the census of the key itself, into a ``_Priced`` entry, rule 1 read
+    from the key too.  A larger vint's rules are computed once per
+    ``(point, link cycle)`` in ``rules_memo``, and ``links[p]`` finds them
+    by p's raw successor map; the report counts every occurrence."""
 
     def __init__(self, P: AugmentedPointSet, rules: bool):
         self.n = P.n
@@ -621,6 +639,7 @@ class _AuditContext:
         self.counter = PolygonCounter(P.signs)
         self.charge_cache: dict[tuple[int, ...], _Priced] = {}
         self.rules_memo: dict[tuple[int, tuple[int, ...]], tuple[int, int, tuple[str, ...]]] = {}
+        self.links = {p: {} for p in self.interior}
         self.rules = rules
         self.runs = count()
 
@@ -629,33 +648,36 @@ class _AuditContext:
         miss; a subtree with j edges has a boundary of j + 3 vertices."""
         hit = self.charge_cache.get(key)
         if hit is None:
-            p, supp_of = key[0], self.counter.count
-            subs = [(len(boundary) - 3, supp_of(boundary)) for boundary, _ in _census(key)]
-            den = lcm(*(supp for _, supp in subs))
-            total = Fraction(sum((4 - j) * (den // supp) for j, supp in subs), den)
+            p, memo, supp_of = key[0], self.counter.memo, self.counter.count
             # A key of m nodes holds 4 + 2m + (m + 3) ints; j runs up to m.
             chargers = [0] * ((len(key) - 7) // 3 + 1)
-            for j, _ in subs:
+            by_supp = {}
+            for boundary in _census(key, nodes=False):
+                j = len(boundary) - 3
                 chargers[j] += 1
+                supp = memo.get(boundary) or supp_of(boundary)
+                by_supp[supp] = by_supp.get(supp, 0) + 4 - j
+            den = lcm(*by_supp)
+            total = Fraction(sum(num * (den // supp) for supp, num in by_supp.items()), den)
             over = []
             for degree, cnt in enumerate(chargers, 3):
                 if cnt > (bound := charger_bound(degree)):
                     over.append(f"{cnt} chargers of degree {degree} at point {p} exceed bound {bound}")
-            rules = _rules_vint(p, key[1:4], self.counter, tree_from_key(key)) if self.rules else None
+            rules = _rules_vint(p, key[1:4], self.counter, key) if self.rules else None
             hit = self.charge_cache[key] = _Priced(total, tuple(chargers), tuple(over), rules)
         return hit
 
     def tally(self, stars) -> AuditReport:
         """Audit each triangulation of ``stars``, a run of star maps, into
         one fresh report, in one pass over each state's interior points.
-        Work that depends only on a 3-vint's key (the conservation sum and
-        the charger maxima) is done once per distinct key after the pass."""
+        Work that depends only on a 3-vint's key (the conservation sum,
+        the charger maxima, rule 1) is done once per distinct key after it."""
         signs, n, interior, run = self.counter.signs, self.n, self.interior, next(self.runs)
         f0, f1, f2 = self.frame
-        r = AuditReport(n, rules=RulesReport() if self.rules else None)
-        rr, degree_totals = r.rules, r.degree_totals
-        # The entries met in this run, each once.
-        met = []
+        r, links = AuditReport(n), self.links
+        # The entries met in this run, each once, and with rules the run's
+        # rule violations in walk order, broken links and monotone checks.
+        degree_totals, met, rv, broken, monotone = r.degree_totals, [], [] if self.rules else None, 0, 0
         for star in stars:
             r.triangulation_count += 1
             interior_sum = 0
@@ -664,8 +686,9 @@ class _AuditContext:
             # The fingerprint only labels a maximum or a violation.
             fp = None
             for p in interior:
+                succ = star[p]
                 # A vertex's degree is its number of triangles, plus one on the hull.
-                d = len(star[p])
+                d = len(succ)
                 interior_sum += d
                 degree_totals[d] = degree_totals.get(d, 0) + 1
                 if d == 3:
@@ -686,20 +709,22 @@ class _AuditContext:
                     if e.hard:
                         fp = fp or fingerprint_bytes(star_triangles(star)).hex()
                         over.append(f"charge {e.total} >= {HARD_CHARGE_BOUND} at point {p} in {fp}")
-                    hit = e.rules
-                elif rr is None:
-                    continue
-                elif (cyc := star_link(star, p)) is None:
-                    # A broken link is reported at every occurrence, never memoised.
-                    rr.violations.append(f"point {p} link is not a single cycle")
-                    continue
-                elif (hit := self.rules_memo.get(key := (p, tuple(cyc)))) is None:
-                    hit = self.rules_memo[key] = _rules_vint(p, cyc, self.counter, None)
-                if rr is not None:
-                    rr.support_checked += 1
-                    rr.rule1_checked += hit[0]
-                    rr.monotone_checked += hit[1]
-                    rr.violations.extend(hit[2])
+                    if e.rules:
+                        rv.extend(e.rules)
+                elif rv is not None:
+                    # One probe by p's successor map, its keys then its values.
+                    if (hit := links[p].get(raw := (*succ, *succ.values()))) is None:
+                        if (cyc := star_link(star, p)) is None:
+                            # A broken link is reported at every occurrence, never memoised.
+                            broken += 1
+                            rv.append(f"point {p} link is not a single cycle")
+                            continue
+                        if (hit := self.rules_memo.get(lk := (p, tuple(cyc)))) is None:
+                            hit = self.rules_memo[lk] = _rules_vint(p, lk[1], self.counter, None)
+                        links[p][raw] = hit
+                    monotone += hit[1]
+                    if hit[2]:
+                        rv.extend(hit[2])
             eq1 = len(star[f0]) + len(star[f1]) + len(star[f2]) + 3 + interior_sum
             if eq1 != 6 * n + 6:
                 r.violations.append(f"degree identity violated: {eq1} != {6 * n + 6}")
@@ -715,6 +740,9 @@ class _AuditContext:
                 r.offer_chargers(degree, cnt)
         den = lcm(*sums)
         r.conservation_rhs = Fraction(sum(num * (den // d) for d, num in sums.items()), den)
+        if rv is not None:
+            support = r.triangulation_count * len(interior) - broken
+            r.rules = RulesReport(sum(e.rule1 * e.count for e in met), monotone, support, rv)
         return r
 
 
@@ -728,10 +756,10 @@ def audit(P: AugmentedPointSet, jobs: int = 1, rules: bool = False) -> AuditRepo
     the largest charge.
 
     With ``rules`` the same walk also sweeps every vint for the
-    structural rules, reusing each 3-vint's flip-tree, and the report's
+    structural rules, rule 1 read from each 3-vint's key, and the report's
     ``rules`` holds the RulesReport (not part of ``to_json_dict``).  Each
-    process computes them once per distinct flip-tree or (point, link
-    cycle); the counters and violations still count every occurrence.
+    process computes them once per distinct key or (point, link cycle);
+    the counters and violations still count every occurrence.
     With ``jobs > 1`` the parent tallies the states above ``SPLIT_DEPTH``
     and deals the subtrees at it to ``jobs`` processes as flip paths,
     which each replays on its own walk; the partial reports merge in
@@ -823,16 +851,16 @@ class RulesReport:
         }
 
 
-def _rules_vint(p, cyc, counter, tree) -> tuple[int, int, tuple[str, ...]]:
+def _rules_vint(p, cyc, counter, key) -> tuple[int, int, tuple[str, ...]]:
     """The structural rules at the interior point p with link cycle
-    ``cyc`` over the order type of ``counter``; ``tree`` is p's flip-tree
-    when p has degree 3.  Returns the rule-1 and monotone check counts and
-    the violations (``()`` when there are none); the vint's one support
-    check is the caller's."""
-    signs = counter.signs
+    ``cyc``, a tuple, over the order type of ``counter``; ``key`` is p's
+    flip-tree key when p has degree 3.  Returns the rule-1 and monotone
+    check counts and the violations (``()`` when there are none); the
+    vint's one support check is the caller's."""
+    signs, memo, supp_of = counter.signs, counter.memo, counter.count
     violations = []
     d = len(cyc)
-    supp = counter.count(cyc)
+    supp = memo.get(cyc) or supp_of(cyc)
     bound = catalan(d - 2)
     if not 1 <= supp <= bound:
         violations.append(f"support {supp} outside [1, {bound}]")
@@ -841,27 +869,19 @@ def _rules_vint(p, cyc, counter, tree) -> tuple[int, int, tuple[str, ...]]:
     # Monotonicity along each single down-flip at p.
     monotone = 0
     for idx, x in enumerate(cyc):
-        if d <= 3:
-            break
-        alpha = cyc[(idx - 1) % d]
-        beta = cyc[(idx + 1) % d]
-        # Edge (p, x) flips iff the quad (p, alpha, x, beta) is
-        # strictly convex, i.e. alpha-beta crosses p-x.
-        if not crosses(signs, alpha, beta, p, x):
+        # Edge (p, x) flips iff the quad (p, alpha, x, beta) is strictly
+        # convex: as its faces are CCW, iff p, x lie either side of alpha beta.
+        sab = signs[cyc[idx - 1]][cyc[(idx + 1) % d]]
+        if sab[p] * sab[x] >= 0:
             continue
-        supp_after = counter.count(cyc[:idx] + cyc[idx + 1 :])
+        rest = cyc[:idx] + cyc[idx + 1 :]
+        supp_after = memo.get(rest) or supp_of(rest)
         monotone += 1
         if supp < supp_after:
             violations.append(f"support grew {supp} -> {supp_after} along down-flip at {p}")
-    rule1 = 0
-    if d == 3:
-        for node in tree.nodes():
-            if node.level > 2 or not node.rigid or len(node.children) != 2:
-                continue
-            e1, e2 = node.children
-            if e1.rigid or e2.rigid:
-                continue
-            rule1 += 1
-            if crosses(signs, node.opp, e1.apex, *node.dual) and crosses(signs, node.opp, e2.apex, *node.dual):
-                violations.append(f"both children of a rigid edge can free it at point {p}")
-    return rule1, monotone, tuple(violations)
+    # Rule 1 reads the root slots a -> b, b -> c and c -> a of a 3-vint's key.
+    found, i = [], 4
+    for u, v, opp in zip(cyc, cyc[1:] + cyc[:1], cyc[2:] + cyc[:2]) if key else ():
+        i = _rule1(key, signs, i, u, v, opp, 1, found)
+    violations += [f"both children of a rigid edge can free it at point {p}"] * sum(found)
+    return len(found), monotone, tuple(violations)

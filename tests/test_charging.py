@@ -608,22 +608,121 @@ def test_flip_tree_keys_decode_to_reference_trees_and_split_like_them():
     assert classes["random-n7-s148"] == 487
 
 
-def test_audit_grows_every_key_and_decodes_once_per_miss(monkeypatch):
-    grown, decoded = [], []
+def test_audit_grows_every_key_and_decodes_no_tree(monkeypatch):
+    # Pricing and rule 1 both read the flat key: with rules on, the audit
+    # grows one key per 3-vint occurrence and decodes no tree at all.
+    grown = []
 
     def grow(signs, star, p):
         grown.append(flip_tree_key(signs, star, p))
         return grown[-1]
 
     def decode(key):
-        decoded.append(key)
-        return tree_from_key(key)
+        raise AssertionError("tree decoded by the audit")
 
     monkeypatch.setattr(charging, "flip_tree_key", grow)
     monkeypatch.setattr(charging, "tree_from_key", decode)
     rep = audit(KEY_INSTANCES["random-n7-s148"], rules=True)
     assert len(grown) == rep.three_vint_count
-    assert sorted(decoded) == sorted(set(grown)) and len(decoded) == 487
+    assert len(set(grown)) == 487
+    assert rep.rules.rule1_checked > 0
+
+
+def _rule1_by_tree(tree, signs):
+    """Rule 1 over a decoded FlipTree, as the audit read it before keys."""
+    checked, violations = 0, []
+    for node in tree.nodes():
+        kids = node.children
+        if node.level <= 2 and node.rigid and len(kids) == 2 and not any(k.rigid for k in kids):
+            checked += 1
+            if all(charging.crosses(signs, node.opp, k.apex, *node.dual) for k in kids):
+                violations.append(f"both children of a rigid edge can free it at point {tree.point}")
+    return checked, violations
+
+
+def _distinct_keys(P):
+    return {
+        flip_tree_key(P.signs, star, p)
+        for star in FlipWalk(P).walk()
+        for p in P.interior_indices()
+        if len(star[p]) == 3
+    }
+
+
+def test_rule1_from_the_key_equals_rule1_from_the_tree(monkeypatch):
+    # The key reader and the decoded tree agree on every distinct key, on
+    # the count and, with every candidate forced to violate, the strings.
+    instances = [*KEY_INSTANCES.values(), augment(gen_convex(7))]
+    keys = [(P, key) for P in instances for key in sorted(_distinct_keys(P))]
+    counter = {id(P): PolygonCounter(P.signs) for P in instances}
+
+    def by_key(P, key):
+        rule1, monotone, violations = charging._rules_vint(key[0], key[1:4], counter[id(P)], key)
+        assert monotone == 0
+        return rule1, list(violations)
+
+    assert sum(_rule1_by_tree(tree_from_key(key), P.signs)[0] > 0 for P, key in keys) > 20
+    for P, key in keys:
+        assert by_key(P, key) == _rule1_by_tree(tree_from_key(key), P.signs)
+    monkeypatch.setattr(charging, "crosses", lambda signs, a, b, c, d: True)
+    forced = 0
+    for P, key in keys:
+        got, ref = by_key(P, key), _rule1_by_tree(tree_from_key(key), P.signs)
+        assert got == ref and len(ref[1]) == ref[0]
+        forced += ref[0]
+    assert forced > 20
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_forced_rule1_violations_follow_the_walk(monkeypatch, jobs):
+    # Every rule-1 candidate violates: the audit reads rule 1 once per key
+    # and still repeats it at each occurrence, in walk order, as the
+    # oracle does one vint at a time from build_flip_tree.
+    import oracles
+
+    P = augment(gen_random(6, 14))
+    monkeypatch.setattr(charging, "crosses", lambda signs, a, b, c, d: True)
+    monkeypatch.setattr(oracles, "crosses", lambda xy, a, b, c, d: True)
+    ref = rules_by_walk(P)
+    got = audit(P, jobs=jobs, rules=True).rules
+    assert got == ref
+    assert len(got.violations) == got.rule1_checked == 33
+
+
+def test_broken_link_is_never_memoised():
+    # Point 0's successor map splits into two 3-cycles in copies of some
+    # states (ones where no flip-tree key reads the changed entries); the
+    # run reports it at each such occurrence, stores it in neither memo,
+    # and leaves the valid states' counters as a fresh context finds them.
+    P, p = KEY_INSTANCES["random-n7-s148"], 0
+    states = [{q: dict(succ) for q, succ in star.items()} for star in FlipWalk(P).walk()]
+    valid = [s for s in states if len(s[p]) == 6]
+    assert len({tuple(star_link(s, p)) for s in valid}) > 1
+
+    def keys(star):
+        return [flip_tree_key(P.signs, star, q) for q in P.interior_indices() if len(star[q]) == 3]
+
+    broken = []
+    for s in valid:
+        a, b, c, d, e, f = star_link(s, p)
+        bad = {**s, p: {a: b, b: c, c: a, d: e, e: f, f: d}}
+        if keys(bad) == keys(s):
+            broken.append(bad)
+    assert len(broken) >= 3
+    run = [valid[0], broken[0], *valid[1:5], broken[1], broken[2], valid[5]]
+    ctx = charging._AuditContext(P, rules=True)
+    rep = ctx.tally(run).rules
+    assert rep.violations.count(f"point {p} link is not a single cycle") == 3
+    assert rep.support_checked == len(run) * P.n - 3
+    for raw in ctx.links[p]:
+        d = len(raw) // 2
+        assert star_link({p: dict(zip(raw[:d], raw[d:]))}, p) is not None
+    assert all(star_link({q: dict(zip(cyc, cyc[1:] + cyc[:1]))}, q) == list(cyc) for q, cyc in ctx.rules_memo)
+    ok = valid[:6]
+    fresh = charging._AuditContext(P, rules=True).tally(ok)
+    again = ctx.tally(ok)
+    assert again.rules == fresh.rules
+    assert again.to_json_dict() == fresh.to_json_dict()
 
 
 def test_audit_census_agrees_with_charge_from_tree():
