@@ -19,11 +19,12 @@ and is never encoded back.
 ``audit`` runs the whole scheme over every triangulation of an instance
 and checks charge conservation, the per-degree charger-count bound, and
 the maximum charge received by any 3-vint.  Each triangulation is read
-through the walk's star map and each 3-vint through its key, rule 1
-included, so the audit decodes no tree.  A run of triangulations
-yields one AuditReport, and ``merge`` adds the report of the run that
-follows, so subtrees audited in pool workers combine, in walk order,
-into the sequential report.
+through the walk's star map, each 3-vint through its key (rule 1
+included, so no tree is decoded) and each larger vint's link rules
+through its point's neighbour set.  A run of triangulations yields one
+AuditReport, and ``merge`` adds the report of the run that follows, so
+subtrees audited in pool workers combine, in walk order, into the
+sequential report.
 """
 
 from __future__ import annotations
@@ -613,9 +614,8 @@ class _Priced:
 
     __slots__ = ("total", "chargers", "over", "hard", "rule1", "rules", "run", "count", "below")
 
-    def __init__(self, total, chargers, over, rules):
-        self.total, self.chargers, self.over = total, chargers, over
-        self.rule1, _, self.rules = rules or (0, 0, ())
+    def __init__(self, total, chargers, over, rule1, rules):
+        self.total, self.chargers, self.over, self.rule1, self.rules = total, chargers, over, rule1, rules
         self.hard = total >= HARD_CHARGE_BOUND
         self.run = self.below = -1
         self.count = 0
@@ -627,9 +627,9 @@ class _AuditContext:
     ``flip_tree_key`` and whether the structural rules run too.  Each
     process (a pool worker has its own) prices a 3-vint's key once, from
     the census of the key itself, into a ``_Priced`` entry, rule 1 read
-    from the key too.  A larger vint's rules are computed once per
-    ``(point, link cycle)`` in ``rules_memo``, and ``links[p]`` finds them
-    by p's raw successor map; the report counts every occurrence."""
+    from the key too.  ``links[p]`` holds a larger vint's link rules and
+    successor map by p's neighbour set, which fixes a valid link; the
+    report counts every occurrence."""
 
     def __init__(self, P: AugmentedPointSet, rules: bool):
         self.n = P.n
@@ -638,7 +638,6 @@ class _AuditContext:
         self.walk = FlipWalk(P)
         self.counter = PolygonCounter(P.signs)
         self.charge_cache: dict[tuple[int, ...], _Priced] = {}
-        self.rules_memo: dict[tuple[int, tuple[int, ...]], tuple[int, int, tuple[str, ...]]] = {}
         self.links = {p: {} for p in self.interior}
         self.rules = rules
         self.runs = count()
@@ -663,8 +662,15 @@ class _AuditContext:
             for degree, cnt in enumerate(chargers, 3):
                 if cnt > (bound := charger_bound(degree)):
                     over.append(f"{cnt} chargers of degree {degree} at point {p} exceed bound {bound}")
-            rules = _rules_vint(p, key[1:4], self.counter, key) if self.rules else None
-            hit = self.charge_cache[key] = _Priced(total, tuple(chargers), tuple(over), rules)
+            found, rules = [], ()
+            if self.rules:
+                # Rule 1 reads the root slots a -> b, b -> c and c -> a.
+                (a, b, c), i = key[1:4], 4
+                for u, v, opp in ((a, b, c), (b, c, a), (c, a, b)):
+                    i = _rule1(key, self.counter.signs, i, u, v, opp, 1, found)
+                freed = f"both children of a rigid edge can free it at point {p}"
+                rules = _link_rules(p, key[1:4], self.counter)[1] + (freed,) * sum(found)
+            hit = self.charge_cache[key] = _Priced(total, tuple(chargers), tuple(over), rule1=len(found), rules=rules)
         return hit
 
     def tally(self, stars) -> AuditReport:
@@ -712,16 +718,14 @@ class _AuditContext:
                     if e.rules:
                         rv.extend(e.rules)
                 elif rv is not None:
-                    # One probe by p's successor map, its keys then its values.
-                    if (hit := links[p].get(raw := (*succ, *succ.values()))) is None:
+                    # One probe by p's neighbour set; the stored map must match.
+                    if (hit := links[p].get(nbrs := frozenset(succ))) is None or hit[0] != succ:
                         if (cyc := star_link(star, p)) is None:
                             # A broken link is reported at every occurrence, never memoised.
                             broken += 1
                             rv.append(f"point {p} link is not a single cycle")
                             continue
-                        if (hit := self.rules_memo.get(lk := (p, tuple(cyc)))) is None:
-                            hit = self.rules_memo[lk] = _rules_vint(p, lk[1], self.counter, None)
-                        links[p][raw] = hit
+                        hit = links[p][nbrs] = (dict(succ), *_link_rules(p, tuple(cyc), self.counter))
                     monotone += hit[1]
                     if hit[2]:
                         rv.extend(hit[2])
@@ -758,8 +762,8 @@ def audit(P: AugmentedPointSet, jobs: int = 1, rules: bool = False) -> AuditRepo
     With ``rules`` the same walk also sweeps every vint for the
     structural rules, rule 1 read from each 3-vint's key, and the report's
     ``rules`` holds the RulesReport (not part of ``to_json_dict``).  Each
-    process computes them once per distinct key or (point, link cycle);
-    the counters and violations still count every occurrence.
+    process computes them once per distinct key or (point, neighbour
+    set); the counters and violations still count every occurrence.
     With ``jobs > 1`` the parent tallies the states above ``SPLIT_DEPTH``
     and deals the subtrees at it to ``jobs`` processes as flip paths,
     which each replays on its own walk; the partial reports merge in
@@ -851,12 +855,12 @@ class RulesReport:
         }
 
 
-def _rules_vint(p, cyc, counter, key) -> tuple[int, int, tuple[str, ...]]:
-    """The structural rules at the interior point p with link cycle
-    ``cyc``, a tuple, over the order type of ``counter``; ``key`` is p's
-    flip-tree key when p has degree 3.  Returns the rule-1 and monotone
-    check counts and the violations (``()`` when there are none); the
-    vint's one support check is the caller's."""
+def _link_rules(p, cyc, counter) -> tuple[int, tuple[str, ...]]:
+    """The support bound, convexity and monotone rules at the interior
+    point p with link cycle ``cyc``, a tuple of any length, over the order
+    type of ``counter``.  Returns the monotone check count and the
+    violations (``()`` when there are none); the vint's one support check
+    is the caller's."""
     signs, memo, supp_of = counter.signs, counter.memo, counter.count
     violations = []
     d = len(cyc)
@@ -879,9 +883,4 @@ def _rules_vint(p, cyc, counter, key) -> tuple[int, int, tuple[str, ...]]:
         monotone += 1
         if supp < supp_after:
             violations.append(f"support grew {supp} -> {supp_after} along down-flip at {p}")
-    # Rule 1 reads the root slots a -> b, b -> c and c -> a of a 3-vint's key.
-    found, i = [], 4
-    for u, v, opp in zip(cyc, cyc[1:] + cyc[:1], cyc[2:] + cyc[:2]) if key else ():
-        i = _rule1(key, signs, i, u, v, opp, 1, found)
-    violations += [f"both children of a rigid edge can free it at point {p}"] * sum(found)
-    return len(found), monotone, tuple(violations)
+    return monotone, tuple(violations)

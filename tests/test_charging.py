@@ -652,23 +652,33 @@ def _distinct_keys(P):
 def test_rule1_from_the_key_equals_rule1_from_the_tree(monkeypatch):
     # The key reader and the decoded tree agree on every distinct key, on
     # the count and, with every candidate forced to violate, the strings.
+    # A 3-vint's link rules (a triangle's) add no check and no violation.
     instances = [*KEY_INSTANCES.values(), augment(gen_convex(7))]
     keys = [(P, key) for P in instances for key in sorted(_distinct_keys(P))]
     counter = {id(P): PolygonCounter(P.signs) for P in instances}
 
     def by_key(P, key):
-        rule1, monotone, violations = charging._rules_vint(key[0], key[1:4], counter[id(P)], key)
-        assert monotone == 0
-        return rule1, list(violations)
+        assert charging._link_rules(key[0], key[1:4], counter[id(P)]) == (0, ())
+        (a, b, c), found, i = key[1:4], [], 4
+        for u, v, opp in ((a, b, c), (b, c, a), (c, a, b)):
+            i = charging._rule1(key, P.signs, i, u, v, opp, 1, found)
+        assert i == len(key)
+        return len(found), [f"both children of a rigid edge can free it at point {key[0]}"] * sum(found)
 
+    def priced(P, ctx, key):
+        e = ctx[id(P)].tree_charge(key)
+        return e.rule1, list(e.rules)
+
+    ctx = {id(P): charging._AuditContext(P, rules=True) for P in instances}
     assert sum(_rule1_by_tree(tree_from_key(key), P.signs)[0] > 0 for P, key in keys) > 20
     for P, key in keys:
-        assert by_key(P, key) == _rule1_by_tree(tree_from_key(key), P.signs)
+        assert by_key(P, key) == priced(P, ctx, key) == _rule1_by_tree(tree_from_key(key), P.signs)
     monkeypatch.setattr(charging, "crosses", lambda signs, a, b, c, d: True)
+    ctx = {id(P): charging._AuditContext(P, rules=True) for P in instances}
     forced = 0
     for P, key in keys:
         got, ref = by_key(P, key), _rule1_by_tree(tree_from_key(key), P.signs)
-        assert got == ref and len(ref[1]) == ref[0]
+        assert got == priced(P, ctx, key) == ref and len(ref[1]) == ref[0]
         forced += ref[0]
     assert forced > 20
 
@@ -691,9 +701,11 @@ def test_forced_rule1_violations_follow_the_walk(monkeypatch, jobs):
 
 def test_broken_link_is_never_memoised():
     # Point 0's successor map splits into two 3-cycles in copies of some
-    # states (ones where no flip-tree key reads the changed entries); the
-    # run reports it at each such occurrence, stores it in neither memo,
-    # and leaves the valid states' counters as a fresh context finds them.
+    # states (ones where no flip-tree key reads the changed entries). Each
+    # copy follows its source state, so its probe hits the entry of the
+    # same neighbour set with a different map. The run reports it at each
+    # such occurrence, never stores it, keeps the valid entry, and leaves
+    # the valid states' counters as a fresh context finds them.
     P, p = KEY_INSTANCES["random-n7-s148"], 0
     states = [{q: dict(succ) for q, succ in star.items()} for star in FlipWalk(P).walk()]
     valid = [s for s in states if len(s[p]) == 6]
@@ -702,27 +714,62 @@ def test_broken_link_is_never_memoised():
     def keys(star):
         return [flip_tree_key(P.signs, star, q) for q in P.interior_indices() if len(star[q]) == 3]
 
-    broken = []
+    sources, broken = [], []
     for s in valid:
         a, b, c, d, e, f = star_link(s, p)
         bad = {**s, p: {a: b, b: c, c: a, d: e, e: f, f: d}}
         if keys(bad) == keys(s):
+            sources.append(s)
             broken.append(bad)
     assert len(broken) >= 3
-    run = [valid[0], broken[0], *valid[1:5], broken[1], broken[2], valid[5]]
+    ok = [sources[0], *valid[:4], sources[1], sources[2]]
+    run = [sources[0], broken[0], *valid[:4], sources[1], broken[1], sources[2], broken[2]]
     ctx = charging._AuditContext(P, rules=True)
     rep = ctx.tally(run).rules
     assert rep.violations.count(f"point {p} link is not a single cycle") == 3
     assert rep.support_checked == len(run) * P.n - 3
-    for raw in ctx.links[p]:
-        d = len(raw) // 2
-        assert star_link({p: dict(zip(raw[:d], raw[d:]))}, p) is not None
-    assert all(star_link({q: dict(zip(cyc, cyc[1:] + cyc[:1]))}, q) == list(cyc) for q, cyc in ctx.rules_memo)
-    ok = valid[:6]
+    for src, bad in zip(sources[:3], broken):
+        assert ctx.links[p][frozenset(bad[p])][0] == src[p] != bad[p]
+    for q, entries in ctx.links.items():
+        for nbrs, (succ, _, _) in entries.items():
+            assert frozenset(succ) == nbrs and star_link({q: succ}, q) is not None
     fresh = charging._AuditContext(P, rules=True).tally(ok)
     again = ctx.tally(ok)
     assert again.rules == fresh.rules
     assert again.to_json_dict() == fresh.to_json_dict()
+
+
+@pytest.mark.parametrize("n, links", [(7, 351), (8, 809)])
+def test_star_link_runs_once_per_distinct_link(monkeypatch, n, links):
+    # links[p] is the one memo for larger vints: star_link runs once per
+    # distinct (point, link) that the walk meets, and the memo holds one
+    # entry for each.
+    P = augment(gen_random(n, 148))
+    met = {
+        (p, tuple(star_link(star, p)))
+        for star in FlipWalk(P).walk()
+        for p in P.interior_indices()
+        if len(star[p]) != 3
+    }
+    assert len(met) == links
+    calls, contexts = [], []
+
+    def counted(star, p):
+        calls.append(p)
+        return star_link(star, p)
+
+    class Recorded(charging._AuditContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(self)
+
+    monkeypatch.setattr(charging, "star_link", counted)
+    monkeypatch.setattr(charging, "_AuditContext", Recorded)
+    rep = audit(P, jobs=1, rules=True)
+    (ctx,) = contexts
+    assert len(calls) == links
+    assert sum(map(len, ctx.links.values())) == links
+    assert rep.rules.support_checked == rep.triangulation_count * P.n
 
 
 def test_audit_census_agrees_with_charge_from_tree():
