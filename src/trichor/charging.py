@@ -21,10 +21,11 @@ and checks charge conservation, the per-degree charger-count bound, and
 the maximum charge received by any 3-vint.  Each triangulation is read
 through the walk's star map, each 3-vint through its key (rule 1
 included, so no tree is decoded) and each larger vint's link rules
-through its point's neighbour set.  A run of triangulations yields one
-AuditReport, and ``merge`` adds the report of the run that follows, so
-subtrees audited in pool workers combine, in walk order, into the
-sequential report.
+through its point's neighbour set.  The memos hold priced values only:
+a run of triangulations keeps its own ledger and yields one AuditReport,
+and ``merge`` adds the report of the run that follows, so subtrees
+audited in pool workers combine, in walk order, into the sequential
+report.
 """
 
 from __future__ import annotations
@@ -605,20 +606,18 @@ def charger_bound(degree: int) -> int:
 
 
 class _Priced:
-    """A flip-tree key's entry in the charge cache: its 3-vint's charge,
-    charger counts indexed by degree minus 3, their bound violations,
-    whether the charge reaches ``HARD_CHARGE_BOUND`` and, with rules, its
-    rule-1 count and rule violations.  ``tally`` run stamps: ``run`` is
-    the last run that met the key, ``count`` its occurrences there, and
-    ``below`` the last run whose maximum charge it fell below."""
+    """A flip-tree key's entry in the charge cache, a priced fact that no
+    run writes to: its 3-vint's charge, charger counts indexed by degree
+    minus 3, their bound violations, whether the charge reaches
+    ``HARD_CHARGE_BOUND`` and, with rules, its rule-1 count and rule
+    violations.  It hashes by identity, so a run's ledger keys it without
+    hashing a ``Fraction``."""
 
-    __slots__ = ("total", "chargers", "over", "hard", "rule1", "rules", "run", "count", "below")
+    __slots__ = ("total", "chargers", "over", "hard", "rule1", "rules")
 
     def __init__(self, total, chargers, over, rule1, rules):
         self.total, self.chargers, self.over, self.rule1, self.rules = total, chargers, over, rule1, rules
         self.hard = total >= HARD_CHARGE_BOUND
-        self.run = self.below = -1
-        self.count = 0
 
 
 class _AuditContext:
@@ -628,8 +627,9 @@ class _AuditContext:
     process (a pool worker has its own) prices a 3-vint's key once, from
     the census of the key itself, into a ``_Priced`` entry, rule 1 read
     from the key too.  ``links[p]`` holds a larger vint's link rules and
-    successor map by p's neighbour set, which fixes a valid link; the
-    report counts every occurrence."""
+    successor map by p's neighbour set, which fixes a valid link.  Both
+    memos hold values only: what a run met is kept by ``tally`` in that
+    run, so runs on one context, nested ones included, do not mix."""
 
     def __init__(self, P: AugmentedPointSet, rules: bool):
         self.n = P.n
@@ -640,7 +640,6 @@ class _AuditContext:
         self.charge_cache: dict[tuple[int, ...], _Priced] = {}
         self.links = {p: {} for p in self.interior}
         self.rules = rules
-        self.runs = count()
 
     def tree_charge(self, key: tuple[int, ...]) -> _Priced:
         """The cache entry of a flip-tree key, priced from its census on a
@@ -676,14 +675,18 @@ class _AuditContext:
     def tally(self, stars) -> AuditReport:
         """Audit each triangulation of ``stars``, a run of star maps, into
         one fresh report, in one pass over each state's interior points.
-        Work that depends only on a 3-vint's key (the conservation sum,
-        the charger maxima, rule 1) is done once per distinct key after it."""
-        signs, n, interior, run = self.counter.signs, self.n, self.interior, next(self.runs)
+        The run's ledger counts the occurrences of each cache entry it
+        meets, so work that depends only on a 3-vint's key (the
+        conservation sum, the charger maxima, rule 1) is done once per
+        distinct key after the pass; no entry is written to."""
+        signs, n, interior = self.counter.signs, self.n, self.interior
         f0, f1, f2 = self.frame
         r, links = AuditReport(n), self.links
-        # The entries met in this run, each once, and with rules the run's
-        # rule violations in walk order, broken links and monotone checks.
-        degree_totals, met, rv, broken, monotone = r.degree_totals, [], [] if self.rules else None, 0, 0
+        # The ledger: occurrences per entry met, the entries that fell below
+        # the run's maximum charge, and with rules the run's rule violations
+        # in walk order, broken links and monotone checks.
+        met, below = {}, set()
+        degree_totals, rv, broken, monotone = r.degree_totals, [] if self.rules else None, 0, 0
         for star in stars:
             r.triangulation_count += 1
             interior_sum = 0
@@ -699,18 +702,14 @@ class _AuditContext:
                 degree_totals[d] = degree_totals.get(d, 0) + 1
                 if d == 3:
                     e = self.tree_charge(flip_tree_key(signs, star, p))
-                    if e.run == run:
-                        e.count += 1
-                    else:
-                        e.run, e.count = run, 1
-                        met.append(e)
-                    # The run's maximum only grows, so a key below it stays below.
-                    if e.below != run:
+                    met[e] = met.get(e, 0) + 1
+                    # The run's maximum only grows, so an entry below it stays below.
+                    if e not in below:
                         if r.max_charge_at is None or e.total >= r.max_charge:
                             fp = fp or fingerprint_bytes(star_triangles(star)).hex()
                             r.offer_max(e.total, (fp, p))
                         else:
-                            e.below = run
+                            below.add(e)
                     over += e.over
                     if e.hard:
                         fp = fp or fingerprint_bytes(star_triangles(star)).hex()
@@ -737,16 +736,16 @@ class _AuditContext:
             r.violations.extend(over)
         # The received charges as int numerators per denominator.
         sums = {}
-        for e in met:
+        for e, k in met.items():
             num, d = e.total.numerator, e.total.denominator
-            sums[d] = sums.get(d, 0) + num * e.count
+            sums[d] = sums.get(d, 0) + num * k
             for degree, cnt in enumerate(e.chargers, 3):
                 r.offer_chargers(degree, cnt)
         den = lcm(*sums)
         r.conservation_rhs = Fraction(sum(num * (den // d) for d, num in sums.items()), den)
         if rv is not None:
             support = r.triangulation_count * len(interior) - broken
-            r.rules = RulesReport(sum(e.rule1 * e.count for e in met), monotone, support, rv)
+            r.rules = RulesReport(sum(e.rule1 * k for e, k in met.items()), monotone, support, rv)
         return r
 
 

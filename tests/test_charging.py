@@ -465,6 +465,56 @@ def test_sharded_violations_equal_sequential(monkeypatch):
     assert two.violations == one.violations
 
 
+def test_nested_tally_runs_keep_their_own_ledgers():
+    # A run started inside another run's input on the same context: each
+    # run counts its own occurrences and writes nothing to the shared
+    # cache entries, so both equal a fresh context's run.
+    P = augment(gen_random(6, 148))
+    stars = [star_map(tris) for tris in flip_graph_states(P)]
+    ctx = charging._AuditContext(P, rules=True)
+    inner = []
+
+    def outer_input():
+        for i, star in enumerate(stars):
+            if i == len(stars) // 2:
+                inner.append(ctx.tally(stars))
+            yield star
+
+    outer = ctx.tally(outer_input())
+    fresh = charging._AuditContext(P, rules=True).tally(stars)
+    assert len(inner) == 1
+    for rep in (outer, *inner):
+        assert rep.to_json_dict() == fresh.to_json_dict()
+        assert rep.rules == fresh.rules
+        assert rep.conservation_rhs == fresh.conservation_rhs == 4665
+
+
+def _single_point_star():
+    """The single-point instance, its frame vertex f and a copy of its
+    one star map, free to corrupt."""
+    aug, t = single_point_instance()
+    return aug, aug.frame_indices()[0], {q: dict(succ) for q, succ in t.star.items()}
+
+
+def test_degree_identity_violation_is_reported():
+    # An extra successor entry at a frame vertex raises the degree sum
+    # from 6n + 6 = 12 to 13 and leaves the interior sum alone.
+    aug, f, star = _single_point_star()
+    star[f][-1] = -1
+    rep = charging._AuditContext(aug, rules=False).tally([star])
+    assert rep.violations == ["degree identity violated: 13 != 12"]
+
+
+def test_interior_degree_sum_violation_is_reported():
+    # An entry moved from a frame vertex to the interior point keeps the
+    # degree identity and lifts the interior sum to 4 > 6n - 3 = 3.
+    aug, f, star = _single_point_star()
+    del star[f][min(star[f])]
+    star[0][-1] = -1
+    rep = charging._AuditContext(aug, rules=False).tally([star])
+    assert rep.violations == ["interior degree sum exceeds 6n - 3"]
+
+
 def test_census_and_audit_leave_no_reference_cycles():
     import gc
 

@@ -6,8 +6,12 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from oracles import rules_by_walk
+from trichor import charging
+from trichor.charging import audit
 from trichor.cli import main
 from trichor.geometry import AugmentedPointSet, augment, gen_random, read_points, write_points
+from trichor.polygons import PolygonCounter, catalan
 from trichor.triangulation import initial_triangulation
 
 
@@ -378,3 +382,102 @@ def test_enumerate_frame_only(tmp_path, capsys):
     report = json.loads(out)
     assert report["count"] == "1"
     assert report["n"] == 0
+
+
+def _shift_every_charge(monkeypatch):
+    # Each priced 3-vint receives one more than its census gives.
+    real = charging._AuditContext.tree_charge
+
+    def shifted(self, key):
+        e = real(self, key)
+        return charging._Priced(e.total + 1, e.chargers, e.over, e.rule1, e.rules)
+
+    monkeypatch.setattr(charging._AuditContext, "tree_charge", shifted)
+
+
+def _no_three_vints(monkeypatch):
+    monkeypatch.setattr(charging.AuditReport, "three_vint_count", property(lambda self: 0))
+
+
+def _catalan_minus_one(monkeypatch):
+    # charger_bound(d) = C(d-1) - C(d-2) is the same under the shift, so
+    # its cache stays right.
+    monkeypatch.setattr(charging, "catalan", lambda k: catalan(k) - 1)
+
+
+def _smaller_polygons_count_more(monkeypatch):
+    monkeypatch.setattr(PolygonCounter, "count", lambda self, cycle, inside=(): 100 - len(tuple(cycle)))
+
+
+# augment(gen_random(3, 5)): 8 triangulations, 6 3-vint occurrences and
+# conservation 72 = 72, every check passing until one is forced.
+@pytest.mark.parametrize(
+    "force, section, text",
+    [
+        (_shift_every_charge, "violations", "charge conservation broken: sum(7-deg)=72 but received=78"),
+        (_no_three_vints, "violations", "vhat3 * 30 = 0 < n = 3"),
+        (_catalan_minus_one, "rules", "support 1 outside [1, 0]"),
+        (_smaller_polygons_count_more, "rules", "support grew 96 -> 97 along down-flip at 0"),
+    ],
+    ids=["conservation", "vhat3", "support-bound", "monotone"],
+)
+def test_forced_audit_violation_exits_three(tmp_path, capsys, monkeypatch, force, section, text):
+    f = tmp_path / "r.txt"
+    main(["generate", "random", "--n", "3", "--seed", "5", "--augment", "--out", str(f)])
+    monkeypatch.delenv("TRICHOR_THREADS", raising=False)
+    force(monkeypatch)
+    code = main(["audit", str(f)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["ok"] is False
+    violations = payload["violations"] if section == "violations" else payload["rules"]["violations"]
+    assert text in violations
+
+
+def test_forced_monotone_violations_equal_the_reference(monkeypatch):
+    # Under the same counts the reference sweep, one occurrence at a time
+    # from public objects, reports the same strings in the same order.
+    P = augment(gen_random(3, 5))
+    _smaller_polygons_count_more(monkeypatch)
+    got = audit(P, rules=True).rules.violations
+    assert got == rules_by_walk(P).violations
+    assert sum(v.startswith("support grew") for v in got) > 0
+
+
+def test_empty_point_file_exits_one(tmp_path, capsys):
+    f = tmp_path / "empty.txt"
+    f.write_text("")
+    assert main(["audit", str(f)]) == 1
+    assert capsys.readouterr().err == f"error: empty point-set file: {f}\n"
+
+
+def test_coordinate_count_mismatch_exits_one(tmp_path, capsys):
+    f = tmp_path / "short.txt"
+    f.write_text("3\n0 0\n9 0\n0\n")
+    assert main(["enumerate", str(f)]) == 1
+    assert capsys.readouterr().err == "error: expected 6 coordinates, found 5\n"
+
+
+def test_generate_without_out_writes_stdout(tmp_path, capsys):
+    f = tmp_path / "r.txt"
+    assert main(["generate", "random", "--n", "5", "--seed", "3", "--augment", "--out", str(f)]) == 0
+    assert run(capsys, "generate", "random", "--n", "5", "--seed", "3", "--augment") == (0, f.read_text())
+
+
+def test_fliptree_fingerprint_without_match_exits_one(tmp_path, capsys):
+    f = tmp_path / "r.txt"
+    main(["generate", "random", "--n", "4", "--seed", "1", "--augment", "--out", str(f)])
+    code = main(["fliptree", str(f), "--point", "0", "--fingerprint", "0" * 32])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"no triangulation with fingerprint {'0' * 32}\n"
+
+
+def test_catalan_cr_without_r_exits_one(capsys):
+    code = main(["catalan", "cr", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert (captured.out, captured.err) == ("", "cr needs --r\n")

@@ -376,3 +376,27 @@ def test_recursion_counts_equal_walk_on_large_coordinates(P):
     interior = [(p.x, p.y) for p in P.points[: P.n]]
     assert count_triangulations(frame, interior) == walk.count
     assert check_v3_recursion(P, walk.degree_totals.get(3, 0)).ok
+
+
+def test_walk_replays_a_path_into_its_subtree():
+    # Each subtree two flips below the root is one block of the full DFS,
+    # the states whose trail starts with its path; a fresh walk replays
+    # the path and yields that block in the same order.
+    from trichor.triangulation import star_triangles
+
+    P = augment(gen_random(7, 148))
+    full = FlipWalk(P)
+    blocks = {}
+    for star in full.walk():
+        blocks.setdefault(tuple((u, v) for u, v, _, _ in full.trail[:2]), []).append(star_triangles(star))
+    top = FlipWalk(P)
+    paths = [[(u, v) for u, v, _, _ in top.trail] for _ in top.walk(limit=2) if len(top.trail) == 2]
+    assert len(paths) >= 10
+    assert sorted(map(tuple, paths)) == sorted(k for k in blocks if len(k) == 2)
+    root = {p: dict(succ) for p, succ in top.star.items()}
+    for path in paths:
+        walk = FlipWalk(P)
+        assert [star_triangles(star) for star in walk.walk(path)] == blocks[tuple(path)]
+        assert walk.star == root and walk.trail == []
+    assert len(list(top.walk(limit=0))) == 1
+    assert top.star == root

@@ -168,3 +168,27 @@ def test_gen_random_exhausted_retries(monkeypatch):
     monkeypatch.setattr(geom, "SplitMix64", Stuck)
     with pytest.raises(geom.ExhaustedRetriesError):
         geom.gen_random(3, 0)
+
+
+def test_frame_needs_three_vertices():
+    with pytest.raises(ValueError, match="^frame must have exactly 3 vertices$"):
+        AugmentedPointSet(None, [Point(0, 0), Point(9, 0)])
+
+
+def test_collinear_frame_rejected():
+    with pytest.raises(CollinearTripleError, match="^points 1, 2, 3 are collinear$"):
+        AugmentedPointSet(PointSet([(3, 3)]), [Point(0, 0), Point(5, 5), Point(9, 9)])
+
+
+def test_base_point_outside_the_frame_rejected():
+    with pytest.raises(ValueError, match="^base point 1 not strictly inside the frame$"):
+        AugmentedPointSet(PointSet([(2, 2), (20, 20)]), [Point(0, 0), Point(9, 0), Point(0, 9)])
+
+
+def test_clockwise_frame_reordered_to_ccw():
+    a, b, c = Point(0, 0), Point(9, 0), Point(0, 9)
+    assert orient(a, c, b) == CW
+    P = AugmentedPointSet(PointSet([(2, 2)]), [a, c, b])
+    assert P.frame == (a, b, c)
+    assert orient(*P.frame) == CCW
+    assert P.xy[1:] == ((0, 0), (9, 0), (0, 9))

@@ -6,8 +6,9 @@ check each container's order-type table against coordinates, keep the
 predicate modules free of inexact arithmetic, keep every module but
 geometry off coordinate predicates, keep the polygon core off
 coordinates, keep every recursion out of closures, keep ``Fraction``
-and the per-key charger maxima out of the audit's per-state loop and
-keep the subtree census on the flat key, off tree nodes.
+and the per-key charger maxima out of the audit's per-state loop, keep
+an audit run's ledger off the cache entries and keep the subtree census
+on the flat key, off tree nodes.
 """
 
 import ast
@@ -381,18 +382,23 @@ FRACTION_WORK = {"Fraction", "conservation_rhs"}
 PER_KEY_WORK = {"offer_chargers"}
 
 
-def _names_in_state_loop(tree, names):
+def _tally(tree):
+    """The ``_AuditContext.tally`` definition of a module tree."""
     for cls in tree.body:
         if isinstance(cls, ast.ClassDef) and cls.name == "_AuditContext":
             for fn in cls.body:
                 if isinstance(fn, ast.FunctionDef) and fn.name == "tally":
-                    loop = next(n for n in fn.body if isinstance(n, ast.For))
-                    return sorted(
-                        (n.lineno, getattr(n, "id", None) or n.attr)
-                        for n in ast.walk(loop)
-                        if {getattr(n, "id", None), getattr(n, "attr", None)} & names
-                    )
+                    return fn
     raise AssertionError("no _AuditContext.tally")
+
+
+def _names_in_state_loop(tree, names):
+    loop = next(n for n in _tally(tree).body if isinstance(n, ast.For))
+    return sorted(
+        (n.lineno, getattr(n, "id", None) or n.attr)
+        for n in ast.walk(loop)
+        if {getattr(n, "id", None), getattr(n, "attr", None)} & names
+    )
 
 
 def test_audit_state_loop_names_no_fraction():
@@ -427,6 +433,44 @@ def test_fraction_guard_catches_the_state_loop_only():
         (9, "conservation_rhs"),
     ]
     assert _names_in_state_loop(tree, PER_KEY_WORK) == [(7, "offer_chargers")]
+
+
+# A run keeps its ledger in its own locals: ``tally`` assigns attributes
+# of its report ``r`` only, never of a cache entry or of the context, so
+# runs on one context, nested ones included, do not mix.
+def _attribute_writes_in_tally(tree):
+    return sorted(
+        (n.lineno, f"{ast.unparse(n.value)}.{n.attr}")
+        for n in ast.walk(_tally(tree))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+        and not (isinstance(n.value, ast.Name) and n.value.id == "r")
+    )
+
+
+def test_tally_assigns_attributes_of_its_report_only():
+    found = _attribute_writes_in_tally(ast.parse((SRC / "charging.py").read_text()))
+    assert not found, [f"charging.py:{line}: {what}" for line, what in found]
+
+
+def test_attribute_write_guard_catches_entry_stamps():
+    source = (
+        "class _AuditContext:\n"
+        "    def tally(self, stars):\n"
+        "        r.triangulation_count += 1\n"
+        "        e.count += 1\n"
+        "        e.run, e.count = run, 1\n"
+        "        if e.below != run:\n"
+        "            e.below = run\n"
+        "        r.rules = e.rules\n"
+        "    def tree_charge(self, key):\n"
+        "        self.hit = key\n"
+    )
+    assert _attribute_writes_in_tally(ast.parse(source)) == [
+        (4, "e.count"),
+        (5, "e.count"),
+        (5, "e.run"),
+        (7, "e.below"),
+    ]
 
 
 # The subtree census, and every reader of it, reads the preorder ints of

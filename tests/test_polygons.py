@@ -328,3 +328,9 @@ def test_shared_counter_is_invariant_under_rotation_and_keeps_inside_sets_apart(
             poly = SimplePolygon([P.xy[i] for i in rot])
             want = count_by_interval_dp(poly)
             assert counter.count(rot) == count_triangulations(poly) == want, rot
+
+
+def test_tr_with_chords_splits_a_wrapped_piece():
+    # (2, 5) leaves the piece [5, 0, 1, 2], where 1 comes after 5, so the
+    # split of (1, 5) swaps its ends: a quad [2, 3, 4, 5] and two triangles.
+    assert tr_with_chords(convex_gon(6), [Chord(2, 5), Chord(1, 5)]) == 2

@@ -237,3 +237,21 @@ def test_arc_forced_edges_present_everywhere():
         edges = set(Triangulation(arc, tris).edge_set)
         for p in arc.interior_indices():
             assert (p, apex) in edges or (apex, p) in edges
+
+
+def test_validate_rejects_a_clockwise_triangle():
+    with pytest.raises(ValueError, match=r"^triangle \(0, 2, 1\) is not CCW$"):
+        Triangulation(square(), [(0, 2, 1), (0, 3, 2)], check=True)
+
+
+def test_validate_rejects_triangles_that_miss_part_of_the_hull():
+    with pytest.raises(ValueError, match="^triangles do not tile the hull$"):
+        Triangulation(square(), [(0, 1, 2)], check=True)
+
+
+def test_validate_rejects_a_point_left_out():
+    # The two triangles tile the hull but skip the centre point: 5 edges
+    # where a triangulation of 5 points with a 4-gon hull has 8.
+    ps = PointSet([(0, 0), (4, 0), (4, 4), (0, 4), (1, 2)])
+    with pytest.raises(ValueError, match="^edge count 5 != 8$"):
+        Triangulation(ps, [(0, 1, 2), (0, 2, 3)], check=True)
