@@ -15,7 +15,6 @@ from .charging import (
     FlipTreeNode,
     RigidCore,
     RulesReport,
-    StarHole,
     SubtreeInfo,
     Vint,
     audit,
@@ -69,7 +68,6 @@ from .geometry import (
     write_points,
 )
 from .polygons import (
-    Chord,
     SimplePolygon,
     catalan,
     catalan_generalized,

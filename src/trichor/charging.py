@@ -88,24 +88,16 @@ class Vint:
         return self.triangulation.link_cycle(self.point)
 
 
-@dataclass(frozen=True)
-class StarHole:
-    """The polygon left by deleting a vint's point and incident edges."""
-
-    polygon: SimplePolygon
-    indices: tuple[int, ...]
-
-
-def hole_of(u: Vint) -> StarHole:
-    cycle = u.link()
+def hole_of(u: Vint) -> SimplePolygon:
+    """The polygon left by deleting the vint's point and its edges, with
+    the point as its kernel witness; its vertices are ``u.link()``."""
     pts = u.triangulation.points
-    poly = SimplePolygon([pts[i] for i in cycle], kernel_witness=pts[u.point])
-    return StarHole(polygon=poly, indices=tuple(cycle))
+    return SimplePolygon([pts[i] for i in u.link()], kernel_witness=pts[u.point])
 
 
 def support(u: Vint) -> int:
     """Number of triangulations of the vint's hole."""
-    return count_triangulations(hole_of(u).polygon)
+    return count_triangulations(hole_of(u))
 
 
 # ---------------------------------------------------------------------------

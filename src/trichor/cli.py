@@ -10,7 +10,9 @@ structural-rule sweep and the left side of the degree-3 insertion
 identity share that walk, and the polygon recursion counts the right
 side without walking.  The TRICHOR_THREADS environment variable sets
 the number of processes for the charge audit and the rule sweep, at
-most the CPU count; results are identical to a sequential run.
+most the number of CPUs this process may run on (its CPU affinity where
+the system reports one, else the CPU count); results are identical to a
+sequential run.
 ``audit`` and ``fliptree`` read a point file as one S+ (``augment``
 wraps a set whose hull is not a triangle); ``fliptree`` reads the seed
 triangulation unless ``--fingerprint`` names another, which it finds by
@@ -79,12 +81,7 @@ def cmd_enumerate(args) -> int:
     container = ps
     if len(ps.convex_hull_indices()) == 3:
         container = AugmentedPointSet.from_points(ps)
-    code = EXIT_OK
-    try:
-        result = enumerate_all(container, cap=args.cap)
-    except CapExceededError as exc:
-        result = exc.result
-        code = EXIT_CAPPED
+    result = enumerate_all(container, cap=args.cap)
     v3 = result.vhat(3)
     report = {
         "n": result.interior_count,
@@ -95,7 +92,7 @@ def cmd_enumerate(args) -> int:
         "exhaustive": result.exhaustive,
     }
     _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
-    return code
+    return EXIT_OK if result.exhaustive else EXIT_CAPPED
 
 
 def _s_plus(path) -> AugmentedPointSet:

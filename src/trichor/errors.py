@@ -30,15 +30,10 @@ class NotFlippableError(TrichorError):
 
 
 class CapExceededError(TrichorError):
-    """A configured enumeration or subtree cap was hit.
-
-    When raised from the flip-graph enumeration, ``result`` holds the
-    partial EnumerationResult flagged as non-exhaustive.
-    """
-
-    def __init__(self, message: str, result=None):
-        super().__init__(message)
-        self.result = result
+    """A state or subtree cap was hit where no partial value exists:
+    ``flip_graph_states`` past its cap, or a flip-tree or rigid core with
+    more than ``SUBTREE_CAP`` subtrees.  A capped ``enumerate_all``
+    returns its partial result, flagged non-exhaustive, instead."""
 
 
 class InvariantError(TrichorError):

@@ -306,60 +306,37 @@ def _inside(signs, cycle: Sequence[int], q: int) -> bool:
     return odd
 
 
-class Chord:
-    """An internal chord of a polygon, by boundary vertex indices."""
-
-    __slots__ = ("i", "j")
-
-    def __init__(self, i: int, j: int):
-        if i == j:
-            raise InvalidChordError("chord endpoints coincide")
-        self.i, self.j = (i, j) if i < j else (j, i)
-
-    def __repr__(self) -> str:
-        return f"Chord({self.i}, {self.j})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Chord) and (self.i, self.j) == (other.i, other.j)
-
-    def __hash__(self) -> int:
-        return hash((self.i, self.j))
-
-
-def tr_with_chords(poly: SimplePolygon, required: Sequence[Chord]) -> int:
+def tr_with_chords(poly: SimplePolygon, required: Sequence[tuple[int, int]]) -> int:
     """Number of triangulations of poly containing every required chord.
 
-    The chords must be valid internal diagonals and pairwise non-crossing;
-    they split the polygon into faces whose counts multiply.
+    A chord is a pair ``(i, j)`` of boundary vertex indices, in either
+    order.  The chords must be internal diagonals and pairwise
+    non-crossing; they split the polygon into faces whose counts
+    multiply.  Each chord lies in one face of the earlier splits, and a
+    repeated chord splits off a two-vertex chain, which counts 1.
     """
     k = len(poly)
-    for ch in required:
-        if not (0 <= ch.i < k and 0 <= ch.j < k):
-            raise InvalidChordError(f"{ch} out of range for a {k}-gon")
-        if (ch.i + 1) % k == ch.j or (ch.j + 1) % k == ch.i:
-            raise InvalidChordError(f"{ch} connects adjacent vertices")
-        if not poly.sees(ch.i, ch.j):
-            raise InvalidChordError(f"{ch} is not an internal diagonal")
-    for a in range(len(required)):
-        for b in range(a + 1, len(required)):
-            c1, c2 = required[a], required[b]
-            if crosses(poly.signs, c1.i, c1.j, c2.i, c2.j):
-                raise CrossingChordsError(f"{c1} crosses {c2}")
+    for i, j in required:
+        if i == j:
+            raise InvalidChordError(f"chord ({i}, {j}) has coinciding ends")
+        if not (0 <= i < k and 0 <= j < k):
+            raise InvalidChordError(f"chord ({i}, {j}) out of range for a {k}-gon")
+        if (i + 1) % k == j or (j + 1) % k == i:
+            raise InvalidChordError(f"chord ({i}, {j}) connects adjacent vertices")
+        if not poly.sees(i, j):
+            raise InvalidChordError(f"chord ({i}, {j}) is not an internal diagonal")
+    for a, (i, j) in enumerate(required):
+        for c, d in required[a + 1 :]:
+            if crosses(poly.signs, i, j, c, d):
+                raise CrossingChordsError(f"chord ({i}, {j}) crosses ({c}, {d})")
 
     # Split the boundary index cycle along each chord in turn.
     pieces: list[list[int]] = [list(range(k))]
-    for ch in required:
-        for idx, piece in enumerate(pieces):
-            if ch.i in piece and ch.j in piece:
-                a, b = piece.index(ch.i), piece.index(ch.j)
-                if a > b:
-                    a, b = b, a
-                left = piece[a : b + 1]
-                right = piece[b:] + piece[: a + 1]
-                pieces[idx : idx + 1] = [left, right]
-                break
-        else:
-            raise CrossingChordsError(f"{ch} does not fit the prior splits")
+    for i, j in required:
+        at = next(at for at, piece in enumerate(pieces) if i in piece and j in piece)
+        piece = pieces[at]
+        a, b = sorted((piece.index(i), piece.index(j)))
+        pieces[at : at + 1] = [piece[a : b + 1], piece[b:] + piece[: a + 1]]
 
     counter = PolygonCounter(poly.signs)
     total = 1

@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: vint reachability
 is computed by brute-force BFS over single down-flips across the whole
 enumerated triangulation space, and polygon counts are recomputed by
 an interval DP over valid diagonals and by backtracking over pairwise
-non-crossing diagonal subsets.  Vertex visibility is recomputed by an
+non-crossing diagonal subsets, which also counts the subsets that hold
+given chords, a reference for ``tr_with_chords``.  Vertex visibility is recomputed by an
 exact ray cast from the segment's midpoint, and boundary simplicity by
 an edge-pair sweep.  The charging vints of a 3-vint are rebuilt as
 explicit triangulations from its flip-tree, and the structural-rule
@@ -16,7 +17,9 @@ Crossings are decided here by ``crosses`` on coordinates, four
 determinants per test, not by the order-type table the package reads.
 The flip graph is walked by breadth-first search over explicit
 triangle lists, deduplicated on exact edge sets, and the Delaunay test
-is the 4x4 lifted determinant over exact fractional lifts.
+is the 4x4 lifted determinant over exact fractional lifts.  The random
+star polygons and rigid-core shapes that several test files draw are
+generated here too.
 """
 
 from collections import defaultdict, deque
@@ -272,17 +275,25 @@ def count_by_interval_dp(poly: SimplePolygon) -> int:
     return ways[0][k - 1]
 
 
-def count_by_noncrossing_sets(poly: SimplePolygon) -> int:
-    """Triangulations = subsets of k-3 pairwise non-crossing diagonals."""
+def count_by_noncrossing_sets(poly: SimplePolygon, required=()) -> int:
+    """Triangulations = subsets of k-3 pairwise non-crossing diagonals.
+
+    With ``required`` chords, ``(i, j)`` pairs in either order, only the
+    subsets that hold every one of them count; a pair that is not a
+    diagonal, or two that cross, leave none.  Diagonals are tried in a
+    fixed order, so a subset that passes over a required one is dropped.
+    """
     k = len(poly)
-    if k == 3:
-        return 1
     diags = [
         (i, j)
         for i in range(k)
         for j in range(i + 2, k)
         if not (i == 0 and j == k - 1) and poly.sees(i, j)
     ]
+    wanted = {tuple(sorted(c)) for c in required}
+    if not wanted <= set(diags):
+        return 0
+    wanted = {diags.index(c) for c in wanted}
     crossing = {}
     for a in range(len(diags)):
         for b in range(a + 1, len(diags)):
@@ -294,7 +305,7 @@ def count_by_noncrossing_sets(poly: SimplePolygon) -> int:
     def rec(start, chosen):
         nonlocal total
         if len(chosen) == need:
-            total += 1
+            total += wanted <= set(chosen)
             return
         if len(diags) - start < need - len(chosen):
             return
@@ -303,6 +314,8 @@ def count_by_noncrossing_sets(poly: SimplePolygon) -> int:
                 chosen.append(nxt)
                 rec(nxt + 1, chosen)
                 chosen.pop()
+            if nxt in wanted:
+                break
 
     rec(0, [])
     return total
@@ -348,6 +361,19 @@ def random_star_polygon(k: int, rng: SplitMix64, span: int = 40) -> SimplePolygo
         except Exception:
             continue
     raise RuntimeError(f"could not build a star polygon with {k} vertices")
+
+
+def random_core_shape(rng: SplitMix64) -> tuple:
+    """A random rigid-core shape at most three levels deep: 0..3 children
+    at the root and 0..2 at each node of levels 1 and 2, drawn depth
+    first."""
+
+    def branch(level):
+        if level >= 3:
+            return ()
+        return tuple(branch(level + 1) for _ in range(rng.below(3)))
+
+    return tuple(branch(1) for _ in range(rng.below(4)))
 
 
 def enumerate_charging_vints(v: Vint) -> list:
@@ -428,7 +454,7 @@ def rules_by_walk(P) -> RulesReport:
         rep.support_checked += 1
         if not 1 <= supp <= bound:
             rep.violations.append(f"support {supp} outside [1, {bound}]")
-        if (supp == bound) != hole_of(v).polygon.is_convex():
+        if (supp == bound) != hole_of(v).is_convex():
             rep.violations.append(f"support {supp} vs bound {bound}: convexity mismatch at point {p}")
         for x in cyc:
             if T.is_flippable(edge(p, x)):

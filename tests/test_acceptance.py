@@ -9,7 +9,13 @@ import time
 from fractions import Fraction
 
 from conftest import BIJECTION_INSTANCES
-from oracles import DownFlipOracle, count_by_interval_dp, enumerate_charging_vints, random_star_polygon
+from oracles import (
+    DownFlipOracle,
+    count_by_interval_dp,
+    enumerate_charging_vints,
+    random_core_shape,
+    random_star_polygon,
+)
 from trichor.bounds import derived_bounds
 from trichor.charging import (
     BELIEVED_MAX_CHARGE,
@@ -177,20 +183,11 @@ def test_criterion_09_bijection_oracles():
     report(9, ok, f"subtree and rigid-core bijections exact: {three_vints} 3-vints, {subtrees} subtrees, 10 instances")
 
 
-def _random_core_shape(rng):
-    def branch(level):
-        if level >= 3:
-            return ()
-        return tuple(branch(level + 1) for _ in range(rng.below(3)))
-
-    return tuple(branch(1) for _ in range(rng.below(4)))
-
-
 def test_criterion_10_contr_formulas():
     rng = SplitMix64(9000)
     ok = True
     for _ in range(1000):
-        core = RigidCore(_random_core_shape(rng))
+        core = RigidCore(random_core_shape(rng))
         plus = contr_plus_closed_form(core)
         if plus != contr_plus_census(core):
             ok = False

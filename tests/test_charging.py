@@ -10,6 +10,7 @@ from oracles import (
     DownFlipOracle,
     audit_by_occurrence,
     enumerate_charging_vints,
+    random_core_shape,
     reference_flip_tree,
     rules_by_walk,
     subtrees_by_brute_force,
@@ -70,9 +71,12 @@ def single_point_instance():
 
 def test_three_vint_hole_is_triangle():
     aug, t = single_point_instance()
-    hole = hole_of(Vint(0, t))
-    assert len(hole.polygon) == 3
-    assert support(Vint(0, t)) == 1
+    v = Vint(0, t)
+    hole = hole_of(v)
+    assert len(hole) == 3
+    assert hole.xy == tuple(aug.xy[i] for i in v.link())
+    assert hole.kernel_witness == aug.points[0]
+    assert support(v) == 1
 
 
 def test_support_of_convex_hole_attains_catalan_bound():
@@ -88,7 +92,7 @@ def test_support_of_convex_hole_attains_catalan_bound():
             s = support(u)
             d = dm[p]
             assert 1 <= s <= catalan(d - 2)
-            if hole_of(u).polygon.is_convex():
+            if hole_of(u).is_convex():
                 assert s == catalan(d - 2)
                 checked_convex += 1
             else:
@@ -104,7 +108,7 @@ def test_four_vint_with_reflex_link_has_support_one():
         for p in P.interior_indices():
             if T.degree_map()[p] == 4:
                 u = Vint(p, T)
-                if not hole_of(u).polygon.is_convex():
+                if not hole_of(u).is_convex():
                     assert support(u) == 1
                     found = True
     assert found
@@ -257,22 +261,10 @@ def test_core_level_restrictions_on_extracted_cores():
                 assert 2 * core.nu2 <= core.lambda2
 
 
-def _random_core_shape(rng, max_depth=3):
-    def branch(level):
-        if level >= max_depth:
-            return ()
-        kids = []
-        for _ in range(rng.below(3)):  # 0..2 children
-            kids.append(branch(level + 1))
-        return tuple(kids)
-
-    return tuple(branch(1) for _ in range(rng.below(4)))  # 0..3 root children
-
-
 def test_contr_plus_closed_form_equals_census_random_cores():
     rng = SplitMix64(2024)
     for _ in range(300):
-        core = RigidCore(_random_core_shape(rng))
+        core = RigidCore(random_core_shape(rng))
         plus = contr_plus_closed_form(core)
         assert plus == contr_plus_census(core)
         m = core.m
@@ -584,7 +576,7 @@ def test_rule_violations_repeat_at_every_occurrence(monkeypatch):
     # every convex hole reports the forced mismatch at each occurrence.
     # convex7 has 594 states, so jobs=2 merges many subtrees.
     P = augment(gen_convex(7))
-    convex = sum(hole_of(v).polygon.is_convex() for v in walk_vints(P))
+    convex = sum(hole_of(v).is_convex() for v in walk_vints(P))
     monkeypatch.setattr(charging, "is_convex", lambda signs, cycle: False)
     seq = audit(P, rules=True).rules.violations
     assert len(seq) == convex > 0

@@ -66,19 +66,16 @@ def test_degree_totals_sum_to_n_count():
         assert r.vhat(3) * 30 >= P.n
 
 
-def test_cap_raises_with_partial_result():
-    with pytest.raises(CapExceededError) as exc:
-        enumerate_all(gen_convex(6), cap=3)
-    partial = exc.value.result
+def test_cap_returns_partial_result():
+    partial = enumerate_all(gen_convex(6), cap=3)
     assert partial.count == 3
     assert not partial.exhaustive
 
 
 def test_cap_zero_partial_result_has_vhat_zero():
-    with pytest.raises(CapExceededError) as exc:
-        enumerate_all(gen_convex(6), cap=0)
-    partial = exc.value.result
+    partial = enumerate_all(gen_convex(6), cap=0)
     assert partial.count == 0
+    assert not partial.exhaustive
     assert partial.vhat(3) == Fraction(0)
 
 
@@ -91,6 +88,11 @@ def test_capped_fingerprints_are_prefix_of_full():
     assert capped == full[:5]
 
 
+def test_v3_recursion_needs_an_augmented_set():
+    with pytest.raises(TypeError, match="^check_v3_recursion needs an AugmentedPointSet$"):
+        check_v3_recursion(gen_random(4, 0), lhs=0)
+
+
 def test_every_cap_gives_the_walk_prefix():
     # 52 states: every cap below, at and above the count.
     P = augment(gen_random(5, 4))
@@ -101,10 +103,7 @@ def test_every_cap_gives_the_walk_prefix():
         next(flip_graph_states(P, cap=-1))
     degrees = [[len(star_map(tris)[p]) for p in P.interior_indices()] for tris in full]
     for cap in range(54):
-        try:
-            r = enumerate_all(P, cap=cap)
-        except CapExceededError as exc:
-            r = exc.result
+        r = enumerate_all(P, cap=cap)
         assert r.count == min(cap, 52)
         assert r.exhaustive == (cap >= 52)
         prefix = {}

@@ -170,6 +170,33 @@ def test_gen_random_exhausted_retries(monkeypatch):
         geom.gen_random(3, 0)
 
 
+def test_gen_random_redraws_a_collinear_candidate(monkeypatch):
+    # Seed 10 is the lowest seed whose draws, for some n <= 10, include a
+    # candidate collinear with two placed points; n = 4 is the smallest
+    # such n at that seed.
+    import trichor.geometry as geom
+
+    collinear = []
+
+    def watched(a, b, c):
+        collinear.append(orient(a, b, c) == COLLINEAR)
+        return orient(a, b, c)
+
+    monkeypatch.setattr(geom, "orient", watched)
+    assert geom.gen_random(4, 10).xy == ((61, 8), (61, 40), (44, 24), (20, 30))
+    assert any(collinear)
+
+
+def test_empty_point_set_rejected():
+    with pytest.raises(ValueError, match="^point set must contain at least one point$"):
+        PointSet([])
+
+
+def test_below_rejects_an_empty_range():
+    with pytest.raises(ValueError, match="^bound must be positive$"):
+        SplitMix64(0).below(0)
+
+
 def test_frame_needs_three_vertices():
     with pytest.raises(ValueError, match="^frame must have exactly 3 vertices$"):
         AugmentedPointSet(None, [Point(0, 0), Point(9, 0)])

@@ -7,11 +7,13 @@ predicate modules free of inexact arithmetic, keep every module but
 geometry off coordinate predicates, keep the polygon core off
 coordinates, keep every recursion out of closures, keep ``Fraction``
 and the per-key charger maxima out of the audit's per-state loop, keep
-an audit run's ledger off the cache entries and keep the subtree census
-on the flat key, off tree nodes.
+an audit run's ledger off the cache entries, keep the subtree census
+on the flat key, off tree nodes, and keep the names removed from the
+public API out of every module.
 """
 
 import ast
+import importlib
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -24,8 +26,9 @@ from oracles import _strictly_inside, check_simple_by_edge_pairs, point_on_open_
 from oracles import crosses as crosses_by_coordinates
 from oracles import incircle_by_lifts
 from test_enumeration import CIRCLE12, big_sets
+import trichor
 from trichor.enumeration import flip_graph_states
-from trichor.errors import NotSimpleError
+from trichor.errors import CapExceededError, NotSimpleError
 from trichor.geometry import (
     Point,
     PointSet,
@@ -515,3 +518,38 @@ def test_node_read_guard_catches_each_read():
         (5, "_slot_options", "rigid"),
         (5, "_slot_options", "shape"),
     ]
+
+
+# Names that README lists as removed from the public API: module-level
+# names, then attributes of the classes that kept their name.
+REMOVED_NAMES = {
+    "charging": (
+        "CoreNode", "DEFAULT_SUBTREE_CAP", "StarHole", "_PolygonCounter", "build_flip_tree_raw",
+        "charge_from_tree", "check_structural_rules", "enumerate_charging_vints",
+    ),
+    "errors": ("TooLargeError",),
+    "geometry": ("point_on_open_segment", "segments_cross", "validate_general_position"),
+    "polygons": ("BRUTE_FORCE_LIMIT", "Chord", "brute_force_count"),
+    "triangulation": ("edge_apex_map", "fingerprint", "flip", "flipped", "is_flippable", "vertex_link"),
+}
+REMOVED_ATTRIBUTES = {
+    "geometry.AugmentedPointSet": ("without",),
+    "triangulation.Triangulation": ("apex_map",),
+    "triangulation.DegreeVector": ("interior_total",),
+    "enumeration.EnumerationResult": ("fingerprints",),
+    "charging.FlipTree": ("key",),
+    "charging.FlipTreeNode": ("face", "key"),
+    "charging.RigidCore": ("from_shape",),
+    "charging.Vint": ("key",),
+}
+
+
+def test_removed_public_names_stay_removed():
+    modules = [trichor] + [importlib.import_module(f"trichor.{path.stem}") for path in sorted(SRC.glob("[a-z]*.py"))]
+    names = {name for group in REMOVED_NAMES.values() for name in group}
+    found = [f"{mod.__name__}.{name}" for mod in modules for name in sorted(names) if hasattr(mod, name)]
+    for dotted, attributes in REMOVED_ATTRIBUTES.items():
+        module, cls = dotted.split(".")
+        found += [f"{dotted}.{a}" for a in attributes if hasattr(getattr(trichor, module).__dict__[cls], a)]
+    assert not found, found
+    assert not hasattr(CapExceededError("x"), "result")

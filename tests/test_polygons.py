@@ -16,7 +16,6 @@ from trichor.charging import Vint, hole_of
 from trichor.enumeration import enumerate_all, flip_graph_states
 from trichor.geometry import AugmentedPointSet, Point, PointSet, augment, gen_convex, gen_random
 from trichor.polygons import (
-    Chord,
     PolygonCounter,
     SimplePolygon,
     catalan,
@@ -122,13 +121,13 @@ def test_dp_equals_noncrossing_subset_count():
 
 def test_tr_with_chords_hexagon_main_diagonal():
     hexagon = convex_gon(6)
-    assert tr_with_chords(hexagon, [Chord(0, 3)]) == 4  # C_2 * C_2
+    assert tr_with_chords(hexagon, [(0, 3)]) == 4  # C_2 * C_2
     assert count_triangulations(hexagon) == 14
 
 
 def test_tr_with_chords_pentagon_ear():
     pentagon = convex_gon(5)
-    assert tr_with_chords(pentagon, [Chord(0, 2)]) == 2  # triangle x quad
+    assert tr_with_chords(pentagon, [(0, 2)]) == 2  # triangle x quad
 
 
 def test_tr_with_chords_empty_is_full_count():
@@ -138,7 +137,7 @@ def test_tr_with_chords_empty_is_full_count():
 
 def test_tr_with_chords_partition_product():
     p = convex_gon(7)
-    chords = [Chord(0, 3), Chord(3, 6)]
+    chords = [(0, 3), (3, 6)]
     got = tr_with_chords(p, chords)
     # pieces: 0-1-2-3, 3-4-5-6, 6-0-3(triangle)
     assert got == catalan(2) * catalan(2) * 1
@@ -147,23 +146,32 @@ def test_tr_with_chords_partition_product():
 def test_tr_with_chords_crossing_rejected():
     p = convex_gon(6)
     with pytest.raises(CrossingChordsError):
-        tr_with_chords(p, [Chord(0, 3), Chord(1, 4)])
+        tr_with_chords(p, [(0, 3), (1, 4)])
 
 
 def test_tr_with_chords_invalid_chord():
     p = convex_gon(6)
     with pytest.raises(InvalidChordError):
-        tr_with_chords(p, [Chord(0, 1)])  # adjacent
+        tr_with_chords(p, [(0, 1)])  # adjacent
     dented = reflex_template(4, 1)
-    blocked = Chord(0, len(dented) - 2)  # the pair the reflex vertex blocks
+    blocked = (0, len(dented) - 2)  # the pair the reflex vertex blocks
     with pytest.raises(InvalidChordError):
         tr_with_chords(dented, [blocked])
 
 
-def test_chord_normalizes_and_validates():
-    assert Chord(5, 2) == Chord(2, 5)
-    with pytest.raises(InvalidChordError):
-        Chord(3, 3)
+def test_chord_in_either_order_and_coinciding_ends():
+    p = convex_gon(7)
+    assert tr_with_chords(p, [(5, 2)]) == tr_with_chords(p, [(2, 5)]) == catalan(2) * catalan(3)
+    with pytest.raises(InvalidChordError, match="coinciding"):
+        tr_with_chords(p, [(3, 3)])
+    for bad in ((0, 7), (-1, 3), (2, 9)):
+        with pytest.raises(InvalidChordError, match="out of range"):
+            tr_with_chords(p, [bad])
+
+
+def test_two_vertex_polygon_rejected():
+    with pytest.raises(NotSimpleError, match="^polygon needs >= 3 vertices, got 2$"):
+        SimplePolygon([(0, 0), (4, 1)])
 
 
 def test_bowtie_rejected():
@@ -206,7 +214,7 @@ def test_sees_equals_ray_cast_reference():
         t = Triangulation(P, tris)
         for p in P.interior_indices():
             hole = hole_of(Vint(p, t))
-            holes[hole.polygon.xy] = hole.polygon
+            holes[hole.xy] = hole
     polys += holes.values()
     pairs = blocked = 0
     for poly in polys:
@@ -234,12 +242,12 @@ def test_exclusive_chord_pair_sums_to_total():
     # counts add up to the full count.
     t = reflex_template(3, 1)
     total = count_triangulations(t)
-    a = tr_with_chords(t, [Chord(1, 4)])
-    b = tr_with_chords(t, [Chord(0, 2)])
+    a = tr_with_chords(t, [(1, 4)])
+    b = tr_with_chords(t, [(0, 2)])
     assert (a, b, total) == (2, 1, 3)
     assert a + b == total
     # Requiring two chords at once narrows further.
-    assert tr_with_chords(t, [Chord(1, 4), Chord(1, 3)]) == 1
+    assert tr_with_chords(t, [(1, 4), (1, 3)]) == 1
 
 
 def test_brute_force_on_convex_polygons():
@@ -330,7 +338,46 @@ def test_shared_counter_is_invariant_under_rotation_and_keeps_inside_sets_apart(
             assert counter.count(rot) == count_triangulations(poly) == want, rot
 
 
+def test_tr_with_chords_equals_noncrossing_set_oracle():
+    # Random chord sets, repeats and either order included, over convex
+    # 4..9-gons and the reflex templates: a set of diagonals counts as the
+    # oracle does, a crossing set raises CrossingChordsError and a pair
+    # that is no diagonal raises InvalidChordError.
+    polys = [convex_gon(k) for k in range(4, 10)]
+    polys += [reflex_template(n, 1) for n in range(2, 8)]
+    polys += [reflex_template(n, 2) for n in range(4, 8)]
+    rng = SplitMix64(2500)
+    seen = {"counted": 0, "crossing": 0, "invalid": 0, "repeat": 0, "reversed": 0}
+    for _ in range(1200):
+        poly = polys[rng.below(len(polys))]
+        k = len(poly)
+        pairs = [(i, j) for i in range(k) for j in range(i + 2, k) if (i, j) != (0, k - 1)]
+        chords = []
+        for _ in range(rng.below(5)):
+            if chords and not rng.below(4):
+                i, j = chords[rng.below(len(chords))]
+                seen["repeat"] += 1
+            else:
+                i, j = pairs[rng.below(len(pairs))]
+            if rng.below(2):
+                i, j = j, i
+                seen["reversed"] += 1
+            chords.append((i, j))
+        if not all(sees_by_ray_cast(poly, i, j) for i, j in chords):
+            seen["invalid"] += 1
+            with pytest.raises(InvalidChordError):
+                tr_with_chords(poly, chords)
+        elif (want := count_by_noncrossing_sets(poly, chords)) == 0:
+            seen["crossing"] += 1
+            with pytest.raises(CrossingChordsError):
+                tr_with_chords(poly, chords)
+        else:
+            seen["counted"] += 1
+            assert tr_with_chords(poly, chords) == want, (poly.xy, chords)
+    assert min(seen.values()) >= 50, seen
+
+
 def test_tr_with_chords_splits_a_wrapped_piece():
     # (2, 5) leaves the piece [5, 0, 1, 2], where 1 comes after 5, so the
     # split of (1, 5) swaps its ends: a quad [2, 3, 4, 5] and two triangles.
-    assert tr_with_chords(convex_gon(6), [Chord(2, 5), Chord(1, 5)]) == 2
+    assert tr_with_chords(convex_gon(6), [(2, 5), (1, 5)]) == 2

@@ -123,6 +123,20 @@ def test_fingerprint_canonical_over_storage_order():
     assert a == b
 
 
+def test_equal_triangulations_hash_equal_and_collapse_in_a_set():
+    ps = square()
+    a = Triangulation(ps, [(0, 1, 2), (0, 2, 3)])
+    b = Triangulation(ps, [(2, 3, 0), (1, 2, 0)])
+    assert hash(a) == hash(b)
+    assert {a, b, a.flip((0, 2))} == {b, b.flip((0, 2))}
+    assert len({a, b, a.flip((0, 2))}) == 2
+
+
+def test_initial_triangulation_of_two_points_has_no_interior():
+    with pytest.raises(ValueError, match="^point set has no interior: need >= 3 points$"):
+        initial_triangulation(PointSet([(0, 0), (5, 1)]))
+
+
 def test_degree_vector_n1():
     aug = augment(PointSet([(1, 1)]))
     dv = degree_vector(initial_triangulation(aug))
