@@ -13,6 +13,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, isqrt
 
 # Multipliers: exact where the source value is exact, decimal-literal
 # fractions where the source is a published decimal.
@@ -32,11 +33,7 @@ class BoundEntry:
         """Base rendered the way the summary table prints it: an upper
         bound rounded up to at most two decimals, trailing zeros
         stripped."""
-        scaled = self.base * 100
-        value = scaled.numerator // scaled.denominator
-        if scaled.numerator % scaled.denominator:
-            value += 1
-        whole, frac = divmod(value, 100)
+        whole, frac = divmod(ceil(self.base * 100), 100)
         if frac == 0:
             return str(whole)
         text = f"{whole}.{frac:02d}".rstrip("0")
@@ -68,16 +65,10 @@ def derived_bounds(tr_base: Fraction, symbolic_sc: bool = False) -> list[BoundEn
 
 
 def _root4_30_to_6dp() -> Fraction:
-    """30^(1/4) rounded half-up to six decimals, computed by integer
-    bisection on x^4 <= 30 * 10^24."""
+    """30^(1/4) rounded half-up to six decimals, in integers: the floor of
+    a fourth root is the integer square root taken twice."""
     target = 30 * 10**24
-    lo, hi = 0, 10**7
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**4 <= target:
-            lo = mid
-        else:
-            hi = mid - 1
+    lo = isqrt(isqrt(target))
     # lo = floor(30^(1/4) * 10^6); round half-up on the next digit.
     nxt = (10 * lo + 5) ** 4 <= target * 10**4
     return Fraction(lo + (1 if nxt else 0), 10**6)

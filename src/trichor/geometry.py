@@ -10,8 +10,9 @@ that table, and ``crosses`` takes it and four indices.  Each container
 carries its points once as the pairs ``xy`` and their order type once
 as ``signs``.  Point sets are validated from the table to be in general
 position (no three points collinear) on construction, because every
-downstream count silently depends on it.  An augmented set's convex
-hull is its frame.
+downstream count silently depends on it.  An augmented set is a point
+set whose convex hull is its frame: one point list, base then frame,
+with one order type.
 """
 
 from __future__ import annotations
@@ -115,6 +116,11 @@ def point_in_triangle(p, a, b, c) -> bool:
     )
 
 
+def _as_points(points: Iterable[Point | tuple[int, int]]) -> tuple[Point, ...]:
+    """``points`` as ``Point``s; a pair with a non-int coordinate raises ``TypeError``."""
+    return tuple(p if isinstance(p, Point) else Point(*p) for p in points)
+
+
 def _general_position_signs(xy: Sequence[tuple[int, int]]):
     """The ``order_type`` of ``xy``, which must hold distinct points with
     no three collinear; the first repeat or collinear triple raises."""
@@ -141,7 +147,7 @@ class PointSet:
     __slots__ = ("points", "xy", "signs")
 
     def __init__(self, points: Iterable[Point | tuple[int, int]]):
-        pts = tuple(p if isinstance(p, Point) else Point(*p) for p in points)
+        pts = _as_points(points)
         if not pts:
             raise ValueError("point set must contain at least one point")
         self.xy = tuple((p.x, p.y) for p in pts)
@@ -184,36 +190,37 @@ class PointSet:
         return tuple(i for i in range(len(self.points)) if i not in hull)
 
 
-class AugmentedPointSet:
+class AugmentedPointSet(PointSet):
     """A point set together with a bounding triangle that is its convex hull.
 
-    The combined labelling puts the n base points first (indices 0..n-1)
-    and the three frame vertices last (n, n+1, n+2), in CCW order; ``xy``
-    holds the combined points as plain ``(x, y)`` int pairs and
-    ``signs`` their ``order_type``.
+    An augmented set is the ``PointSet`` of the n base points first
+    (indices 0..n-1, read them as ``points[:n]``) and the three frame
+    vertices last (n, n+1, n+2), in CCW order.  ``base`` may be a
+    ``PointSet``, any iterable of ``Point``s or ``(x, y)`` pairs, or
+    None; the frame is checked here, and the combined points are
+    validated and tabled by ``PointSet``.
     """
 
-    __slots__ = ("base", "frame", "points", "xy", "signs")
+    __slots__ = ()
 
-    def __init__(self, base: PointSet | None, frame: Sequence[Point]):
-        frame = tuple(frame)
+    def __init__(
+        self,
+        base: Iterable[Point | tuple[int, int]] | None,
+        frame: Iterable[Point | tuple[int, int]],
+    ):
+        base_pts = _as_points(() if base is None else base)
+        frame = _as_points(frame)
         if len(frame) != 3:
             raise ValueError("frame must have exactly 3 vertices")
-        nbase = len(base) if base is not None else 0
+        n = len(base_pts)
         if orient(*frame) == CW:
             frame = (frame[0], frame[2], frame[1])
         if orient(*frame) != CCW:
-            raise CollinearTripleError(nbase, nbase + 1, nbase + 2)
-        base_pts: tuple[Point, ...] = tuple(base) if base is not None else ()
+            raise CollinearTripleError(n, n + 1, n + 2)
         for i, p in enumerate(base_pts):
             if not point_in_triangle(p, *frame):
                 raise ValueError(f"base point {i} not strictly inside the frame")
-        combined = base_pts + frame
-        self.xy = tuple((p.x, p.y) for p in combined)
-        self.signs = _general_position_signs(self.xy)
-        self.base = base
-        self.frame = frame
-        self.points = combined
+        super().__init__(base_pts + frame)
 
     @classmethod
     def from_points(cls, ps: PointSet) -> "AugmentedPointSet":
@@ -222,21 +229,17 @@ class AugmentedPointSet:
         if len(hull) != 3:
             raise ValueError(f"convex hull has {len(hull)} vertices, need exactly 3")
         hull_set = set(hull)
-        interior = [ps[i] for i in range(len(ps)) if i not in hull_set]
-        base = PointSet(interior) if interior else None
-        frame = tuple(ps[i] for i in hull)
-        return cls(base, frame)
+        return cls([p for i, p in enumerate(ps) if i not in hull_set], [ps[i] for i in hull])
 
     @property
     def n(self) -> int:
         """Number of interior (base) points."""
         return len(self.points) - 3
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, i: int) -> Point:
-        return self.points[i]
+    @property
+    def frame(self) -> tuple[Point, Point, Point]:
+        """The frame vertices in CCW order."""
+        return self.points[-3:]
 
     def frame_indices(self) -> tuple[int, int, int]:
         n = self.n
@@ -302,9 +305,7 @@ def gen_convex_arc_in_triangle(n: int) -> AugmentedPointSet:
     if n < 1:
         raise ValueError("need n >= 1")
     m = n + 1
-    base = PointSet([Point(t, t * (m - t)) for t in range(1, n + 1)])
-    frame = (Point(0, 0), Point(m, 0), Point(0, 4 * m * m))
-    return AugmentedPointSet(base, frame)
+    return AugmentedPointSet([(t, t * (m - t)) for t in range(1, n + 1)], [(0, 0), (m, 0), (0, 4 * m * m)])
 
 
 def gen_random(n: int, seed: int) -> PointSet:
@@ -327,17 +328,7 @@ def gen_random(n: int, seed: int) -> PointSet:
             )
         attempts += 1
         cand = (rng.below(side), rng.below(side))
-        if cand in pts:
-            continue
-        ok = True
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if orient(pts[i], pts[j], cand) == COLLINEAR:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if cand not in pts and not any(orient(a, b, cand) == COLLINEAR for a, b in combinations(pts, 2)):
             pts.append(cand)
     return PointSet(pts)
 
@@ -363,7 +354,7 @@ def read_pairs(path: str | Path, kind: str) -> list[tuple[int, int]]:
     return [(int(coords[2 * i]), int(coords[2 * i + 1])) for i in range(k)]
 
 
-def write_points(ps: PointSet | AugmentedPointSet, path: str | Path) -> None:
+def write_points(ps: PointSet, path: str | Path) -> None:
     Path(path).write_text(points_text(ps.xy))
 
 

@@ -970,7 +970,7 @@ def test_charges_invariant_under_coordinate_scaling():
     P = augment(gen_random(4, 6))
     scale = 10**9
     big = AugmentedPointSet(
-        PointSet([Point(p.x * scale, p.y * scale) for p in P.base]),
+        PointSet([Point(p.x * scale, p.y * scale) for p in P.points[:P.n]]),
         [Point(p.x * scale, p.y * scale) for p in P.frame],
     )
     a, b = audit(P), audit(big)
@@ -1061,7 +1061,7 @@ def test_audit_invariant_under_unimodular_shear(P, k1, k2, dx, dy):
     def image(p):
         return Point((1 + k1 * k2) * p.x + k1 * p.y + dx, k2 * p.x + p.y + dy)
 
-    Q = AugmentedPointSet(PointSet([image(p) for p in P.base]), [image(p) for p in P.frame])
+    Q = AugmentedPointSet(PointSet([image(p) for p in P.points[:P.n]]), [image(p) for p in P.frame])
     assert Q.signs == P.signs
     one, two = audit(P, rules=True), audit(Q, rules=True)
     assert two.to_json_dict() == one.to_json_dict()

@@ -330,7 +330,7 @@ def test_counts_invariant_under_coordinate_scaling():
     P = augment(gen_random(5, 6))
     scale, shift = 10**12, 7
     big = AugmentedPointSet(
-        PointSet([Point(p.x * scale + shift, p.y * scale - shift) for p in P.base]),
+        PointSet([Point(p.x * scale + shift, p.y * scale - shift) for p in P.points[:P.n]]),
         [Point(p.x * scale + shift, p.y * scale - shift) for p in P.frame],
     )
     a, b = enumerate_all(P), enumerate_all(big)

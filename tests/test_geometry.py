@@ -72,14 +72,14 @@ def test_augment_convex_five():
     aug = augment(gen_convex(5))
     assert len(aug.points) == 8
     assert len(PointSet(aug.points).convex_hull_indices()) == 3
-    for p in aug.base:
+    for p in aug.points[:aug.n]:
         assert point_in_triangle(p, *aug.frame)
 
 
 def test_augment_frame_strictly_contains():
     for seed in range(5):
         aug = augment(gen_random(5, seed))
-        for p in aug.base:
+        for p in aug.points[:aug.n]:
             assert point_in_triangle(p, *aug.frame)
 
 
@@ -219,3 +219,52 @@ def test_clockwise_frame_reordered_to_ccw():
     assert P.frame == (a, b, c)
     assert orient(*P.frame) == CCW
     assert P.xy[1:] == ((0, 0), (9, 0), (0, 9))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: gen_convex(2), "need n >= 3 for a convex polygon"),
+        (lambda: gen_convex_arc_in_triangle(0), "need n >= 1"),
+        (lambda: gen_random(0, 0), "need n >= 1"),
+    ],
+    ids=["convex", "arc", "random"],
+)
+def test_generators_reject_too_few_points(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_augment_exhausted_retries(monkeypatch):
+    import trichor.geometry as geom
+
+    def always_collinear(base, frame):
+        raise CollinearTripleError(0, 1, 2)
+
+    monkeypatch.setattr(geom, "AugmentedPointSet", always_collinear)
+    with pytest.raises(geom.ExhaustedRetriesError, match="^could not place a frame in general position$"):
+        augment(PointSet([(0, 0)]))
+
+
+def test_point_set_equality_is_by_points():
+    ps = gen_random(5, 3)
+    assert ps == PointSet(ps.xy)
+    assert ps != PointSet(ps.xy[::-1])
+    assert ps != ps.xy
+
+
+def test_augmented_set_is_a_point_set():
+    aug = gen_convex_arc_in_triangle(3)
+    assert len(aug) == 6
+    assert aug[0] == Point(1, 3) and aug[5] == aug.frame[2] == Point(0, 64)
+    assert aug.points[: aug.n] == tuple(aug)[:3]
+    assert repr(aug) == "AugmentedPointSet(n=3)"
+    assert repr(PointSet(aug.points)) == "PointSet(6 points)"
+
+
+def test_augmented_set_takes_pairs_and_checks_types_first():
+    P = AugmentedPointSet([(2, 2)], [(0, 0), (0, 9), (9, 0)])
+    assert P.xy == ((2, 2), (0, 0), (9, 0), (0, 9))
+    assert P == AugmentedPointSet(PointSet([(2, 2)]), [Point(0, 0), Point(9, 0), Point(0, 9)])
+    with pytest.raises(TypeError):
+        AugmentedPointSet([(2.5, 2)], [(0, 0), (0, 0), (0, 0)])

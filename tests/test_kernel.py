@@ -533,7 +533,7 @@ REMOVED_NAMES = {
     "triangulation": ("edge_apex_map", "fingerprint", "flip", "flipped", "is_flippable", "vertex_link"),
 }
 REMOVED_ATTRIBUTES = {
-    "geometry.AugmentedPointSet": ("without",),
+    "geometry.AugmentedPointSet": ("without", "base"),
     "triangulation.Triangulation": ("apex_map",),
     "triangulation.DegreeVector": ("interior_total",),
     "enumeration.EnumerationResult": ("fingerprints",),
@@ -553,3 +553,23 @@ def test_removed_public_names_stay_removed():
         found += [f"{dotted}.{a}" for a in attributes if hasattr(getattr(trichor, module).__dict__[cls], a)]
     assert not found, found
     assert not hasattr(CapExceededError("x"), "result")
+
+
+def test_an_augmented_set_builds_one_order_type(monkeypatch):
+    import trichor.geometry as geometry
+
+    ps = PointSet(augment(gen_random(5, 7)).points)
+    calls = []
+    real = geometry.order_type
+    monkeypatch.setattr(geometry, "order_type", lambda xy: calls.append(len(xy)) or real(xy))
+    geometry.AugmentedPointSet.from_points(ps)
+    assert calls == [8]
+    calls.clear()
+    gen_convex_arc_in_triangle(5)
+    assert calls == [8]
+
+
+def test_an_augmented_set_is_a_point_set_compared_by_points():
+    ps = gen_random(5, 7)
+    assert augment(ps) == augment(ps)
+    assert isinstance(augment(ps), PointSet)

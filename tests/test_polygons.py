@@ -381,3 +381,12 @@ def test_tr_with_chords_splits_a_wrapped_piece():
     # (2, 5) leaves the piece [5, 0, 1, 2], where 1 comes after 5, so the
     # split of (1, 5) swaps its ends: a quad [2, 3, 4, 5] and two triangles.
     assert tr_with_chords(convex_gon(6), [(2, 5), (1, 5)]) == 2
+
+
+def test_sees_rejects_the_same_and_adjacent_vertices():
+    poly = SimplePolygon(gen_convex(5).points)
+    assert repr(poly) == "SimplePolygon(5 vertices)"
+    assert poly.sees(0, 2)
+    assert not poly.sees(1, 1)
+    assert not poly.sees(1, 2) and not poly.sees(2, 1)
+    assert not poly.sees(0, 4) and not poly.sees(4, 5)

@@ -269,3 +269,8 @@ def test_validate_rejects_a_point_left_out():
     ps = PointSet([(0, 0), (4, 0), (4, 4), (0, 4), (1, 2)])
     with pytest.raises(ValueError, match="^edge count 5 != 8$"):
         Triangulation(ps, [(0, 1, 2), (0, 2, 3)], check=True)
+
+
+def test_repr_names_triangle_count_and_fingerprint():
+    t = square_tri()
+    assert repr(t) == f"Triangulation(2 triangles, fp={t.fingerprint()[:8]})"
