@@ -15,7 +15,6 @@ from .charging import (
     FlipTreeNode,
     RigidCore,
     RulesReport,
-    SubtreeInfo,
     Vint,
     audit,
     build_flip_tree,

@@ -44,8 +44,11 @@ def derived_bounds(tr_base: Fraction, symbolic_sc: bool = False) -> list[BoundEn
     """Bound entries for all five quantities given a triangulation base.
 
     With ``symbolic_sc`` the spanning-cycle factor is 30^(1/4) evaluated
-    to six decimals instead of the published 2.3403 literal.
+    to six decimals instead of the published 2.3403 literal.  ``tr_base``
+    is exact: a float raises TypeError.
     """
+    if isinstance(tr_base, float):
+        raise TypeError("tr_base must be exact (int, Fraction or str), not a float")
     tr_base = Fraction(tr_base)
     if tr_base <= 1:
         raise ValueError("tr_base must exceed 1")

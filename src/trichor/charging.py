@@ -12,7 +12,7 @@ flip-tree of v.  Each subtree's polygon is the hole of its vint, and
 its edge count j gives the degree j + 3.  The rigid core (the maximal
 all-rigid subtree at the root) captures exactly the support-1 chargers.
 Every subtree census reads the flat flip-tree key that ``flip_tree_key``
-grows for a 3-vint (``iter_subtrees``, ``charge`` and ``audit`` alike);
+grows for a 3-vint (``charge`` and ``audit`` alike);
 a ``FlipTree`` is the decoded view of a key, for DOT and rigid cores,
 and is never encoded back.
 
@@ -51,7 +51,7 @@ from .triangulation import (
     star_triangles,
 )
 
-# Most root-containing subtrees one flip-tree or rigid core may have.
+# Most root-containing subtrees one flip-tree may have.
 SUBTREE_CAP = 10**6
 
 # A parallel audit's parent tallies the states fewer than this many
@@ -152,9 +152,6 @@ class FlipTree(NamedTuple):
         """The tree with its labels dropped: each node is the tuple of
         its children's shapes."""
         return _shape(self.children)
-
-    def subtree_count(self) -> int:
-        return sum(subtree_size_counts(self.shape()))
 
     def to_dot(self) -> str:
         lines = ["digraph fliptree {", "  node [shape=circle];"]
@@ -305,14 +302,6 @@ class RigidCore:
         self.lambda1, self.lambda2, self.lambda3 = (widths + [0, 0, 0])[:3]
         self.nu2 = sum(len(node) == 2 for node in shape)
 
-    def subtree_edge_counts(self) -> list[int]:
-        """Edge count j of every root-containing subtree, ascending."""
-        counts = subtree_size_counts(self.shape)
-        total = sum(counts)
-        if total > SUBTREE_CAP:
-            raise CapExceededError(f"core has {total} subtrees, cap {SUBTREE_CAP}")
-        return [j for j, c in enumerate(counts) for _ in range(c)]
-
 
 def rigid_core(tree: FlipTree) -> RigidCore:
     """The RigidCore of the tree's all-rigid part: a child is kept only
@@ -345,28 +334,6 @@ def contr_minus(core: RigidCore) -> int:
 # ---------------------------------------------------------------------------
 # subtree census of a geometric flip-tree: the charging vints
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubtreeInfo:
-    """One root-containing subtree of a flip-tree.
-
-    ``dual_edges`` are the triangulation edges dual to the chosen tree
-    edges (sorted), ``boundary`` the polygon of the grown hole in CCW
-    order, ``all_rigid`` whether the subtree lies in the rigid core.
-    """
-
-    dual_edges: tuple[EdgeRef, ...]
-    boundary: tuple[int, ...]
-    all_rigid: bool
-
-    @property
-    def j(self) -> int:
-        return len(self.dual_edges)
-
-    @property
-    def degree(self) -> int:
-        return self.j + 3
 
 
 def _census(key, nodes=True):
@@ -416,25 +383,6 @@ def _rule1(key, signs, i, u, v, opp, level, found) -> int:
     return end
 
 
-def _subtrees(key) -> list[SubtreeInfo]:
-    """SubtreeInfo for every root-containing subtree of the flip-tree
-    ``key``, by (j, dual edges): a chosen node's dual edge is its slot
-    edge, and the int after its apex is 1 iff that edge is rigid."""
-    out = [
-        SubtreeInfo(tuple(sorted(edge(u, v) for _, u, v in chosen)), boundary, all(key[i + 1] for i, _, _ in chosen))
-        for boundary, chosen in _census(key)
-    ]
-    out.sort(key=lambda s: (s.j, s.dual_edges))
-    return out
-
-
-def iter_subtrees(v: Vint) -> list[SubtreeInfo]:
-    """SubtreeInfo for every root-containing subtree of the 3-vint v's
-    flip-tree, by (j, dual edges)."""
-    t = v.triangulation
-    return _subtrees(flip_tree_key(t.vertices.signs, t.star, v.point))
-
-
 def frac_json(f: Fraction) -> dict:
     """An exact fraction as JSON: numerator and denominator strings."""
     return {"num": str(f.numerator), "den": str(f.denominator)}
@@ -442,11 +390,28 @@ def frac_json(f: Fraction) -> dict:
 
 @dataclass(frozen=True)
 class ChargeContribution:
-    j: int
-    degree: int
+    """One vint charging a 3-vint: a root-containing subtree of its flip-tree.
+
+    ``dual_edges`` are the triangulation edges dual to the chosen tree
+    edges (sorted), ``boundary`` the polygon of the grown hole in CCW
+    order, ``all_rigid`` whether the subtree lies in the rigid core,
+    ``support`` the hole's triangulation count and ``amount`` the charge
+    (4 - j) / support it sends.
+    """
+
+    dual_edges: tuple[EdgeRef, ...]
+    boundary: tuple[int, ...]
+    all_rigid: bool
     support: int
     amount: Fraction
-    dual_edges: tuple[EdgeRef, ...]
+
+    @property
+    def j(self) -> int:
+        return len(self.dual_edges)
+
+    @property
+    def degree(self) -> int:
+        return self.j + 3
 
 
 @dataclass
@@ -479,11 +444,17 @@ class ChargeReport:
 
 
 def _charge_report(key, counter: PolygonCounter, fingerprint: str = "") -> ChargeReport:
-    """The itemised charge received by the 3-vint of the flip-tree ``key``."""
+    """The itemised charge received by the 3-vint of the flip-tree ``key``,
+    one contribution per subtree by (j, dual edges): a chosen node's dual
+    edge is its slot edge, and the int after its apex is 1 iff that edge
+    is rigid."""
     contribs = []
-    for sub in _subtrees(key):
-        supp = counter.count(sub.boundary)
-        contribs.append(ChargeContribution(sub.j, sub.degree, supp, Fraction(4 - sub.j, supp), sub.dual_edges))
+    for boundary, chosen in _census(key):
+        supp = counter.count(boundary)
+        duals = tuple(sorted(edge(u, v) for _, u, v in chosen))
+        all_rigid = all(key[i + 1] for i, _, _ in chosen)
+        contribs.append(ChargeContribution(duals, boundary, all_rigid, supp, Fraction(4 - len(duals), supp)))
+    contribs.sort(key=lambda c: (c.j, c.dual_edges))
     return ChargeReport(key[0], fingerprint, contribs, sum((c.amount for c in contribs), Fraction(0)))
 
 

@@ -249,7 +249,10 @@ def check_v3_recursion(P: AugmentedPointSet, lhs: int) -> V3RecursionReport:
 
 def tri_upper_bound(n: int, delta: Fraction) -> int:
     """ceil((1/delta)^n): the triangulation-count bound implied by an
-    expected-degree-3 density of delta."""
+    expected-degree-3 density of delta, an exact value: a float raises
+    TypeError."""
+    if isinstance(delta, float):
+        raise TypeError("delta must be exact (int, Fraction or str), not a float")
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")

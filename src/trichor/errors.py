@@ -31,9 +31,9 @@ class NotFlippableError(TrichorError):
 
 class CapExceededError(TrichorError):
     """A state or subtree cap was hit where no partial value exists:
-    ``flip_graph_states`` past its cap, or a flip-tree or rigid core with
-    more than ``SUBTREE_CAP`` subtrees.  A capped ``enumerate_all``
-    returns its partial result, flagged non-exhaustive, instead."""
+    ``flip_graph_states`` past its cap, or a flip-tree with more than
+    ``SUBTREE_CAP`` subtrees.  A capped ``enumerate_all`` returns its
+    partial result, flagged non-exhaustive, instead."""
 
 
 class InvariantError(TrichorError):

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import CrossingChordsError, InvalidChordError, NotSimpleError, OutOfRangeError
-from .geometry import CCW, CW, Point, crosses, order_type, points_text, read_pairs, signed_area_2x
+from .geometry import CCW, CW, Point, _as_points, crosses, order_type, points_text, read_pairs, signed_area_2x
 
 
 def catalan(m: int) -> int:
@@ -65,9 +65,9 @@ class SimplePolygon:
     def __init__(
         self,
         boundary: Iterable[Point | tuple[int, int]],
-        kernel_witness: Point | None = None,
+        kernel_witness: Point | tuple[int, int] | None = None,
     ):
-        pts = tuple(p if isinstance(p, Point) else Point(*p) for p in boundary)
+        pts = _as_points(boundary)
         if len(pts) < 3:
             raise NotSimpleError(f"polygon needs >= 3 vertices, got {len(pts)}")
         xy, k = tuple((p.x, p.y) for p in pts), len(pts)
@@ -83,9 +83,10 @@ class SimplePolygon:
         _check_simple(self.signs, k)
         self.boundary = pts
         self.xy = xy
-        self.kernel_witness = kernel_witness
+        self.kernel_witness = None
         if kernel_witness is not None:
-            signs = order_type(xy + (kernel_witness,))
+            (self.kernel_witness,) = _as_points((kernel_witness,))
+            signs = order_type(xy + (self.kernel_witness,))
             for i in range(k):
                 if signs[i][(i + 1) % k][k] != CCW:
                     raise NotSimpleError(f"kernel witness is not strictly left of edge {i}")
@@ -261,13 +262,13 @@ def count_triangulations(
     ``poly`` is a SimplePolygon or its boundary as ``(x, y)`` pairs in
     either orientation (validated as a SimplePolygon).  An inside point
     on or outside the boundary, or one that repeats a point, raises
-    ValueError.  The count is one ``PolygonCounter`` over the boundary
-    followed by the inside points.
+    ValueError; a non-int coordinate raises TypeError.  The count is one
+    ``PolygonCounter`` over the boundary followed by the inside points.
     """
     if not isinstance(poly, SimplePolygon):
         poly = SimplePolygon(poly)
     k, cycle = len(poly.xy), range(len(poly.xy))
-    xy = poly.xy + tuple(tuple(q) for q in inside)
+    xy = poly.xy + tuple((q.x, q.y) for q in _as_points(inside))
     if len(set(xy)) < len(xy):
         raise ValueError("an inside point repeats a point")
     signs = order_type(xy) if len(xy) > k else poly.signs

@@ -35,7 +35,6 @@ from trichor.charging import (
     build_flip_tree,
     charge,
     hole_of,
-    iter_subtrees,
     support,
 )
 from trichor.enumeration import flip_graph_states
@@ -378,7 +377,7 @@ def random_core_shape(rng: SplitMix64) -> tuple:
 
 def enumerate_charging_vints(v: Vint) -> list:
     """All vints charging v, via the subtree bijection, as
-    (SubtreeInfo, Vint) pairs.
+    (ChargeContribution, Vint) pairs.
 
     Each root-containing subtree of the flip-tree maps to the vint whose
     triangulation re-fans the subtree's polygon from v's point.
@@ -386,7 +385,7 @@ def enumerate_charging_vints(v: Vint) -> list:
     t = v.triangulation
     p = v.point
     out = []
-    for sub in iter_subtrees(v):
+    for sub in charge(v).contributions:
         # The region's faces are the three fan faces at p plus the chosen
         # node faces, and every face containing a dual edge is in the
         # region; drop them all, then re-fan the boundary from p.
@@ -413,7 +412,7 @@ def enumerate_charging_vints(v: Vint) -> list:
 
 
 def subtrees_by_brute_force(tree: FlipTree) -> list:
-    """Reference for ``iter_subtrees``: (j, sorted dual edges, all rigid)
+    """Reference for ``charge``'s records: (j, sorted dual edges, all rigid)
     of every node subset of ``tree`` that holds the parent of each of its
     nodes, in sorted order, found by trying every subset."""
     nodes, parent = [], []

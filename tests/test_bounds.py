@@ -56,6 +56,14 @@ def test_rejects_base_below_one():
         derived_bounds(Fraction(1))
 
 
+def test_takes_exact_bases_only():
+    # 30.1 as a float is 30.10000000000000142..., whose digits round up to 30.11.
+    with pytest.raises(TypeError):
+        derived_bounds(30.1)
+    assert by_quantity(derived_bounds("30.1"))["tr"].table_digits() == "30.1"
+    assert derived_bounds(30) == derived_bounds(Fraction(30))
+
+
 def test_csv_digits():
     text = bounds_csv(derived_bounds(Fraction(30)))
     rows = [line.split(",") for line in text.strip().splitlines()[1:]]

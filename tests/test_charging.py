@@ -31,7 +31,6 @@ from trichor.charging import (
     contr_plus_closed_form,
     flip_tree_key,
     hole_of,
-    iter_subtrees,
     rigid_core,
     subtree_size_counts,
     support,
@@ -121,7 +120,7 @@ def test_n1_flip_tree_is_root_only():
     aug, t = single_point_instance()
     tree = build_flip_tree(Vint(0, t))
     assert tree.edge_count() == 0
-    assert tree.subtree_count() == 1
+    assert sum(subtree_size_counts(tree.shape())) == 1
 
 
 def test_flip_tree_requires_degree_three():
@@ -167,7 +166,7 @@ def test_path_shaped_tree_yields_j_plus_one_vints():
     entries = enumerate_charging_vints(Vint(p, t))
     if is_path:
         assert len(entries) == tree.edge_count() + 1
-    assert len(entries) == tree.subtree_count()
+    assert len(entries) == sum(subtree_size_counts(tree.shape()))
 
 
 def test_charging_vints_are_valid_triangulations():
@@ -227,6 +226,7 @@ def test_rigid_core_subtrees_are_exactly_support_one():
                 continue
             for sub, vv in enumerate_charging_vints(Vint(p, T)):
                 assert (support(vv) == 1) == sub.all_rigid
+                assert sub.support == support(vv)
 
 
 # --- rigid cores ---
@@ -303,13 +303,12 @@ def test_core_rejects_too_many_children():
 
 
 def test_subtree_cap_enforced(monkeypatch):
-    core = RigidCore(COMPLETE_H3)
-    monkeypatch.setattr(charging, "SUBTREE_CAP", 100)
-    with pytest.raises(CapExceededError):
-        core.subtree_edge_counts()
     aug, t = single_point_instance()
     monkeypatch.setattr(charging, "SUBTREE_CAP", 10)
-    assert len(iter_subtrees(Vint(0, t))) == 1
+    assert len(charge(Vint(0, t)).contributions) == 1
+    monkeypatch.setattr(charging, "SUBTREE_CAP", 0)
+    with pytest.raises(CapExceededError):
+        charge(Vint(0, t))
 
 
 # --- charges ---
@@ -325,11 +324,9 @@ def test_isolated_three_vint_charges_four():
 
 def test_simplified_worst_case_positive_part_is_59():
     # Full support-1 tree up to the 6-vints: 4*1 + 3*3 + 2*9 + 1*28.
-    core = RigidCore(COMPLETE_H3)
-    sizes = [j for j in core.subtree_edge_counts() if j <= 3]
-    assert sum(4 - j for j in sizes) == 59
-    by_j = {j: sizes.count(j) for j in range(4)}
-    assert by_j == {0: 1, 1: 3, 2: 9, 3: 28}
+    counts = subtree_size_counts(RigidCore(COMPLETE_H3).shape)
+    assert counts[:4] == [1, 3, 9, 28]
+    assert sum((4 - j) * c for j, c in enumerate(counts[:4])) == 59
 
 
 def test_charge_report_contributions_ordered_and_exact():
@@ -518,7 +515,6 @@ def test_census_and_audit_leave_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        iter_subtrees(v)
         charge(v)
         rigid_core(tree)
         tree.to_dot()
@@ -815,8 +811,8 @@ def test_star_link_runs_once_per_distinct_link(monkeypatch, n, links):
 
 
 def test_audit_census_agrees_with_charge_from_tree():
-    # The audit's lean pricing agrees with the itemised report, and
-    # iter_subtrees with a brute force over the reference tree's node sets.
+    # The audit's lean pricing agrees with the itemised report, and the
+    # report with a brute force over the reference tree's node sets.
     for name, P in KEY_INSTANCES.items():
         ctx = charging._AuditContext(P, rules=False)
         counter = PolygonCounter(P.signs)
@@ -832,10 +828,10 @@ def test_audit_census_agrees_with_charge_from_tree():
                 assert priced.total == rep.total
                 degrees = rep.degree_counts()
                 assert priced.chargers == tuple(degrees.get(d, 0) for d in range(3, max(degrees) + 1))
-                subs = iter_subtrees(Vint(p, T))
-                assert [(c.j, c.dual_edges) for c in rep.contributions] == [(s.j, s.dual_edges) for s in subs]
+                assert rep.contributions == charge(Vint(p, T)).contributions
                 ref = reference_flip_tree(P.xy, T.star, p)
-                assert sorted((s.j, s.dual_edges, s.all_rigid) for s in subs) == subtrees_by_brute_force(ref)
+                found = sorted((c.j, c.dual_edges, c.all_rigid) for c in rep.contributions)
+                assert found == subtrees_by_brute_force(ref)
                 # Enumerating agrees with counting, and a chosen position holds an apex.
                 census = list(charging._census(key))
                 js = [len(chosen) for _, chosen in census]
@@ -994,9 +990,7 @@ def test_pessimistic_bound_of_m5_core_is_43():
     # ignoring negative vints outside it bounds the total by
     # contr+ + (59 - contr+)/2 + contr-.
     core = RigidCore((((), ()), (), ()))
-    sizes = core.subtree_edge_counts()
-    hist = {j: sizes.count(j) for j in set(sizes)}
-    assert hist == {0: 1, 1: 3, 2: 5, 3: 6, 4: 4, 5: 1}
+    assert subtree_size_counts(core.shape) == [1, 3, 5, 6, 4, 1]
     plus, minus = contr_plus(core), contr_minus(core)
     assert (plus, minus) == (29, -1)
     assert plus + Fraction(59 - plus, 2) + minus == 43

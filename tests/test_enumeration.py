@@ -298,6 +298,11 @@ def test_tri_upper_bound_validates():
         tri_upper_bound(2, Fraction(3, 2))
     with pytest.raises(ValueError):
         tri_upper_bound(-1, Fraction(1, 2))
+    # 1/3 as a float is the binary fraction just below it: ceil gives 4, not 3.
+    with pytest.raises(TypeError):
+        tri_upper_bound(1, 1 / 3)
+    assert tri_upper_bound(1, "1/3") == tri_upper_bound(1, Fraction(1, 3)) == 3
+    assert tri_upper_bound(2, 1) == 1
 
 
 def test_stats_are_populated():

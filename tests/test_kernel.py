@@ -479,7 +479,7 @@ def test_attribute_write_guard_catches_entry_stamps():
 # The subtree census, and every reader of it, reads the preorder ints of
 # a flat flip-tree key: no tree node attribute, no decoded tree, no slot
 # matching, no shape.
-KEY_CENSUS = {"_census", "_slot_options", "_subtrees", "iter_subtrees", "_charge_report"}
+KEY_CENSUS = {"_census", "_slot_options", "_charge_report"}
 NODE_READS = {"apex", "children", "dual", "rigid", "shape", "tree_from_key", "_slot_nodes"}
 
 
@@ -525,7 +525,8 @@ def test_node_read_guard_catches_each_read():
 REMOVED_NAMES = {
     "charging": (
         "CoreNode", "DEFAULT_SUBTREE_CAP", "StarHole", "_PolygonCounter", "build_flip_tree_raw",
-        "charge_from_tree", "check_structural_rules", "enumerate_charging_vints",
+        "charge_from_tree", "check_structural_rules", "enumerate_charging_vints", "SubtreeInfo",
+        "iter_subtrees",
     ),
     "errors": ("TooLargeError",),
     "geometry": ("point_on_open_segment", "segments_cross", "validate_general_position"),
@@ -537,9 +538,9 @@ REMOVED_ATTRIBUTES = {
     "triangulation.Triangulation": ("apex_map",),
     "triangulation.DegreeVector": ("interior_total",),
     "enumeration.EnumerationResult": ("fingerprints",),
-    "charging.FlipTree": ("key",),
+    "charging.FlipTree": ("key", "subtree_count"),
     "charging.FlipTreeNode": ("face", "key"),
-    "charging.RigidCore": ("from_shape",),
+    "charging.RigidCore": ("from_shape", "subtree_edge_counts"),
     "charging.Vint": ("key",),
 }
 

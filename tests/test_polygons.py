@@ -288,10 +288,15 @@ SQUARE = [(0, 0), (4, 0), (4, 4), (0, 4)]
         (SQUARE, [(2, 0)], ValueError),
         (SQUARE, [(0, 0)], ValueError),
         (SQUARE, [(1, 1), (1, 1)], ValueError),
+        (SQUARE, [Point(1, 1), (1, 1)], ValueError),
         (SQUARE, [(2, 2), (6, 2)], ValueError),
+        (SQUARE, [(1.5, 2.25)], TypeError),
         ([(0, 0), (2, 2), (2, 0), (0, 2)], [], NotSimpleError),
     ],
-    ids=["ccw", "cw", "cw-inside", "outside", "on-edge", "on-vertex", "repeat", "one-outside", "bowtie"],
+    ids=[
+        "ccw", "cw", "cw-inside", "outside", "on-edge", "on-vertex", "repeat", "repeat-point", "one-outside",
+        "float-inside", "bowtie",
+    ],
 )
 def test_count_triangulations_validates_the_pair_form(boundary, inside, expected):
     # The pair form goes through SimplePolygon (a CW boundary is
@@ -302,6 +307,13 @@ def test_count_triangulations_validates_the_pair_form(boundary, inside, expected
     else:
         with pytest.raises(expected):
             count_triangulations(boundary, inside)
+
+
+def test_kernel_witness_is_an_int_point():
+    assert SimplePolygon(SQUARE, kernel_witness=(2, 1)).kernel_witness == Point(2, 1)
+    for bad in ((2.5, 1.5), (2, 1, 0)):
+        with pytest.raises(TypeError):
+            SimplePolygon(SQUARE, kernel_witness=bad)
 
 
 def _rotations(cycle):
